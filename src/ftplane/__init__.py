@@ -19,18 +19,15 @@ from .errors import (
     OriginOutsideError,
     PlaneError,
     PreconditionViolatedError,
-    UnboundedError,
     WitnessFailedError,
     ZeroVectorError,
 )
 from .geometry import (
     DEFAULT_EPS,
     HalfPlane,
-    Point2,
     Region,
     Vec2,
     convex_hull,
-    intersect_halfplanes,
     orient,
     segment_interior_contains,
 )

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Commands: solve, uniqueness, lambda, witness, render. Norm documents are
+Commands: solve, uniqueness, lambda, witness. Norm documents are
 JSON: {"type": "polygon", "vertices": [[x, y], ...]} or
 {"type": "lambda", "lambda": k}; point documents are {"points": [[x, y], ...]}.
 All numbers are serialized with 12 significant digits so outputs are
@@ -26,7 +26,6 @@ from .errors import (
     OddVertexCountError,
     OriginOutsideError,
     PreconditionViolatedError,
-    UnboundedError,
     WitnessFailedError,
     ZeroVectorError,
 )
@@ -44,7 +43,7 @@ _VALIDATION_ERRORS = (
 )
 _CERTIFICATE_ERRORS = (
     CertificateError, WitnessFailedError, InfeasibleError,
-    EmptyIntersectionError, UnboundedError, NotUnitFunctionalError,
+    EmptyIntersectionError, NotUnitFunctionalError,
 )
 
 
@@ -135,14 +134,6 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def cmd_render(args) -> int:
-    norm = _load_norm(args)
-    points = _load_points(args.points)
-    sol = ft_solve(norm, points, args.tol)
-    _write_svg(args.svg, norm, points, sol, args.tol)
-    return 0
-
-
 def _write_svg(path: str, norm, points, sol, eps) -> None:
     cones = ()
     if not sol.certificate.relaxed:
@@ -203,23 +194,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fermat-Torricelli solution sets on polygonal-norm planes")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, points=False, svg_required=False):
+    def common(p):
         p.add_argument("--norm", help="norm document (JSON)")
         p.add_argument("--lambda", dest="lam", type=int,
                        help="use the regular 2k-gon norm instead of --norm")
         p.add_argument("--tol", type=float, default=DEFAULT_EPS,
                        help="comparison tolerance (default 1e-9)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="reserved for randomized commands; outputs are deterministic")
-        if points:
-            p.add_argument("--points", required=True, help="points document (JSON)")
-        if svg_required:
-            p.add_argument("--svg", required=True, help="write an SVG figure here")
-        else:
-            p.add_argument("--svg", help="also write an SVG figure here")
 
     p = sub.add_parser("solve", help="full solution set for a points document")
-    common(p, points=True)
+    common(p)
+    p.add_argument("--points", required=True, help="points document (JSON)")
+    p.add_argument("--svg", help="also write an SVG figure here")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("uniqueness", help="three-point uniqueness verdict for a norm")
@@ -233,13 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lambda", help="classify regular-polygon planes 2..max")
     p.add_argument("--max", type=int, default=12)
     p.add_argument("--tol", type=float, default=DEFAULT_EPS)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true", help="emit JSON instead of a table")
     p.set_defaults(func=cmd_lambda)
-
-    p = sub.add_parser("render", help="solve and write an SVG figure")
-    common(p, points=True, svg_required=True)
-    p.set_defaults(func=cmd_render)
 
     return parser
 

@@ -9,10 +9,6 @@ class EmptyInputError(PlaneError):
     """An operation that needs at least one point received none."""
 
 
-class UnboundedError(PlaneError):
-    """A half-plane or cone intersection escaped the clipping frame."""
-
-
 class NotSymmetricError(PlaneError):
     """Unit-ball polygon is not centrally symmetric."""
 

@@ -12,14 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import EmptyInputError, UnboundedError
+from .errors import EmptyInputError
 
 DEFAULT_EPS = 1e-9
-
-# Half-width of the clipping frame used by intersect_halfplanes. A vertex
-# that survives all clips farther than _FRAME / 2 from the origin means the
-# true intersection is unbounded.
-_FRAME = 1e6
 
 
 def check_eps(eps: float) -> float:
@@ -71,8 +66,6 @@ class Vec2:
         """Lexicographic sort key."""
         return (self.x, self.y)
 
-
-Point2 = Vec2
 
 ORIGIN = Vec2(0.0, 0.0)
 
@@ -215,40 +208,6 @@ def _boundary_intersection(h1: HalfPlane, h2: HalfPlane,
     return Vec2(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
 
 
-def intersect_halfplanes(halfplanes: list[HalfPlane] | tuple[HalfPlane, ...],
-                         eps: float = DEFAULT_EPS) -> Region:
-    """Intersection of up to 64 half-planes, classified by shape.
-
-    The running region starts as a huge frame square; each output vertex is
-    computed as the intersection of the two support lines that bound its
-    edges, which keeps coordinates accurate even for slivers. Raises
-    UnboundedError when the true intersection reaches the frame.
-    """
-    if len(halfplanes) > 64:
-        raise ValueError("at most 64 half-planes are supported")
-    clips: list[HalfPlane] = []
-    for hp in halfplanes:
-        if hp.normal.norm() <= eps:
-            raise ValueError("half-plane normal is too short")
-        clips.append(hp.unit())
-
-    f = _FRAME
-    # (vertex, half-plane whose boundary carries the edge leaving the vertex)
-    poly: list[tuple[Vec2, HalfPlane]] = [
-        (Vec2(-f, -f), HalfPlane(Vec2(0.0, -1.0), f)),
-        (Vec2(f, -f), HalfPlane(Vec2(1.0, 0.0), f)),
-        (Vec2(f, f), HalfPlane(Vec2(0.0, 1.0), f)),
-        (Vec2(-f, f), HalfPlane(Vec2(-1.0, 0.0), f)),
-    ]
-    for h in clips:
-        poly = _clip(poly, h, eps)
-        if not poly:
-            return Region.empty()
-    if any(max(abs(v.x), abs(v.y)) > f / 2 for v, _ in poly):
-        raise UnboundedError("half-plane intersection is unbounded")
-    return convex_hull([v for v, _ in poly], eps)
-
-
 def _clip(poly: list[tuple[Vec2, HalfPlane]], h: HalfPlane,
           eps: float) -> list[tuple[Vec2, HalfPlane]]:
     """One Sutherland-Hodgman pass keeping the side h.side <= eps."""
@@ -272,12 +231,16 @@ def _clip(poly: list[tuple[Vec2, HalfPlane]], h: HalfPlane,
 
 def clip_polygon(vertices: list[Vec2], edge_halfplanes: list[HalfPlane],
                  halfplanes: list[HalfPlane], eps: float = DEFAULT_EPS) -> Region:
-    """Clip a bounded convex CCW polygon by half-planes.
+    """Clip a bounded convex CCW polygon by half-planes, classified by shape.
 
-    ``edge_halfplanes[k]`` must carry the edge leaving ``vertices[k]``.
-    Unlike intersect_halfplanes this needs no clipping frame, so it has no
-    size limit and cannot be unbounded.
+    ``edge_halfplanes[k]`` must carry the edge leaving ``vertices[k]``. Each
+    output vertex is computed as the intersection of the two support lines
+    that bound its edges, which keeps coordinates accurate even for slivers.
+    Raises ValueError for a half-plane normal no longer than ``eps``.
     """
+    for hp in halfplanes:
+        if hp.normal.norm() <= eps:
+            raise ValueError("half-plane normal is too short")
     poly = list(zip(vertices, (hp.unit() for hp in edge_halfplanes)))
     for hp in halfplanes:
         poly = _clip(poly, hp.unit(), eps)

@@ -34,7 +34,6 @@ from .geometry import (
     Region,
     Vec2,
     clip_polygon,
-    intersect_halfplanes,
     orient,
 )
 from .norms import (
@@ -455,20 +454,26 @@ def _cone_halfplanes(cone: Cone, eps: float) -> list[HalfPlane]:
             HalfPlane(back, back.dot(v))]
 
 
-def intersect_cones(cones: list[Cone] | tuple[Cone, ...],
+def intersect_cones(cones: list[Cone] | tuple[Cone, ...], radius: float,
                     eps: float = DEFAULT_EPS) -> Region:
-    """Intersection of cones; must come out bounded and non-empty.
+    """Intersection of cones; must come out non-empty.
 
     Each angle contributes its two sides as half-planes and each ray its
-    carrier line plus the cut at the apex, so a single half-plane
-    intersection covers every mixed case.
+    carrier line plus the cut at the apex, so one clip of a square covers
+    every mixed case. The square has half-width ``radius`` and is centred on
+    the first cone's apex; it must contain the whole intersection.
     """
     if not cones:
         raise EmptyInputError("need at least one cone")
     hps: list[HalfPlane] = []
     for cone in cones:
         hps.extend(_cone_halfplanes(cone, eps))
-    region = intersect_halfplanes(hps, eps)
+    c, r = cones[0].vertex, radius
+    square = [Vec2(c.x - r, c.y - r), Vec2(c.x + r, c.y - r),
+              Vec2(c.x + r, c.y + r), Vec2(c.x - r, c.y + r)]
+    sides = [HalfPlane(Vec2(0.0, -1.0), r - c.y), HalfPlane(Vec2(1.0, 0.0), c.x + r),
+             HalfPlane(Vec2(0.0, 1.0), c.y + r), HalfPlane(Vec2(-1.0, 0.0), r - c.x)]
+    region = clip_polygon(square, sides, hps, eps)
     if region.kind == "empty":
         raise EmptyIntersectionError("cone intersection is empty")
     return region
@@ -556,7 +561,12 @@ def ft_solve(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...],
     cert = Certificate(p, phis, ())
     check_certificate(norm, pts, cert, eps)
     cones = tuple(build_cone(norm, q, f, eps) for q, f in zip(pts, phis))
-    region = intersect_cones(cones, eps)
+    # gauge(u) >= |u| / max_k |v_k|, so every optimum lies within
+    # value * max_k |v_k| of the first terminal. Twice that keeps the square's
+    # sides off the solution set; cones that reach them (a wrong certificate)
+    # leave a vertex of objective >= 2 * value, which the check below rejects.
+    radius = 2.0 * value * max(v.norm() for v in norm.vertices)
+    region = intersect_cones(cones, radius, eps)
     vtol = 100 * eps * max(1.0, abs(value))
     for v in region.vertices:
         got = objective(norm, pts, v)

@@ -1,4 +1,5 @@
 import math
+from random import Random
 
 import pytest
 
@@ -51,6 +52,17 @@ def cond3_hexagon():
 def unit_triangle():
     """Equilateral side-1 triangle: origin plus two adjacent hexagon vertices."""
     return [Vec2(0.0, 0.0), Vec2(1.0, 0.0), Vec2(0.5, SQRT3 / 2)]
+
+
+def random_terminals(n, seed):
+    """n seeded terminals, uniform in [-5, 5]^2."""
+    rng = Random(seed)
+    return [Vec2(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(n)]
+
+
+def cone_radius(norm, value):
+    """Half-width that ft_solve passes to intersect_cones for optimum ``value``."""
+    return 2 * value * max(v.norm() for v in norm.vertices)
 
 
 def vec_close(v: Vec2, xy, tol=1e-9) -> bool:

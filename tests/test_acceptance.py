@@ -31,7 +31,7 @@ from ftplane import (
 from ftplane.norms import Functional
 from ftplane.oracle import final_cell_diameter, random_instance, random_symmetric_norm
 
-from conftest import SQRT3, hausdorff, regions_match
+from conftest import SQRT3, cone_radius, hausdorff, regions_match
 
 SEED = 7
 
@@ -156,10 +156,11 @@ def test_criterion_6_choice_independence(corpus200):
         if sol.certificate.relaxed:
             continue
         p = sol.certificate.base
+        radius = cone_radius(norm, sol.objective)
         regions = []
         for sel in enumerate_selections(norm, pts, p, limit=6):
             cones = [build_cone(norm, q, f) for q, f in zip(pts, sel)]
-            regions.append(intersect_cones(cones))
+            regions.append(intersect_cones(cones, radius))
         if len(regions) >= 2:
             multi_selection += 1
         # the statement is also independent of which solution point is used
@@ -176,7 +177,7 @@ def test_criterion_6_choice_independence(corpus200):
                     continue
                 sel = select_functionals(norm, pts, alt)
                 cones = [build_cone(norm, q, f) for q, f in zip(pts, sel)]
-                regions.append(intersect_cones(cones))
+                regions.append(intersect_cones(cones, radius))
             multi_base += 1
         for r in regions[1:]:
             if not regions_match(regions[0], r, tol=1e-9) or \

@@ -5,7 +5,7 @@ import pytest
 from ftplane import CertificateError, Vec2, ft_solve, make_lambda_norm
 from ftplane.cli import main
 
-from conftest import SQRT3
+from conftest import SQRT3, random_terminals
 
 
 @pytest.fixture()
@@ -65,11 +65,20 @@ def test_solve_round_trip(capsys, hex_norm_file, triangle_points_file):
 
 
 def test_solve_deterministic_bytes(capsys, hex_norm_file, triangle_points_file):
-    argv = ["solve", "--norm", hex_norm_file, "--points", triangle_points_file,
-            "--seed", "1"]
+    argv = ["solve", "--norm", hex_norm_file, "--points", triangle_points_file]
     _, out1, _ = run(capsys, argv)
     _, out2, _ = run(capsys, argv)
     assert out1 == out2
+
+
+def test_solve_many_terminals(tmp_path, capsys, hex_norm_file):
+    pts = tmp_path / "many.json"
+    pts.write_text(json.dumps(
+        {"points": [[q.x, q.y] for q in random_terminals(40, seed=40)]}))
+    code, out, err = run(capsys, ["solve", "--norm", hex_norm_file,
+                                  "--points", str(pts)])
+    assert code == 0, err
+    assert json.loads(out)["kind"] in ("point", "segment", "polygon")
 
 
 def test_uniqueness_documents(capsys, diamond_norm_file, hex_norm_file):
@@ -123,7 +132,7 @@ def test_lambda_flag_replaces_norm_file(capsys, triangle_points_file):
 
 def test_svg_structure(tmp_path, capsys, hex_norm_file, triangle_points_file):
     svg_path = tmp_path / "fig.svg"
-    code, _, _ = run(capsys, ["render", "--norm", hex_norm_file,
+    code, _, _ = run(capsys, ["solve", "--norm", hex_norm_file,
                               "--points", triangle_points_file,
                               "--svg", str(svg_path)])
     assert code == 0
@@ -139,7 +148,7 @@ def test_svg_point_region_marker(tmp_path, capsys, diamond_norm_file):
     pts = tmp_path / "collinear.json"
     pts.write_text(json.dumps({"points": [[0, 0], [1, 0], [5, 0]]}))
     svg_path = tmp_path / "point.svg"
-    code, _, _ = run(capsys, ["render", "--norm", diamond_norm_file,
+    code, _, _ = run(capsys, ["solve", "--norm", diamond_norm_file,
                               "--points", str(pts), "--svg", str(svg_path)])
     assert code == 0
     svg = svg_path.read_text()

@@ -27,7 +27,7 @@ from ftplane import (
 from ftplane.norms import Functional
 from ftplane.oracle import random_instance
 
-from conftest import SQRT3, regions_match
+from conftest import SQRT3, cone_radius, random_terminals, regions_match
 
 
 def l1_objective(points, x):
@@ -149,21 +149,22 @@ def test_build_cone_hexagon(hexagon):
 
 def test_intersect_cones_rays(diamond):
     seg = intersect_cones([Cone(Vec2(0, 0), RayShape(Vec2(1, 0))),
-                           Cone(Vec2(4, 0), RayShape(Vec2(-1, 0)))])
+                           Cone(Vec2(4, 0), RayShape(Vec2(-1, 0)))], 10.0)
     assert seg.kind == "segment"
     assert (seg.vertices[0] - Vec2(0, 0)).norm() <= 1e-9
     assert (seg.vertices[1] - Vec2(4, 0)).norm() <= 1e-9
 
     with pytest.raises(EmptyIntersectionError):
         intersect_cones([Cone(Vec2(0, 0), RayShape(Vec2(1, 0))),
-                         Cone(Vec2(0, 1), RayShape(Vec2(1, 0)))])
+                         Cone(Vec2(0, 1), RayShape(Vec2(1, 0)))], 10.0)
 
 
 def test_intersect_cones_hexagon_triangle(hexagon, unit_triangle):
     p = Vec2(0.5, SQRT3 / 6)
     phis = select_functionals(hexagon, unit_triangle, p)
     cones = [build_cone(hexagon, q, f) for q, f in zip(unit_triangle, phis)]
-    region = intersect_cones(cones)
+    radius = cone_radius(hexagon, objective(hexagon, unit_triangle, p))
+    region = intersect_cones(cones, radius)
     assert region.kind == "polygon"
     for q in unit_triangle:
         assert any((v - q).norm() <= 1e-9 for v in region.vertices)
@@ -202,6 +203,26 @@ def test_ft_solve_hexagon_triangle(hexagon, unit_triangle):
     check_certificate(hexagon, unit_triangle, sol.certificate)
 
 
+def test_far_and_large_triangles_on_hexagon(hexagon, unit_triangle):
+    # the clipping square is sized from the instance, not fixed in the plane
+    for move in (lambda q: q + Vec2(1e6, 1e6), lambda q: q * 1e6):
+        tri = [move(q) for q in unit_triangle]
+        sol = ft_solve(hexagon, tri)
+        assert sol.region.kind == "polygon"
+        assert len(sol.region.vertices) == 3
+        tol = 1e-9 * max(abs(c) for q in tri for c in (q.x, q.y))
+        for q in tri:
+            assert any((v - q).norm() <= tol for v in sol.region.vertices)
+
+
+def test_many_terminals_on_hexagon(hexagon):
+    # no cap on the number of cone half-planes (two or three per terminal)
+    for n in (40, 100):
+        pts = random_terminals(n, seed=n)
+        sol = ft_solve(hexagon, pts)
+        check_certificate(hexagon, pts, sol.certificate)
+
+
 def test_ft_solve_collinear_odd(diamond):
     sol = ft_solve(diamond, [Vec2(0, 0), Vec2(1, 0), Vec2(5, 0)])
     assert sol.region.kind == "point"
@@ -236,7 +257,7 @@ def test_choice_independence_on_flat_pair(diamond):
     regions = []
     for sel in sels:
         cones = [build_cone(diamond, q, f) for q, f in zip(pts, sel)]
-        regions.append(intersect_cones(cones))
+        regions.append(intersect_cones(cones, cone_radius(diamond, sol.objective)))
     for r in regions[1:]:
         assert regions_match(regions[0], r, tol=1e-9)
 
