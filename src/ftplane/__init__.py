@@ -89,4 +89,35 @@ from .oracle import (
 )
 from .render import render_svg
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# grouped by defining module, in import order
+__all__ = [
+    "CertificateError", "EmptyInputError", "EmptyIntersectionError",
+    "InfeasibleError", "InputFormatError", "LambdaTooSmallError",
+    "NotConvexError", "NotSymmetricError", "NotUnitFunctionalError",
+    "OddVertexCountError", "OriginOutsideError", "PlaneError",
+    "PreconditionViolatedError", "WitnessFailedError", "ZeroVectorError",
+
+    "DEFAULT_EPS", "HalfPlane", "Region", "Vec2", "convex_hull", "orient",
+    "segment_interior_contains",
+
+    "EdgeElement", "Functional", "FunctionalSegment", "PolygonalNorm",
+    "UniqueFunctional", "VertexElement", "classify_direction", "dual_norm",
+    "dual_vertices", "element_point", "gauge", "make_polygonal_norm",
+    "norming_set",
+
+    "AngleShape", "Certificate", "Cone", "FTSolution", "RayShape",
+    "build_cone", "candidate_minimize", "check_certificate",
+    "collinear_median", "enumerate_selections", "ft_solve", "intersect_cones",
+    "objective", "select_functionals", "verify_ft_point",
+
+    "ConsistentTriple", "Verdict", "check_condition1", "check_condition2",
+    "check_condition3", "uniqueness_verdict",
+
+    "LambdaPlane", "classify_lambda", "lambda_triangle_solution",
+    "make_lambda_norm", "torricelli_point",
+
+    "GridSpec", "ProbeReport", "auto_bbox", "grid_minimize",
+    "probe_solution_set", "random_instance", "random_symmetric_norm",
+
+    "render_svg",
+]

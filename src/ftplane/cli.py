@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .errors import (
@@ -78,27 +79,41 @@ def _load_norm(args) -> PolygonalNorm:
     if not isinstance(doc, dict) or "type" not in doc:
         raise InputFormatError(f"{args.norm}: expected an object with a 'type' key")
     if doc["type"] == "lambda":
-        if "lambda" not in doc:
-            raise InputFormatError(f"{args.norm}: lambda document needs a 'lambda' key")
-        return make_lambda_norm(int(doc["lambda"])).norm
+        lam = doc.get("lambda")
+        if not isinstance(lam, int) or isinstance(lam, bool):
+            raise InputFormatError(f"{args.norm}: 'lambda' must be an integer")
+        return make_lambda_norm(lam).norm
     if doc["type"] == "polygon":
-        verts = doc.get("vertices")
-        if not isinstance(verts, list) or any(len(v) != 2 for v in verts):
+        verts = _pairs(doc.get("vertices"))
+        if verts is None:
             raise InputFormatError(f"{args.norm}: 'vertices' must be [[x, y], ...]")
-        return make_polygonal_norm([Vec2(float(x), float(y)) for x, y in verts],
-                                   args.tol)
+        return make_polygonal_norm(verts, args.tol)
     raise InputFormatError(f"{args.norm}: unknown norm type {doc['type']!r}")
 
 
 def _load_points(path: str) -> list[Vec2]:
     doc = _load_json(path)
-    pts = doc.get("points") if isinstance(doc, dict) else None
-    if not isinstance(pts, list) or not pts or any(len(p) != 2 for p in pts):
+    out = _pairs(doc.get("points") if isinstance(doc, dict) else None)
+    if not out:
         raise InputFormatError(f"{path}: expected {{\"points\": [[x, y], ...]}}")
-    out = [Vec2(float(x), float(y)) for x, y in pts]
-    if any(not p.is_finite() for p in out):
-        raise InputFormatError(f"{path}: coordinates must be finite")
+    # the solver subtracts coordinates, so their spans must be finite too
+    xs, ys = [p.x for p in out], [p.y for p in out]
+    if not all(map(math.isfinite, xs + ys + [max(xs) - min(xs), max(ys) - min(ys)])):
+        raise InputFormatError(f"{path}: coordinates and their spans must be finite")
     return out
+
+
+def _pairs(items) -> list[Vec2] | None:
+    """``[[x, y], ...]`` of JSON numbers (not bools) as points, else None."""
+    if not isinstance(items, list) or not all(
+            isinstance(p, list) and len(p) == 2 and all(
+                isinstance(c, (int, float)) and not isinstance(c, bool) for c in p)
+            for p in items):
+        return None
+    try:
+        return [Vec2(float(x), float(y)) for x, y in items]
+    except OverflowError:  # an integer beyond the float range
+        return None
 
 
 def _solution_doc(sol: FTSolution) -> dict:

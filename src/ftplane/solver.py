@@ -11,11 +11,16 @@ norming functional per displacement x_i - p whose sum is zero; the full
 solution set is then the intersection of the cones these functionals span,
 one per terminal. At a terminal the certificate is relaxed: the remaining
 functionals need only sum to something of dual norm at most one.
+
+Each terminal's norming functionals form a point or a segment, so the sums
+of one pick per terminal form a zonogon. A selection peels it: each segment
+parameter is fixed once, at the midpoint of the interval that keeps the rest
+of the target reachable by the segments still free, in O(k^2) for k
+segments (terminals in a vertex direction from p).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -169,132 +174,117 @@ def _set_bounds(fset) -> tuple[Functional, Functional]:
     return fset.lo, fset.hi
 
 
-def _selection_scale(sets) -> float:
-    mags = [1.0]
-    for s in sets:
-        lo, hi = _set_bounds(s)
-        mags.append(lo.magnitude())
-        mags.append(hi.magnitude())
-    return max(mags)
+def _zonogon(sets) -> tuple[Vec2, list[int], list[Vec2]]:
+    """Base and generators of the reachable sums of one pick per set.
 
-
-def _solve_selections(sets, target: Vec2, eps: float,
-                      limit: int = 1) -> list[list[Functional]]:
-    """Pick one functional per set so the picks sum to ``target``.
-
-    With segment sets parameterized by t in [0, 1], this is two linear
-    equations under box constraints. Assignments are tried endpoints first,
-    then midpoints, then basic solutions with at most two free parameters
-    (every vertex of the feasible polytope has that form, so the search is
-    complete). Returns up to ``limit`` distinct solutions, in a fixed order.
+    The base is the sum of the low ends; each segment set contributes the
+    generator ``hi - lo``. Also returns the index of each generator's set.
     """
     base = Vec2(0.0, 0.0)
-    gens: list[tuple[int, Vec2]] = []
-    los: list[Functional] = []
+    idxs: list[int] = []
+    gens: list[Vec2] = []
     for idx, s in enumerate(sets):
         lo, hi = _set_bounds(s)
-        los.append(lo)
         base = base + lo.as_vec()
         g = (hi - lo).as_vec()
         if g.norm() > 1e-12:
-            gens.append((idx, g))
-    t_target = target - base
-    k = len(gens)
-    rtol = 2e-9 * _selection_scale(sets) * max(1, len(sets))
-    bt = 1e-9  # box slack before clamping
+            idxs.append(idx)
+            gens.append(g)
+    return base, idxs, gens
 
-    found: list[tuple[float, ...]] = []
 
-    def residual(ts: tuple[float, ...]) -> float:
-        sx = sum(t * g.x for t, (_, g) in zip(ts, gens))
-        sy = sum(t * g.y for t, (_, g) in zip(ts, gens))
-        return math.hypot(sx - t_target.x, sy - t_target.y)
+def _zonogon_normals(gens: list[Vec2]) -> list[Vec2]:
+    """Unit normals that cut out the zonogon of any subset of ``gens``.
 
-    def push(ts: tuple[float, ...]) -> bool:
-        for prev in found:
-            if max(abs(u - w) for u, w in zip(prev, ts)) <= 1e-9:
-                return False
-        found.append(ts)
-        return len(found) >= limit
-
-    if k == 0:
-        if t_target.norm() <= rtol:
-            found.append(())
-    else:
-        done = False
-        for grid in ((0.0, 1.0), (0.0, 0.5, 1.0)):
-            for ts in itertools.product(grid, repeat=k):
-                if grid != (0.0, 1.0) and all(t in (0.0, 1.0) for t in ts):
-                    continue
-                if residual(ts) <= rtol and push(ts):
-                    done = True
-                    break
-            if done:
-                break
-        if not done:
-            done = _basic_solutions(gens, t_target, rtol, bt, residual, push)
-
-    out: list[list[Functional]] = []
-    for ts in found:
-        sel = list(los)
-        for t, (idx, _) in zip(ts, gens):
-            lo, hi = _set_bounds(sets[idx])
-            sel[idx] = Functional(lo.a + t * (hi.a - lo.a), lo.b + t * (hi.b - lo.b))
-        out.append(sel)
+    These are +-perp(g) for every generator g: they hold every facet normal
+    of every such zonogon, and the perps of two independent directions also
+    pin the ends of a segment and the point of the empty sum. Only when all
+    generators are parallel are the end caps +-g/|g| added.
+    """
+    out: list[Vec2] = []
+    for g in gens:
+        n = g.perp() * (1.0 / g.norm())
+        out += [n, -n]
+    if gens and all(abs(g.cross(gens[0])) <= 1e-12 * g.norm() * gens[0].norm()
+                    for g in gens):
+        u = gens[0] * (1.0 / gens[0].norm())
+        out += [u, -u]
     return out
 
 
-def _basic_solutions(gens, t_target: Vec2, rtol: float, bt: float,
-                     residual, push) -> bool:
-    """Enumerate solutions with all but <= 2 parameters at their bounds."""
-    k = len(gens)
-    # one free parameter
-    for i in range(k):
-        others = [j for j in range(k) if j != i]
-        gi = gens[i][1]
-        gi2 = gi.dot(gi)
-        for bounds in itertools.product((0.0, 1.0), repeat=k - 1):
-            rest = Vec2(sum(b * gens[j][1].x for b, j in zip(bounds, others)),
-                        sum(b * gens[j][1].y for b, j in zip(bounds, others)))
-            rhs = t_target - rest
-            ti = rhs.dot(gi) / gi2
-            if not (-bt <= ti <= 1.0 + bt):
-                continue
-            ti = min(max(ti, 0.0), 1.0)
-            ts = [0.0] * k
-            for b, j in zip(bounds, others):
-                ts[j] = b
-            ts[i] = ti
-            tst = tuple(ts)
-            if residual(tst) <= rtol and push(tst):
-                return True
-    # two free parameters
-    for i in range(k):
-        gi = gens[i][1]
-        for j in range(i + 1, k):
-            gj = gens[j][1]
-            det = gi.cross(gj)
-            if abs(det) <= 1e-12 * gi.norm() * gj.norm():
-                continue
-            others = [l for l in range(k) if l != i and l != j]
-            for bounds in itertools.product((0.0, 1.0), repeat=k - 2):
-                rest = Vec2(sum(b * gens[l][1].x for b, l in zip(bounds, others)),
-                            sum(b * gens[l][1].y for b, l in zip(bounds, others)))
-                rhs = t_target - rest
-                ti = rhs.cross(gj) / det
-                tj = gi.cross(rhs) / det
-                if not (-bt <= ti <= 1.0 + bt and -bt <= tj <= 1.0 + bt):
-                    continue
-                ti = min(max(ti, 0.0), 1.0)
-                tj = min(max(tj, 0.0), 1.0)
-                ts = [0.0] * k
-                for b, l in zip(bounds, others):
-                    ts[l] = b
-                ts[i], ts[j] = ti, tj
-                tst = tuple(ts)
-                if residual(tst) <= rtol and push(tst):
-                    return True
-    return False
+def _peel(gens: list[Vec2], target: Vec2, order: list[int],
+          end: float) -> list[float]:
+    """Box parameters t in [0, 1] with sum t_j g_j = target, if reachable.
+
+    The generators are fixed one at a time in ``order``. Step j picks t_j in
+    the interval that keeps ``target - sum t g`` inside the zonogon of the
+    generators not yet fixed, at fraction ``end`` of that interval; the
+    midpoint (0.5) keeps the remainder off that zonogon's boundary. The
+    products n.g are tabulated once and each step updates every normal's
+    support and level in O(1), so the peel costs O(k^2).
+    """
+    normals = _zonogon_normals(gens)
+    dots = [[n.dot(g) for g in gens] for n in normals]
+    support = [sum(max(0.0, ng) for ng in row) for row in dots]  # of the free gens
+    levels = [n.dot(target) for n in normals]  # n . (target - sum t g)
+    ts = [0.0] * len(gens)
+    for j in order:
+        lo, hi = 0.0, 1.0
+        tiny = 1e-12 * gens[j].norm()
+        for i, row in enumerate(dots):
+            ng = row[j]
+            support[i] -= max(0.0, ng)
+            if abs(ng) <= tiny:
+                continue  # this normal does not constrain t_j
+            bound = (levels[i] - support[i]) / ng
+            if ng > 0:
+                lo = max(lo, bound)
+            else:
+                hi = min(hi, bound)
+        t = min(max(lo + end * (hi - lo), 0.0), 1.0)
+        ts[j] = t
+        levels = [level - t * row[j] for row, level in zip(dots, levels)]
+    return ts
+
+
+def _solve_selections(sets, target: Vec2,
+                      limit: int = 1) -> list[list[Functional]]:
+    """Pick one functional per set so the picks sum to ``target``.
+
+    With segment sets parameterized by t in [0, 1], the reachable sums form
+    a zonogon: the base plus one generator per segment. The zonogon peel
+    (``_peel``) decomposes ``target`` into box parameters in O(k^2) for k
+    segments; a decomposition counts only if its residual is within a
+    tolerance relative to the functionals' size. Further selections come
+    from peeling in other orders and at interval ends. Returns up to
+    ``limit`` distinct solutions, in a fixed order.
+    """
+    base, idxs, gens = _zonogon(sets)
+    t_target = target - base
+    scale = max([1.0] + [f.magnitude() for s in sets for f in _set_bounds(s)])
+    rtol = 2e-9 * scale * max(1, len(sets))
+    order = list(range(len(gens)))
+
+    found: list[list[float]] = []
+    # midpoints first; an interval end leaves the remainder on the boundary
+    # of the next zonogon and may miss, so ends only add alternatives
+    for end, steps in [(e, o) for e in (0.5, 0.0, 1.0) for o in (order, order[::-1])]:
+        ts = _peel(gens, t_target, steps, end)
+        sx = sum(t * g.x for t, g in zip(ts, gens))
+        sy = sum(t * g.y for t, g in zip(ts, gens))
+        if math.hypot(sx - t_target.x, sy - t_target.y) > rtol:
+            continue
+        if any(all(abs(u - w) <= 1e-9 for u, w in zip(prev, ts)) for prev in found):
+            continue
+        found.append(ts)
+        if len(found) >= limit:
+            break
+
+    sels = [[_set_bounds(s)[0] for s in sets] for _ in found]
+    for sel, ts in zip(sels, found):
+        for t, idx in zip(ts, idxs):
+            sel[idx] = sets[idx].at(t)
+    return sels
 
 
 def select_functionals(norm: PolygonalNorm, points, p: Vec2,
@@ -303,11 +293,10 @@ def select_functionals(norm: PolygonalNorm, points, p: Vec2,
     for q in points:
         if (q - p).norm() <= eps:
             raise InfeasibleError("p coincides with a terminal")
-    sets = [norming_set(norm, q - p, eps) for q in points]
-    sols = _solve_selections(sets, Vec2(0.0, 0.0), eps, limit=1)
+    sols = enumerate_selections(norm, points, p, eps, limit=1)
     if not sols:
         raise InfeasibleError("no norming selection sums to zero at p")
-    return tuple(sols[0])
+    return sols[0]
 
 
 def enumerate_selections(norm: PolygonalNorm, points, p: Vec2,
@@ -315,8 +304,7 @@ def enumerate_selections(norm: PolygonalNorm, points, p: Vec2,
                          limit: int = 8) -> list[tuple[Functional, ...]]:
     """Up to ``limit`` distinct valid selections at p, deterministic order."""
     sets = [norming_set(norm, q - p, eps) for q in points]
-    sols = _solve_selections(sets, Vec2(0.0, 0.0), eps, limit=limit)
-    return [tuple(s) for s in sols]
+    return [tuple(s) for s in _solve_selections(sets, Vec2(0.0, 0.0), limit)]
 
 
 def verify_ft_point(norm: PolygonalNorm, points, p: Vec2,
@@ -332,25 +320,19 @@ def verify_ft_point(norm: PolygonalNorm, points, p: Vec2,
     pts = list(points)
     omitted = tuple(i for i, q in enumerate(pts) if (q - p).norm() <= eps)
     if not omitted:
-        sets = [norming_set(norm, q - p, eps) for q in pts]
-        sols = _solve_selections(sets, Vec2(0.0, 0.0), eps, limit=1)
-        if not sols:
-            return None
-        return Certificate(p, tuple(sols[0]), ())
+        sols = enumerate_selections(norm, pts, p, eps, limit=1)
+        return Certificate(p, sols[0], ()) if sols else None
 
     kept = [i for i in range(len(pts)) if i not in omitted]
     sets = [norming_set(norm, pts[i] - p, eps) for i in kept]
     d = len(omitted)
     psi = Vec2(0.0, 0.0)
-    sols = _solve_selections(sets, psi, eps, limit=1)
+    sols = _solve_selections(sets, psi)
     if not sols:
-        psi_opt = _relaxed_target(norm, sets, d, eps)
-        if psi_opt is None:
-            return None
-        psi = psi_opt
-        sols = _solve_selections(sets, psi, eps, limit=1)
-        if not sols:
-            return None
+        psi = _relaxed_target(norm, sets, d, eps)
+        sols = [] if psi is None else _solve_selections(sets, psi)
+    if not sols:
+        return None
     completion = Functional(-psi.x / d, -psi.y / d)
     funcs: list[Functional] = [completion] * len(pts)
     for i, phi in zip(kept, sols[0]):
@@ -363,39 +345,21 @@ def _relaxed_target(norm: PolygonalNorm, sets, ball_scale: int,
     """A reachable functional sum with dual norm <= ball_scale, or None.
 
     The reachable sums form a zonogon; clipping the scaled dual ball (whose
-    vertices are the edge functionals) by the zonogon's half-plane form and
-    taking the centroid gives a concrete target that the box-constrained
-    solver can then decompose.
+    vertices are the edge functionals) by the zonogon's half-planes and
+    taking the centroid gives a concrete target that the peel can then
+    decompose.
     """
-    base = Vec2(0.0, 0.0)
-    gens: list[Vec2] = []
-    for s in sets:
-        lo, hi = _set_bounds(s)
-        base = base + lo.as_vec()
-        g = (hi - lo).as_vec()
-        if g.norm() > 1e-12:
-            gens.append(g)
+    base, _, gens = _zonogon(sets)
     if not gens:
         if dual_norm(norm, Functional(base.x, base.y)) <= ball_scale + 10 * eps:
             return base
         return None
-    center = base
-    for g in gens:
-        center = center + g * 0.5
-    hps: list[HalfPlane] = []
-    for g in gens:
-        # facet normals of the zonogon are the generator perps; the end caps
-        # along each generator direction matter when it degenerates (k = 1 or
-        # parallel generators) and are redundant otherwise
-        for n in (g.perp(), g):
-            n = n * (1.0 / n.norm())
-            spread = sum(abs(n.dot(h)) for h in gens) / 2.0
-            hps.append(HalfPlane(n, n.dot(center) + spread))
-            hps.append(HalfPlane(-n, -n.dot(center) + spread))
-    duals = norm._duals
-    m = norm.m
-    scale = float(ball_scale)
-    ball_verts = [f.as_vec() * scale for f in duals]
+    # the support of the zonogon in a unit direction n is n.base plus the
+    # positive parts of n.g
+    hps = [HalfPlane(n, n.dot(base) + sum(max(0.0, n.dot(g)) for g in gens))
+           for n in _zonogon_normals(gens)]
+    m, scale = norm.m, float(ball_scale)
+    ball_verts = [f.as_vec() * scale for f in norm._duals]
     # the edge from dual vertex k to k+1 lies on the support line of primal
     # vertex k+1
     ball_edges = [HalfPlane(norm.vertices[(k + 1) % m], scale) for k in range(m)]

@@ -184,6 +184,43 @@ def test_validation_exit_codes(tmp_path, capsys):
     assert code == 1 and "finite" in err
 
 
+@pytest.mark.parametrize("flag, doc", [
+    ("--points", {"points": [1, 2]}),
+    ("--points", {"points": [[None, 1], [2, 3]]}),
+    ("--points", {"points": [[True, 1], [2, 3], [0, 1]]}),
+    ("--points", {"points": [[10 ** 400, 1], [2, 3], [0, 1]]}),
+    ("--norm", {"type": "polygon", "vertices": [1, 2, 3, 4]}),
+    ("--norm", {"type": "polygon", "vertices": [[1, 0], [0, "1"], [-1, 0], [0, -1]]}),
+    ("--norm", {"type": "lambda", "lambda": 2.7}),
+    ("--norm", {"type": "lambda", "lambda": True}),
+    ("--norm", {"type": "lambda"}),
+])
+def test_malformed_documents_are_validation_errors(tmp_path, capsys, flag, doc,
+                                                    hex_norm_file,
+                                                    triangle_points_file):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    files = {"--norm": hex_norm_file, "--points": triangle_points_file, flag: str(path)}
+    code, out, err = run(capsys, ["solve", "--norm", files["--norm"],
+                                  "--points", files["--points"]])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and str(path) in err
+
+
+def test_overflowing_coordinate_span_is_validation_error(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"points": [[1e308, 1e308], [-1e308, -1e308], [0, 1]]}))
+    code, _, err = run(capsys, ["solve", "--lambda", "3", "--points", str(path)])
+    assert code == 1 and str(path) in err and "finite" in err
+
+
+def test_large_finite_coordinates_still_solve(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"points": [[1e200, 1e200], [-1e200, -1e200], [0, 1]]}))
+    code, out, _ = run(capsys, ["solve", "--lambda", "3", "--points", str(path)])
+    assert code == 0 and json.loads(out)["kind"] == "point"
+
+
 def test_usage_error_is_validation(capsys):
     assert main(["solve"]) == 1  # missing required --points
 

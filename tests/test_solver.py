@@ -5,6 +5,7 @@ import pytest
 
 from ftplane import (
     AngleShape,
+    Certificate,
     Cone,
     EmptyIntersectionError,
     InfeasibleError,
@@ -381,3 +382,53 @@ def test_certificates_on_random_instances():
         for v in sol.region.vertices:
             assert objective(norm, pts, v) == pytest.approx(
                 sol.objective, abs=1e-8)
+
+
+DIAMOND_ARMS = (Vec2(1, 0), Vec2(0, 1), Vec2(-1, 0), Vec2(0, -1))
+
+
+def plus_shape(centre, counts, seed):
+    """``counts[k]`` terminals on arm k of the diamond's vertex directions."""
+    rng = Random(seed)
+    return [centre + arm * rng.uniform(0.25, 3.0)
+            for arm, many in zip(DIAMOND_ARMS, counts) for _ in range(many)]
+
+
+@pytest.mark.parametrize("counts", [(7, 7, 8, 7), (25, 25, 25, 25)])
+def test_plus_shape_solves_to_centre(diamond, counts):
+    # every terminal lies in a vertex direction from the optimum, so each
+    # one contributes a segment of norming functionals: 29 and 100 segments
+    centre = Vec2(0.3, -0.7)
+    pts = plus_shape(centre, counts, seed=sum(counts))
+    sol = ft_solve(diamond, pts)
+    assert sol.region.kind == "point"
+    assert (sol.region.vertices[0] - centre).norm() <= 1e-9
+    assert sol.certificate.relaxed == ()
+    check_certificate(diamond, pts, sol.certificate)
+
+
+def test_plus_shape_centre_terminal_takes_relaxed_path(diamond):
+    centre = Vec2(0.3, -0.7)
+    pts = [centre] + plus_shape(centre, (7, 7, 7, 7), seed=3)
+    sol = ft_solve(diamond, pts)
+    assert sol.region.kind == "point"
+    assert (sol.region.vertices[0] - centre).norm() <= 1e-9
+    assert sol.certificate.relaxed == (0,)
+    check_certificate(diamond, pts, sol.certificate)
+
+
+def test_plus_shape_enumerates_equivalent_selections(diamond):
+    centre = Vec2(0.3, -0.7)
+    pts = plus_shape(centre, (2, 1, 2, 1), seed=4)
+    value = objective(diamond, pts, centre)
+    sels = enumerate_selections(diamond, pts, centre, limit=6)
+    assert len(sels) >= 2
+    assert len(set(sels)) == len(sels)
+    regions = []
+    for sel in sels:
+        check_certificate(diamond, pts, Certificate(centre, sel))
+        cones = [build_cone(diamond, q, f) for q, f in zip(pts, sel)]
+        regions.append(intersect_cones(cones, cone_radius(diamond, value)))
+    assert regions[0].kind == "point"
+    for r in regions[1:]:
+        assert regions_match(regions[0], r, tol=1e-9)
