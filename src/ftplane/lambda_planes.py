@@ -10,11 +10,13 @@ Euclidean 120-degree point meet the unit circle.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import (
     CertificateError,
     LambdaTooSmallError,
+    NotConvexError,
     PreconditionViolatedError,
 )
 from .geometry import DEFAULT_EPS, Vec2, orient
@@ -35,8 +37,15 @@ def make_lambda_norm(lam: int) -> LambdaPlane:
     """Regular 2*lam-gon of circumradius 1, vertex k at angle k*pi/lam."""
     if lam < 2:
         raise LambdaTooSmallError(f"parameter must be >= 2, got {lam}")
-    half = [Vec2(math.cos(k * math.pi / lam), math.sin(k * math.pi / lam))
-            for k in range(lam)]
+
+    def vertex(k: int) -> Vec2:
+        return Vec2(math.cos(k * math.pi / lam), math.sin(k * math.pi / lam))
+
+    # make_polygonal_norm's convexity test on vertices 0..2, which every triple
+    # repeats, run before 2*lam vertices exist; lam past the float range fails it
+    if lam > sys.float_info.max or orient(*map(vertex, range(3)), DEFAULT_EPS) != 1:
+        raise NotConvexError(f"parameter {lam}: vertices not in strictly convex position")
+    half = [vertex(k) for k in range(lam)]
     verts = half + [-v for v in half]  # mirrored half keeps symmetry exact
     return LambdaPlane(lam, PolygonalNorm(tuple(verts)))
 

@@ -7,14 +7,14 @@ two edge-interior elements and a vertex (condition 2), or one edge-interior
 element and an origin-symmetric vertex pair (condition 3) yields three
 points whose solution set is a polygon or segment. A norm admits non-unique
 three-point instances exactly when one of the conditions fires, and the
-firing triple itself is the witness.
+firing triple itself is the witness. Conditions 1 and 2 are one pass over
+the edge pairs i < j that finds where -(d_i + d_j) lands on the dual polygon.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import WitnessFailedError
 from .geometry import DEFAULT_EPS, Vec2, segment_interior_contains
@@ -48,32 +48,39 @@ class Verdict:
     observed_kind: str | None = None
 
 
-def _sum_tol(norm: PolygonalNorm, eps: float) -> float:
-    # Functional magnitudes grow as the polygon thins, so scale the zero test.
-    return eps * max(1.0, max(f.magnitude() for f in dual_vertices(norm)))
+def _pair_hits(norm: PolygonalNorm, eps: float) -> Iterator[ConsistentTriple]:
+    """Condition 1 and 2 triples in edge-pair order i < j, then ascending k.
+
+    psi = -(d_i + d_j) is located by the sector search ``gauge`` uses, in
+    O(m^2 log m) time and O(m) memory; only the dual vertices and edges of
+    its sector and the two beside it can lie within eps of psi.
+    """
+    duals = dual_vertices(norm)
+    m = norm.m
+    dual_polygon = PolygonalNorm(tuple(d.as_vec() for d in duals))
+    pts = dual_polygon.vertices
+    # functional magnitudes grow as the polygon thins, so scale the zero test
+    tol = eps * max(1.0, max(d.magnitude() for d in duals))
+    for i in range(m):
+        for j in range(i + 1, m):
+            psi = -(pts[i] + pts[j])  # d_k - psi is (d_i + d_j) + d_k bit for bit
+            s = dual_polygon.sector(psi)
+            for k in sorted({(s + t) % m for t in (-1, 0, 1, 2)}):
+                if k > j and abs(pts[k].x - psi.x) <= tol and abs(pts[k].y - psi.y) <= tol:
+                    yield ConsistentTriple((EdgeElement(i, 0.5), EdgeElement(j, 0.5),
+                                            EdgeElement(k, 0.5)),
+                                           (duals[i], duals[j], duals[k]), condition=1)
+                if segment_interior_contains(pts[k - 1], pts[k], psi, eps):
+                    yield ConsistentTriple((EdgeElement(i, 0.5), EdgeElement(j, 0.5),
+                                            VertexElement(k)),
+                                           (duals[i], duals[j], Functional(psi.x, psi.y)),
+                                           condition=2)
 
 
 def check_condition1(norm: PolygonalNorm,
                      eps: float = DEFAULT_EPS) -> ConsistentTriple | None:
     """First edge triple (i < j < k) whose functionals sum to zero."""
-    duals = dual_vertices(norm)
-    m = norm.m
-    d = norm._dual_array
-    tol = _sum_tol(norm, eps)
-    sums = d[:, None, None, :] + d[None, :, None, :] + d[None, None, :, :]
-    idx = np.arange(m)
-    ordered = (idx[:, None, None] < idx[None, :, None]) & \
-              (idx[None, :, None] < idx[None, None, :])
-    hit = ordered & (np.abs(sums) <= tol).all(axis=-1)
-    where = np.argwhere(hit)
-    if len(where) == 0:
-        return None
-    i, j, k = (int(v) for v in where[0])
-    return ConsistentTriple(
-        (EdgeElement(i, 0.5), EdgeElement(j, 0.5), EdgeElement(k, 0.5)),
-        (duals[i], duals[j], duals[k]),
-        condition=1,
-    )
+    return next((t for t in _pair_hits(norm, eps) if t.condition == 1), None)
 
 
 def check_condition2(norm: PolygonalNorm,
@@ -85,22 +92,7 @@ def check_condition2(norm: PolygonalNorm,
     a dual-edge endpoint is excluded: that would be an edge functional and
     condition 1 territory.
     """
-    duals = dual_vertices(norm)
-    m = norm.m
-    for i in range(m):
-        for j in range(i + 1, m):
-            psi = -(duals[i] + duals[j])
-            psi_pt = psi.as_vec()
-            for k in range(m):
-                a = duals[k - 1].as_vec()
-                b = duals[k].as_vec()
-                if segment_interior_contains(a, b, psi_pt, eps):
-                    return ConsistentTriple(
-                        (EdgeElement(i, 0.5), EdgeElement(j, 0.5), VertexElement(k)),
-                        (duals[i], duals[j], psi),
-                        condition=2,
-                    )
-    return None
+    return next((t for t in _pair_hits(norm, eps) if t.condition == 2), None)
 
 
 def check_condition3(norm: PolygonalNorm,

@@ -29,23 +29,31 @@ def square():
     return make_polygonal_norm([(1, 1), (-1, 1), (-1, -1), (1, -1)])
 
 
+# Octagon admitting two flat edges whose functionals sum onto a vertex
+# support line; fires the second non-uniqueness condition but not the first.
+COND2_OCTAGON = [
+    (1, 0), (2 / 3, 2 / 3), (0, 1), (-2 / 3, 2 / 3),
+    (-1, 0), (-2 / 3, -2 / 3), (0, -1), (2 / 3, -2 / 3),
+]
+
+# Elongated hexagon whose top-edge functional is parallel to and shorter
+# than the dual edge at the sharp vertex pair; fires the third condition.
+COND3_HEXAGON = [(8, 0), (3, 1), (-3, 1), (-8, 0), (-3, -1), (3, -1)]
+
+
 @pytest.fixture(scope="session")
 def cond2_octagon():
-    """Octagon admitting two flat edges whose functionals sum onto a vertex
-    support line; fires the second non-uniqueness condition but not the first."""
-    return make_polygonal_norm([
-        (1, 0), (2 / 3, 2 / 3), (0, 1), (-2 / 3, 2 / 3),
-        (-1, 0), (-2 / 3, -2 / 3), (0, -1), (2 / 3, -2 / 3),
-    ])
+    return make_polygonal_norm(COND2_OCTAGON)
 
 
 @pytest.fixture(scope="session")
 def cond3_hexagon():
-    """Elongated hexagon whose top-edge functional is parallel to and shorter
-    than the dual edge at the sharp vertex pair; fires the third condition."""
-    return make_polygonal_norm([
-        (8, 0), (3, 1), (-3, 1), (-8, 0), (-3, -1), (3, -1),
-    ])
+    return make_polygonal_norm(COND3_HEXAGON)
+
+
+def rotations(vertices):
+    """Every cyclic shift of a vertex list, starting with the list itself."""
+    return [vertices[s:] + vertices[:s] for s in range(len(vertices))]
 
 
 @pytest.fixture(scope="session")

@@ -207,6 +207,15 @@ def test_malformed_documents_are_validation_errors(tmp_path, capsys, flag, doc,
     assert err.startswith("error: ") and str(path) in err
 
 
+def test_huge_lambda_is_validation_error(tmp_path, capsys):
+    path = tmp_path / "n.json"
+    path.write_text(json.dumps({"type": "lambda", "lambda": 10 ** 11}))
+    for argv in (["uniqueness", "--lambda", str(10 ** 11)],
+                 ["uniqueness", "--norm", str(path)]):
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == "" and "parameter 100000000000" in err
+
+
 def test_overflowing_coordinate_span_is_validation_error(tmp_path, capsys):
     path = tmp_path / "p.json"
     path.write_text(json.dumps({"points": [[1e308, 1e308], [-1e308, -1e308], [0, 1]]}))

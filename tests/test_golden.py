@@ -4,8 +4,12 @@ Each case is a list of CLI arguments; ``golden_sha256.json`` holds the
 SHA-256 of what ``cli.main`` printed for it. The cases are the 200
 criterion-4 instances (``random_instance`` seeded with 7) under ``solve``
 and ``uniqueness``, the lambda planes 2..30 under ``uniqueness`` and
-``witness``, and ``lambda --max 30 --json``. Every one of them has a unique
-functional selection, so any correct solver prints the same bytes.
+``witness``, ``lambda --max 30 --json``, and every vertex rotation of the
+condition-2 octagon and the condition-3 hexagon under ``uniqueness`` and
+``witness`` (the lambda planes fire only condition 1 or none). No output
+depends on which valid functional selection a solver picks: the solve cases
+have a unique one and witness prints regions only, so any correct solver
+prints the same bytes.
 """
 
 import hashlib
@@ -15,6 +19,8 @@ from random import Random
 
 from ftplane.cli import main
 from ftplane.oracle import random_instance
+
+from conftest import COND2_OCTAGON, COND3_HEXAGON, rotations
 
 GOLDEN = Path(__file__).with_name("golden_sha256.json")
 
@@ -37,6 +43,13 @@ def golden_cases(workdir: Path) -> dict[str, list[str]]:
         cases[f"uniqueness-lambda-{lam:02d}"] = ["uniqueness", "--lambda", str(lam)]
         cases[f"witness-lambda-{lam:02d}"] = ["witness", "--lambda", str(lam)]
     cases["lambda-json-30"] = ["lambda", "--max", "30", "--json"]
+    for name, verts in (("cond2-octagon", COND2_OCTAGON),
+                        ("cond3-hexagon", COND3_HEXAGON)):
+        for shift, rotated in enumerate(rotations(verts)):
+            path = workdir / f"{name}-{shift}.json"
+            path.write_text(json.dumps({"type": "polygon", "vertices": rotated}))
+            for command in ("uniqueness", "witness"):
+                cases[f"{command}-{name}-{shift}"] = [command, "--norm", str(path)]
     return cases
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from ftplane import (
     LambdaTooSmallError,
+    NotConvexError,
     PreconditionViolatedError,
     Vec2,
     classify_lambda,
@@ -40,6 +41,14 @@ def test_make_lambda_norm():
         assert v.norm() == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(LambdaTooSmallError):
         make_lambda_norm(1)
+
+
+def test_huge_lambda_fails_the_convexity_test_at_once():
+    # adjacent vertices closer than the tolerance; 10**400 is beyond floats
+    for lam in (75_248, 10 ** 11, 10 ** 400):
+        with pytest.raises(NotConvexError, match=f"parameter {lam}:"):
+            make_lambda_norm(lam)
+    assert make_lambda_norm(65_248).norm.m == 130_496  # still accepted
 
 
 def test_classify_examples():

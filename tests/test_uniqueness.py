@@ -1,14 +1,19 @@
+import itertools
+import tracemalloc
 from random import Random
 
 import pytest
 
 from ftplane import (
+    DEFAULT_EPS,
+    ConsistentTriple,
     EdgeElement,
     Vec2,
     VertexElement,
     check_condition1,
     check_condition2,
     check_condition3,
+    convex_hull,
     dual_vertices,
     element_point,
     ft_solve,
@@ -20,7 +25,7 @@ from ftplane.lambda_planes import make_lambda_norm
 from ftplane.norms import Functional
 from ftplane.oracle import random_symmetric_norm
 
-from conftest import SQRT3
+from conftest import COND2_OCTAGON, COND3_HEXAGON, SQRT3, rotations
 
 
 def functional_sum(fs):
@@ -162,3 +167,67 @@ def test_random_norms_verdicts_run_clean():
         verdict = uniqueness_verdict(norm)
         if not verdict.unique:
             assert verdict.observed_kind in ("segment", "polygon")
+
+
+def reference_condition1(norm, eps=DEFAULT_EPS):
+    """Condition 1 by brute force: the first i < j < k whose sum is zero."""
+    duals = dual_vertices(norm)
+    tol = eps * max(1.0, max(d.magnitude() for d in duals))
+    for i, j, k in itertools.combinations(range(norm.m), 3):
+        total = duals[i] + duals[j] + duals[k]
+        if abs(total.a) <= tol and abs(total.b) <= tol:
+            return ConsistentTriple(
+                (EdgeElement(i, 0.5), EdgeElement(j, 0.5), EdgeElement(k, 0.5)),
+                (duals[i], duals[j], duals[k]), condition=1)
+    return None
+
+
+def reference_condition2(norm, eps=DEFAULT_EPS):
+    """Condition 2 by brute force: every pair against every dual edge."""
+    duals = dual_vertices(norm)
+    for i, j in itertools.combinations(range(norm.m), 2):
+        psi = -(duals[i] + duals[j])
+        for k in range(norm.m):
+            if segment_interior_contains(duals[k - 1].as_vec(), duals[k].as_vec(),
+                                         psi.as_vec(), eps):
+                return ConsistentTriple(
+                    (EdgeElement(i, 0.5), EdgeElement(j, 0.5), VertexElement(k)),
+                    (duals[i], duals[j], psi), condition=2)
+    return None
+
+
+def lattice_norms(count, seed):
+    """Symmetric hulls of integer points in [-3, 3]^2; parallel edges abound."""
+    rng = Random(seed)
+    norms = []
+    while len(norms) < count:
+        pts = [Vec2(rng.randint(-3, 3), rng.randint(-3, 3))
+               for _ in range(rng.randint(2, 5))]
+        hull = convex_hull(pts + [-p for p in pts])
+        if hull.kind == "polygon":
+            norms.append(make_polygonal_norm(list(hull.vertices)))
+    return norms
+
+
+def test_pair_pass_matches_brute_force():
+    norms = lattice_norms(120, seed=3) + [
+        make_polygonal_norm(r) for r in rotations(COND2_OCTAGON) + rotations(COND3_HEXAGON)]
+    fired = [0, 0]
+    for norm in norms:
+        t1, t2 = check_condition1(norm), check_condition2(norm)
+        assert t1 == reference_condition1(norm)
+        assert t2 == reference_condition2(norm)
+        fired[0] += t1 is not None
+        fired[1] += t2 is not None
+    assert min(fired) >= 5, fired
+
+
+def test_condition1_memory_is_linear():
+    norm = make_lambda_norm(50).norm  # m = 100, neither condition fires
+    tracemalloc.start()
+    try:
+        assert check_condition1(norm) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
