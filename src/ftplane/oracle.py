@@ -2,7 +2,7 @@
 
 The grid oracle evaluates the gauge as the maximum of the edge functionals
 (a different route than the solver's sector location), so agreement between
-the two is a real cross-check. Deliberately simple; not performance-tuned.
+the two is a real cross-check.
 """
 
 from __future__ import annotations
@@ -43,19 +43,28 @@ class ProbeReport:
     min_outside_excess: float
 
 
-def _max_gauge_grid(norm: PolygonalNorm, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    duals = norm._dual_array
-    out = np.full(dx.shape, -np.inf)
-    for a, b in duals:
-        np.maximum(out, a * dx + b * dy, out=out)
-    return out
-
-
 def _objective_grid(norm: PolygonalNorm, points, xs: np.ndarray,
                     ys: np.ndarray) -> np.ndarray:
-    total = np.zeros(xs.shape)
+    """Objective on the grid of axes xs and ys; row i holds y = ys[i].
+
+    The gauge is the maximum of the edge functionals a*dx + b*dy. The
+    products a*dx depend on the column alone and b*dy on the row alone, so
+    they are taken on the axes and broadcast into buffers allocated once;
+    every grid value is still a*dx + b*dy, maximized over the edges in order
+    and summed over the terminals in order.
+    """
+    shape = (len(ys), len(xs))
+    total = np.zeros(shape)
+    best = np.empty(shape)
+    level = np.empty(shape)
     for q in points:
-        total += _max_gauge_grid(norm, xs - q.x, ys - q.y)
+        dx = xs - q.x
+        dy = (ys - q.y)[:, None]
+        best.fill(-np.inf)
+        for a, b in norm._dual_array:
+            np.add(a * dx, b * dy, out=level)
+            np.maximum(best, level, out=best)
+        total += best
     return total
 
 
@@ -90,13 +99,13 @@ def grid_minimize(norm: PolygonalNorm, points,
     for _ in range(grid.refine_rounds + 1):
         xs = np.linspace(cx - wx / 2, cx + wx / 2, res + 1)
         ys = np.linspace(cy - wy / 2, cy + wy / 2, res + 1)
-        gx, gy = np.meshgrid(xs, ys)
-        vals = _objective_grid(norm, points, gx, gy)
+        vals = _objective_grid(norm, points, xs, ys)
         idx = int(vals.argmin())
         val = float(vals.flat[idx])
         if val < best_val:
             best_val = val
-            best_pt = Vec2(float(gx.flat[idx]), float(gy.flat[idx]))
+            row, col = divmod(idx, len(xs))
+            best_pt = Vec2(float(xs[col]), float(ys[row]))
         cx, cy = best_pt.x, best_pt.y
         wx, wy = wx / 10, wy / 10
     return best_pt, best_val

@@ -4,7 +4,11 @@ The objective x -> sum_i gauge(x - x_i) is piecewise linear; it is linear
 on every cell of the arrangement of the lines through each terminal in each
 unit-ball vertex direction. The extreme points of the solution set are
 therefore arrangement vertices, which the solver enumerates outright
-instead of descending iteratively.
+instead of descending iteratively. The crossings of all line pairs are
+computed as numpy arrays, a fixed number of pairs at a time, with the same
+floating-point operations as a scalar loop over the pairs; only the
+candidates near each block's minimum are kept, so memory stays bounded
+however many candidates there are.
 
 Optimality at a point p outside the terminal set is certified by one
 norming functional per displacement x_i - p whose sum is zero; the full
@@ -104,11 +108,16 @@ def objective(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...],
     return sum(gauge(norm, x - q) for q in points)
 
 
-def _objective_batch(norm: PolygonalNorm, points, xs: np.ndarray) -> np.ndarray:
+def _objective_batch(norm: PolygonalNorm, points, xs: np.ndarray,
+                     ys: np.ndarray) -> np.ndarray:
     total = np.zeros(len(xs))
     for q in points:
-        total += gauge_batch(norm, xs[:, 0] - q.x, xs[:, 1] - q.y)
+        total += gauge_batch(norm, xs - q.x, ys - q.y)
     return total
+
+
+# Breakline pairs per block of candidate_minimize; fixes its working memory.
+_PAIR_BLOCK = 1 << 15
 
 
 def candidate_minimize(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...],
@@ -119,28 +128,58 @@ def candidate_minimize(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...
     direction; every extreme point of the solution set is such an
     intersection, so the minimum over candidates is the global minimum.
     Returns all minimizing candidates (deduplicated) and the value.
+
+    The line pairs are enumerated as index arrays, a fixed number of pairs
+    per block, with the arithmetic of a scalar loop over Vec2 done in the
+    same order, so the candidates are the same to the last bit. A block
+    keeps only the candidates within tolerance of its own minimum, a
+    superset of the global minimizers; memory is O(block + minimizers).
     """
     if not points:
         raise EmptyInputError("need at least one terminal")
     pts = list(points)
     half = norm.m // 2
-    lines = [(q, norm.vertices[k]) for q in pts for k in range(half)]
-    cands: list[Vec2] = list(pts)
-    for i in range(len(lines)):
-        p1, d1 = lines[i]
-        for j in range(i + 1, len(lines)):
-            p2, d2 = lines[j]
-            den = d1.cross(d2)
-            if abs(den) <= 1e-12 * d1.norm() * d2.norm():
-                continue
-            t = (p2 - p1).cross(d2) / den
-            cands.append(p1 + d1 * t)
+    dirs = norm.vertices[:half]
+    # line i * half + k passes through terminal i in vertex direction k
+    px = np.repeat([q.x for q in pts], half)
+    py = np.repeat([q.y for q in pts], half)
+    dx = np.tile([d.x for d in dirs], len(pts))
+    dy = np.tile([d.y for d in dirs], len(pts))
+    dn = np.tile([d.norm() for d in dirs], len(pts))
+    # pairs l1 < l2 are numbered row by row; row l1 starts at row_start[l1]
+    rows = np.arange(len(px))
+    row_start = rows * len(px) - rows * (rows + 1) // 2
+    n_pairs = len(px) * (len(px) - 1) // 2
 
-    arr = np.array([[c.x, c.y] for c in cands])
-    vals = _objective_batch(norm, pts, arr)
-    best = float(vals.min())
+    blocks, mins = [], []
+    for start in range(0, n_pairs, _PAIR_BLOCK):
+        pair = np.arange(start, min(start + _PAIR_BLOCK, n_pairs))
+        l1 = np.searchsorted(row_start, pair, side="right") - 1
+        l2 = pair - row_start[l1] + l1 + 1
+        den = dx[l1] * dy[l2] - dy[l1] * dx[l2]
+        crossing = np.abs(den) > 1e-12 * dn[l1] * dn[l2]
+        l1, l2, den = l1[crossing], l2[crossing], den[crossing]
+        t = ((px[l2] - px[l1]) * dy[l2] - (py[l2] - py[l1]) * dx[l2]) / den
+        xs = px[l1] + dx[l1] * t
+        ys = py[l1] + dy[l1] * t
+        term = np.full(len(xs), -1)  # index of the terminal a candidate is
+        if start == 0:  # the terminals are candidates too, ahead of the crossings
+            xs = np.concatenate([[q.x for q in pts], xs])
+            ys = np.concatenate([[q.y for q in pts], ys])
+            term = np.concatenate([np.arange(len(pts)), term])
+        vals = _objective_batch(norm, pts, xs, ys)
+        low = vals.min()
+        near = vals <= low + eps * max(1.0, low)
+        blocks.append((xs[near], ys[near], term[near], vals[near]))
+        mins.append(low)
+
+    best = float(np.min(mins))
     vtol = eps * max(1.0, abs(best))
-    arg = [cands[i] for i in np.flatnonzero(vals <= best + vtol)]
+    xs, ys, term, vals = (np.concatenate(a) for a in zip(*blocks))
+    near = vals <= best + vtol
+    # a terminal is returned as the caller's own object (its coordinates may be ints)
+    arg = [pts[k] if k >= 0 else Vec2(x, y) for x, y, k in
+           zip(xs[near].tolist(), ys[near].tolist(), term[near].tolist())]
     arg.sort(key=Vec2.key)
     out: list[Vec2] = []
     for c in arg:

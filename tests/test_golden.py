@@ -4,9 +4,11 @@ Each case is a list of CLI arguments; ``golden_sha256.json`` holds the
 SHA-256 of what ``cli.main`` printed for it. The cases are the 200
 criterion-4 instances (``random_instance`` seeded with 7) under ``solve``
 and ``uniqueness``, the lambda planes 2..30 under ``uniqueness`` and
-``witness``, ``lambda --max 30 --json``, and every vertex rotation of the
+``witness``, ``lambda --max 30 --json``, every vertex rotation of the
 condition-2 octagon and the condition-3 hexagon under ``uniqueness`` and
-``witness`` (the lambda planes fire only condition 1 or none). No output
+``witness`` (the lambda planes fire only condition 1 or none), and 20
+``solve --lambda 24`` cases with six seeded terminals in [-5, 5]^2, which
+pin the breakline enumeration on the 48-gon. No output
 depends on which valid functional selection a solver picks: the solve cases
 have a unique one and witness prints regions only, so any correct solver
 prints the same bytes.
@@ -50,6 +52,12 @@ def golden_cases(workdir: Path) -> dict[str, list[str]]:
             path.write_text(json.dumps({"type": "polygon", "vertices": rotated}))
             for command in ("uniqueness", "witness"):
                 cases[f"{command}-{name}-{shift}"] = [command, "--norm", str(path)]
+    rng = Random(48)
+    for i in range(20):
+        path = workdir / f"points-48gon-{i:02d}.json"
+        path.write_text(json.dumps({"points": [
+            [rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)] for _ in range(6)]}))
+        cases[f"solve-48gon-{i:02d}"] = ["solve", "--lambda", "24", "--points", str(path)]
     return cases
 
 

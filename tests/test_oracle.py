@@ -1,5 +1,6 @@
 from random import Random
 
+import numpy as np
 import pytest
 
 from ftplane import (
@@ -12,7 +13,7 @@ from ftplane import (
     random_instance,
     random_symmetric_norm,
 )
-from ftplane.oracle import final_cell_diameter
+from ftplane.oracle import _objective_grid, auto_bbox, final_cell_diameter
 
 
 def test_grid_minimize_diamond(diamond):
@@ -41,6 +42,29 @@ def test_grid_never_beats_certified_optimum():
         _, value = grid_minimize(norm, pts)
         assert value >= sol.objective - 1e-9
         assert value - sol.objective <= len(pts) * final_cell_diameter(norm, pts)
+
+
+def reference_objective_grid(norm, points, gx, gy):
+    """The grid objective with fresh temporaries on meshgrid arrays."""
+    total = np.zeros(gx.shape)
+    for q in points:
+        dx, dy = gx - q.x, gy - q.y
+        out = np.full(dx.shape, -np.inf)
+        for a, b in norm._dual_array:
+            np.maximum(out, a * dx + b * dy, out=out)
+        total += out
+    return total
+
+
+def test_objective_grid_matches_reference():
+    rng = Random(20)
+    for _ in range(20):
+        norm, pts = random_instance(rng)
+        lo, hi = auto_bbox(norm, pts)
+        xs = np.linspace(lo.x, hi.x, 97)
+        ys = np.linspace(lo.y, hi.y, 131)
+        assert np.array_equal(_objective_grid(norm, pts, xs, ys),
+                              reference_objective_grid(norm, pts, *np.meshgrid(xs, ys)))
 
 
 def test_gridspec_validation():

@@ -1,6 +1,8 @@
 import math
+import tracemalloc
 from random import Random
 
+import numpy as np
 import pytest
 
 from ftplane import (
@@ -25,7 +27,9 @@ from ftplane import (
     select_functionals,
     verify_ft_point,
 )
-from ftplane.norms import Functional
+from ftplane.geometry import DEFAULT_EPS
+from ftplane.lambda_planes import make_lambda_norm
+from ftplane.norms import Functional, gauge_batch
 from ftplane.oracle import random_instance
 
 from conftest import SQRT3, cone_radius, random_terminals, regions_match
@@ -79,6 +83,73 @@ def test_candidate_minimize_hexagon_triangle(hexagon, unit_triangle):
     assert value == pytest.approx(2.0, abs=1e-9)
     for q in unit_triangle:
         assert any((c - q).norm() <= 1e-9 for c in arg)
+
+
+def reference_candidate_minimize(norm, points, eps=DEFAULT_EPS):
+    """The scalar pair loop over Vec2 lines that candidate_minimize replaces."""
+    pts = list(points)
+    half = norm.m // 2
+    lines = [(q, norm.vertices[k]) for q in pts for k in range(half)]
+    cands = list(pts)
+    for i in range(len(lines)):
+        p1, d1 = lines[i]
+        for j in range(i + 1, len(lines)):
+            p2, d2 = lines[j]
+            den = d1.cross(d2)
+            if abs(den) <= 1e-12 * d1.norm() * d2.norm():
+                continue
+            t = (p2 - p1).cross(d2) / den
+            cands.append(p1 + d1 * t)
+    arr = np.array([[c.x, c.y] for c in cands])
+    vals = np.zeros(len(arr))
+    for q in pts:
+        vals += gauge_batch(norm, arr[:, 0] - q.x, arr[:, 1] - q.y)
+    best = float(vals.min())
+    vtol = eps * max(1.0, abs(best))
+    arg = [cands[i] for i in np.flatnonzero(vals <= best + vtol)]
+    arg.sort(key=Vec2.key)
+    out = []
+    for c in arg:
+        if all((c - kept).norm() > eps for kept in out):
+            out.append(c)
+    return out, best
+
+
+def test_candidate_minimize_matches_loop_reference(diamond, hexagon, unit_triangle):
+    gon48 = make_lambda_norm(24).norm
+    rng = Random(1)
+    cases = [(gon48, [Vec2(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0))
+                      for _ in range(6)]) for _ in range(100)]
+    rng = Random(7)
+    cases += [random_instance(rng) for _ in range(300)]
+    pts = random_terminals(5, seed=2)
+    cases += [
+        (hexagon, [Vec2(1.5, -2.0)]),
+        (gon48, pts + pts[:3]),
+        (diamond, [Vec2(0, 0), Vec2(2, 0), Vec2(2, 0), Vec2(0, 2)]),
+        # an even count on a vertex-direction line: no collinear shortcut
+        (hexagon, [Vec2(0.5, SQRT3 / 2) * s for s in (-2.0, 0.0, 1.0, 3.5)]),
+        (diamond, [Vec2(0, 0), Vec2(2, 0), Vec2(0, 2)]),
+        (diamond, [Vec2(-2, 0), Vec2(2, 0), Vec2(0, 2)]),
+        (hexagon, unit_triangle),
+    ]
+    for norm, pts in cases:
+        assert repr(candidate_minimize(norm, pts)) == \
+            repr(reference_candidate_minimize(norm, pts)), pts
+
+
+def test_candidate_minimize_memory_is_bounded():
+    # 30 terminals on the 48-gon: 720 breaklines, 258,840 crossings; one Vec2
+    # per candidate peaked at 58 MB
+    norm = make_lambda_norm(24).norm
+    pts = random_terminals(30, seed=30)
+    tracemalloc.start()
+    try:
+        candidate_minimize(norm, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12_000_000
 
 
 def test_verify_ft_point(diamond):
