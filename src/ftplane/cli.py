@@ -181,6 +181,8 @@ def cmd_witness(args) -> int:
 
 
 def cmd_lambda(args) -> int:
+    if args.max >= 2:
+        make_lambda_norm(args.max)  # a max past the accepted planes fails here, not at the end
     rows = []
     for lam in range(2, args.max + 1):
         verdict = classify_lambda(lam, args.tol)

@@ -155,6 +155,15 @@ class PolygonalNorm:
         a = (math.atan2(v.y, v.x) - self._base_angle) % _TWO_PI
         return bisect_right(self._rel_angles, a) - 1
 
+    def sector_batch(self, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+        """``sector`` of each direction (dx, dy), located with numpy arrays.
+
+        np.arctan2 may differ from math.atan2 in the last bit, so a direction
+        on a sector boundary can land in the neighbouring sector.
+        """
+        ang = np.mod(np.arctan2(dy, dx) - self._base_angle, _TWO_PI)
+        return np.searchsorted(self._rel_array, ang, side="right") - 1
+
 
 def make_polygonal_norm(vertices: list[Vec2] | list[tuple[float, float]],
                         eps: float = DEFAULT_EPS) -> PolygonalNorm:
@@ -216,8 +225,7 @@ def gauge(norm: PolygonalNorm, v: Vec2, eps: float = DEFAULT_EPS) -> float:
 
 def gauge_batch(norm: PolygonalNorm, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     """Vectorized gauge of displacement arrays, same sector-location route."""
-    ang = np.mod(np.arctan2(dy, dx) - norm._base_angle, _TWO_PI)
-    k = np.searchsorted(norm._rel_array, ang, side="right") - 1
+    k = norm.sector_batch(dx, dy)
     duals = norm._dual_array
     out = duals[k, 0] * dx + duals[k, 1] * dy
     return np.maximum(out, 0.0)

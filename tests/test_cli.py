@@ -216,6 +216,11 @@ def test_huge_lambda_is_validation_error(tmp_path, capsys):
         assert code == 1 and out == "" and "parameter 100000000000" in err
 
 
+def test_lambda_max_past_accepted_planes_is_validation_error(capsys):
+    code, out, err = run(capsys, ["lambda", "--max", "75248"])
+    assert code == 1 and out == "" and "parameter 75248" in err
+
+
 def test_overflowing_coordinate_span_is_validation_error(tmp_path, capsys):
     path = tmp_path / "p.json"
     path.write_text(json.dumps({"points": [[1e308, 1e308], [-1e308, -1e308], [0, 1]]}))

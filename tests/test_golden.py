@@ -1,14 +1,14 @@
 """Golden corpus: the exact stdout of the CLI on fixed inputs.
 
 Each case is a list of CLI arguments; ``golden_sha256.json`` holds the
-SHA-256 of what ``cli.main`` printed for it. The cases are the 200
+SHA-256 of what ``cli.main`` printed for it. The 573 cases are the 200
 criterion-4 instances (``random_instance`` seeded with 7) under ``solve``
-and ``uniqueness``, the lambda planes 2..30 under ``uniqueness`` and
-``witness``, ``lambda --max 30 --json``, every vertex rotation of the
-condition-2 octagon and the condition-3 hexagon under ``uniqueness`` and
-``witness`` (the lambda planes fire only condition 1 or none), and 20
-``solve --lambda 24`` cases with six seeded terminals in [-5, 5]^2, which
-pin the breakline enumeration on the 48-gon. No output
+and ``uniqueness``, the lambda planes 2..60, 99, 100 and 101 under
+``uniqueness`` and ``witness``, ``lambda --max 30 --json``, every vertex
+rotation of the condition-2 octagon and the condition-3 hexagon under
+``uniqueness`` and ``witness`` (the lambda planes fire only condition 1 or
+none), and 20 ``solve --lambda 24`` cases with six seeded terminals in
+[-5, 5]^2, which pin the breakline enumeration on the 48-gon. No output
 depends on which valid functional selection a solver picks: the solve cases
 have a unique one and witness prints regions only, so any correct solver
 prints the same bytes.
@@ -41,7 +41,7 @@ def golden_cases(workdir: Path) -> dict[str, list[str]]:
         cases[f"solve-{i:03d}"] = ["solve", "--norm", str(norm_path),
                                    "--points", str(pts_path)]
         cases[f"uniqueness-{i:03d}"] = ["uniqueness", "--norm", str(norm_path)]
-    for lam in range(2, 31):
+    for lam in [*range(2, 61), 99, 100, 101]:
         cases[f"uniqueness-lambda-{lam:02d}"] = ["uniqueness", "--lambda", str(lam)]
         cases[f"witness-lambda-{lam:02d}"] = ["witness", "--lambda", str(lam)]
     cases["lambda-json-30"] = ["lambda", "--max", "30", "--json"]

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 from random import Random
 
@@ -22,8 +23,9 @@ from ftplane import (
     uniqueness_verdict,
 )
 from ftplane.lambda_planes import make_lambda_norm
-from ftplane.norms import Functional
+from ftplane.norms import Functional, PolygonalNorm
 from ftplane.oracle import random_symmetric_norm
+from ftplane.uniqueness import _BLOCK
 
 from conftest import COND2_OCTAGON, COND3_HEXAGON, SQRT3, rotations
 
@@ -231,3 +233,148 @@ def test_condition1_memory_is_linear():
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+
+
+def scalar_pair_hits(norm, eps=DEFAULT_EPS):
+    """The pair-by-pair loop that conditions 1 and 2 replaced, kept as a reference."""
+    duals = dual_vertices(norm)
+    m = norm.m
+    dual_polygon = PolygonalNorm(tuple(d.as_vec() for d in duals))
+    pts = dual_polygon.vertices
+    # functional magnitudes grow as the polygon thins, so scale the zero test
+    tol = eps * max(1.0, max(d.magnitude() for d in duals))
+    for i in range(m):
+        for j in range(i + 1, m):
+            psi = -(pts[i] + pts[j])  # d_k - psi is (d_i + d_j) + d_k bit for bit
+            s = dual_polygon.sector(psi)
+            for k in sorted({(s + t) % m for t in (-1, 0, 1, 2)}):
+                if k > j and abs(pts[k].x - psi.x) <= tol and abs(pts[k].y - psi.y) <= tol:
+                    yield ConsistentTriple((EdgeElement(i, 0.5), EdgeElement(j, 0.5),
+                                            EdgeElement(k, 0.5)),
+                                           (duals[i], duals[j], duals[k]), condition=1)
+                if segment_interior_contains(pts[k - 1], pts[k], psi, eps):
+                    yield ConsistentTriple((EdgeElement(i, 0.5), EdgeElement(j, 0.5),
+                                            VertexElement(k)),
+                                           (duals[i], duals[j], Functional(psi.x, psi.y)),
+                                           condition=2)
+
+
+def scalar_condition3(norm, eps=DEFAULT_EPS):
+    """The (j, k) loop that condition 3 replaced, kept as a reference."""
+    duals = dual_vertices(norm)
+    m = norm.m
+    half = m // 2
+    for j in range(m):
+        phi = duals[j]
+        pm = phi.magnitude()
+        for k in range(m):
+            a = duals[k - 1]
+            u = duals[k] - a
+            um = u.magnitude()
+            if abs(phi.a * u.b - phi.b * u.a) > eps * pm * um:
+                continue
+            t = (phi.a * u.a + phi.b * u.b) / (um * um)
+            margin = eps / um
+            if not (2 * margin < abs(t) < 1.0 - 2 * margin):
+                continue
+            s, r = (1.0 - t) / 2.0, (1.0 + t) / 2.0
+            psi1 = a + u * s
+            psi2 = -(a + u * r)
+            return ConsistentTriple(
+                (EdgeElement(j, 0.5), VertexElement(k),
+                 VertexElement((k + half) % m)),
+                (phi, psi1, psi2),
+                condition=3,
+            )
+    return None
+
+
+def norm_from_dual_angles(degrees):
+    """Norm whose dual vertices are the unit functionals at these angles and their negatives."""
+    duals = [(math.cos(math.radians(a)), math.sin(math.radians(a))) for a in sorted(degrees)]
+    duals += [(-a, -b) for a, b in duals]
+    # vertex k lies on the level lines of dual vertices k - 1 and k
+    verts = []
+    for (a1, b1), (a2, b2) in zip(duals[-1:] + duals[:-1], duals):
+        det = a1 * b2 - a2 * b1
+        verts.append(((b2 - b1) / det, (a1 - a2) / det))
+    return make_polygonal_norm(verts)
+
+
+def late_hit_norms():
+    """Norms over 100 edges whose first hit of conditions 1, 2 and 3 lies past the first block."""
+    rng = Random(0)
+
+    def spread(lo, hi, n):
+        return [rng.uniform(lo + 0.1, hi - 0.1) for _ in range(n)]
+
+    half = math.degrees(math.acos(0.25))  # d at 150 +- half sums to minus half of d at 150
+    return [
+        # condition 1: directions 57, 117 and 177 (and their negatives) after 60 others
+        norm_from_dual_angles(spread(0, 57, 60) + [57, 117, 177] + spread(57, 117, 10)
+                              + spread(117, 177, 10)),
+        # condition 2: -(d_i + d_j) at the middle of the dual edge from 30 to 210 degrees
+        norm_from_dual_angles([30, 150 - half, 150 + half - 180, 90]
+                              + spread(30, 150 - half, 60) + spread(150 - half, 90, 20)),
+        # condition 3: direction 45 parallel to the dual edge from 100 to 170 degrees
+        norm_from_dual_angles(spread(0, 45, 40) + [45, 100, 170] + spread(45, 100, 20)
+                              + spread(170, 180, 5)),
+    ]
+
+
+def near_tolerance(vertices):
+    """Copies with one vertex pair moved by 1e-10..1e-8, across the zero tests' tolerances."""
+    half = len(vertices) // 2
+    norms = []
+    for d in (1e-10, 3e-10, 1e-9, 2e-9, 3e-9, 1e-8):
+        for v in range(half):
+            for dx, dy in ((d, 0.0), (0.0, d), (d, -d)):
+                moved = list(vertices)
+                x, y = moved[v]
+                moved[v], moved[v + half] = (x + dx, y + dy), (-x - dx, -y - dy)
+                norms.append(make_polygonal_norm(moved))
+    return norms
+
+
+def test_conditions_match_scalar_reference():
+    norms = [random_symmetric_norm(rng) for rng in map(Random, range(5)) for _ in range(200)]
+    norms += [make_lambda_norm(lam).norm for lam in range(2, 61)]
+    norms += lattice_norms(550, seed=5)
+    norms += [make_polygonal_norm(r)
+              for r in rotations(COND2_OCTAGON) + rotations(COND3_HEXAGON)]
+    hexagon = [(1, 0), (0.5, SQRT3 / 2), (-0.5, SQRT3 / 2),
+               (-1, 0), (-0.5, -SQRT3 / 2), (0.5, -SQRT3 / 2)]
+    for verts in (hexagon, COND2_OCTAGON, COND3_HEXAGON):
+        norms += near_tolerance(verts)
+    late = late_hit_norms()
+    fired = [0, 0, 0]
+    for norm in norms + late:
+        hits = list(scalar_pair_hits(norm))
+        want = (next((t for t in hits if t.condition == 1), None),
+                next((t for t in hits if t.condition == 2), None),
+                scalar_condition3(norm))
+        got = (check_condition1(norm), check_condition2(norm), check_condition3(norm))
+        assert repr(got) == repr(want)
+        for c, t in enumerate(got):
+            fired[c] += t is not None
+    assert min(fired) >= 30, fired
+    # the first hit of each condition lies outside the first block
+    for norm, check in zip(late, (check_condition1, check_condition2, check_condition3)):
+        m, e = norm.m, check(norm).elements
+        i = e[0].edge
+        if check is check_condition3:
+            assert i >= _BLOCK // m
+        else:
+            assert m * (m - 1) // 2 > _BLOCK
+            assert i * m - i * (i + 1) // 2 + e[1].edge - i - 1 >= _BLOCK
+
+
+def test_verdict_memory_is_bounded_across_blocks():
+    norm = make_lambda_norm(400).norm  # m = 800, unique: every pass runs in full
+    tracemalloc.start()
+    try:
+        assert uniqueness_verdict(norm).unique
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
