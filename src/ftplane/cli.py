@@ -40,7 +40,7 @@ from .uniqueness import Verdict, uniqueness_verdict
 _VALIDATION_ERRORS = (
     InputFormatError, EmptyInputError, OddVertexCountError, NotConvexError,
     NotSymmetricError, OriginOutsideError, LambdaTooSmallError,
-    PreconditionViolatedError, ZeroVectorError, ValueError, OSError,
+    PreconditionViolatedError, ZeroVectorError, OSError,
 )
 _CERTIFICATE_ERRORS = (
     CertificateError, WitnessFailedError, InfeasibleError,
@@ -68,6 +68,8 @@ def _load_json(path: str):
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"{path}: not valid JSON ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
 def _load_norm(args) -> PolygonalNorm:

@@ -57,5 +57,8 @@ class PreconditionViolatedError(PlaneError):
     """Input violates a documented precondition of the operation."""
 
 
-class InputFormatError(PlaneError):
-    """A norm or points document could not be parsed."""
+class InputFormatError(PlaneError, ValueError):
+    """A norm or points document, or a tolerance, is malformed or out of range.
+
+    Also a ValueError, so callers that validate with ValueError still catch it.
+    """

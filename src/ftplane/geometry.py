@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import EmptyInputError
+from .errors import EmptyInputError, InputFormatError
 
 DEFAULT_EPS = 1e-9
 
@@ -20,7 +20,7 @@ DEFAULT_EPS = 1e-9
 def check_eps(eps: float) -> float:
     """Validate a comparison tolerance. Must satisfy 0 < eps < 1e-3."""
     if not (0.0 < eps < 1e-3):
-        raise ValueError(f"tolerance must lie in (0, 1e-3), got {eps!r}")
+        raise InputFormatError(f"tolerance must lie in (0, 1e-3), got {eps!r}")
     return eps
 
 

@@ -8,7 +8,11 @@ instead of descending iteratively. The crossings of all line pairs are
 computed as numpy arrays, a fixed number of pairs at a time, with the same
 floating-point operations as a scalar loop over the pairs; only the
 candidates near each block's minimum are kept, so memory stays bounded
-however many candidates there are.
+however many candidates there are. The unit ball lies between the discs of
+radius 1 / max_k |phi_k| and max_k |v_k|, so a sum of Euclidean distances
+bounds the objective from both sides; it screens out the candidates that
+cannot reach the optimum before any gauge is computed, and only the rest
+are evaluated exactly.
 
 Optimality at a point p outside the terminal set is certified by one
 norming functional per displacement x_i - p whose sum is zero; the full
@@ -108,16 +112,51 @@ def objective(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...],
     return sum(gauge(norm, x - q) for q in points)
 
 
-def _objective_batch(norm: PolygonalNorm, points, xs: np.ndarray,
-                     ys: np.ndarray) -> np.ndarray:
+# Breakline pairs per block of candidate_minimize; fixes its working memory.
+_PAIR_BLOCK = 1 << 15
+# Terminal-candidate cells per broadcast call of _objective_batch and
+# _distance_sums: a group of terminals shares one call.
+_CELL_BLOCK = 1 << 13
+
+
+def _terminal_groups(qx: np.ndarray, qy: np.ndarray, n_cands: int):
+    """Column slices of the terminal coordinates, one per broadcast call."""
+    rows = max(1, _CELL_BLOCK // max(1, n_cands))
+    for lo in range(0, len(qx), rows):
+        yield qx[lo:lo + rows, None], qy[lo:lo + rows, None]
+
+
+def _objective_batch(norm: PolygonalNorm, qx: np.ndarray, qy: np.ndarray,
+                     xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Objective at each (xs, ys); the terminals' gauges are added in order."""
     total = np.zeros(len(xs))
-    for q in points:
-        total += gauge_batch(norm, xs - q.x, ys - q.y)
+    for gx, gy in _terminal_groups(qx, qy, len(xs)):
+        for row in gauge_batch(norm, xs - gx, ys - gy):
+            total += row
     return total
 
 
-# Breakline pairs per block of candidate_minimize; fixes its working memory.
-_PAIR_BLOCK = 1 << 15
+def _distance_sums(qx: np.ndarray, qy: np.ndarray, xs: np.ndarray,
+                   ys: np.ndarray) -> np.ndarray:
+    """Sum of Euclidean distances from each (xs, ys) to the terminals.
+
+    The coordinates are scaled by a power of two that brings every
+    difference below 1, so the squares cannot overflow; the scaling is exact
+    and is undone on the sums.
+    """
+    span = max(max(xs.max(), qx.max()) - min(xs.min(), qx.min()),
+               max(ys.max(), qy.max()) - min(ys.min(), qy.min()))
+    shift = math.frexp(span)[1] if 0.0 < span < math.inf else 0
+    xs, ys = np.ldexp(xs, -shift), np.ldexp(ys, -shift)
+    qx, qy = np.ldexp(qx, -shift), np.ldexp(qy, -shift)
+    total = np.zeros(len(xs))
+    for gx, gy in _terminal_groups(qx, qy, len(xs)):
+        dx, dy = xs - gx, ys - gy
+        dx *= dx
+        dy *= dy
+        dx += dy
+        total += np.sqrt(dx, out=dx).sum(axis=0)
+    return np.ldexp(total, shift)
 
 
 def candidate_minimize(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...],
@@ -134,10 +173,31 @@ def candidate_minimize(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...
     same order, so the candidates are the same to the last bit. A block
     keeps only the candidates within tolerance of its own minimum, a
     superset of the global minimizers; memory is O(block + minimizers).
+
+    Before any gauge is computed, each candidate c gets the lower bound
+    sum_j |c - x_j| / r (r = max_k |v_k|), and the blocks carry an upper
+    bound on the optimum: the least phi_max * sum_j |c - x_j| so far
+    (phi_max = max_k |phi_k|) or the least value evaluated. Only candidates
+    whose bound, less a rounding slack, is within tolerance of the upper
+    bound are evaluated; a block where none is skips its evaluation. Every
+    candidate within tolerance of the optimum passes the screen, and the
+    objective is evaluated by the same operations in the same terminal
+    order, so the minimum, the minimizers and their order are the same
+    floats as when every candidate is evaluated.
     """
     if not points:
         raise EmptyInputError("need at least one terminal")
     pts = list(points)
+    qx = np.array([q.x for q in pts], dtype=float)
+    qy = np.array([q.y for q in pts], dtype=float)
+    # |u| / r <= gauge(u) <= phi_max * |u|. The slack covers the rounding of
+    # both sides: a few ulps per term, times r * phi_max where np.arctan2
+    # puts a direction one sector off.
+    r = max(v.norm() for v in norm.vertices)
+    phi_max = max(f.magnitude() for f in norm._duals)
+    slack = 1e-12 * len(pts) * r * phi_max
+    shrink = max(0.0, 1.0 - slack) / r
+    upper = math.inf
     half = norm.m // 2
     dirs = norm.vertices[:half]
     # line i * half + k passes through terminal i in vertex direction k
@@ -167,8 +227,16 @@ def candidate_minimize(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...
             xs = np.concatenate([[q.x for q in pts], xs])
             ys = np.concatenate([[q.y for q in pts], ys])
             term = np.concatenate([np.arange(len(pts)), term])
-        vals = _objective_batch(norm, pts, xs, ys)
+        dist = _distance_sums(qx, qy, xs, ys)
+        upper = min(upper, float(dist.min()) * phi_max * (1.0 + slack))
+        # a NaN bound compares false, so its candidate is kept
+        keep = ~(dist * shrink > upper + eps * max(1.0, upper))
+        if not keep.any():
+            continue
+        xs, ys, term = xs[keep], ys[keep], term[keep]
+        vals = _objective_batch(norm, qx, qy, xs, ys)
         low = vals.min()
+        upper = min(upper, float(low))
         near = vals <= low + eps * max(1.0, low)
         blocks.append((xs[near], ys[near], term[near], vals[near]))
         mins.append(low)

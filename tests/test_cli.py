@@ -183,6 +183,11 @@ def test_validation_exit_codes(tmp_path, capsys):
     code, _, err = run(capsys, ["solve", "--lambda", "3", "--points", str(nan_pts)])
     assert code == 1 and "finite" in err
 
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{\x00}")
+    code, out, err = run(capsys, ["uniqueness", "--norm", str(binary)])
+    assert code == 1 and out == "" and err.startswith("error: ") and str(binary) in err
+
 
 @pytest.mark.parametrize("flag, doc", [
     ("--points", {"points": [1, 2]}),
@@ -253,3 +258,19 @@ def test_internal_failure_exit_code(monkeypatch, capsys, tmp_path,
     code, _, err = run(capsys, ["solve", "--norm", diamond_norm_file,
                                 "--points", str(pts)])
     assert code == 2 and "certificate" in err
+
+
+def test_internal_value_error_is_not_a_validation_error(monkeypatch, capsys, tmp_path,
+                                                        diamond_norm_file):
+    pts = tmp_path / "p.json"
+    pts.write_text(json.dumps({"points": [[0, 0], [2, 0], [0, 2]]}))
+
+    import ftplane.cli as cli_mod
+
+    def boom(*args, **kwargs):
+        raise ValueError("forced internal fault")
+
+    monkeypatch.setattr(cli_mod, "ft_solve", boom)
+    with pytest.raises(ValueError, match="forced internal fault"):
+        main(["solve", "--norm", diamond_norm_file, "--points", str(pts)])
+    assert "error:" not in capsys.readouterr().err

@@ -122,6 +122,17 @@ def test_candidate_minimize_matches_loop_reference(diamond, hexagon, unit_triang
                       for _ in range(6)]) for _ in range(100)]
     rng = Random(7)
     cases += [random_instance(rng) for _ in range(300)]
+    # the distance screen squares coordinate differences: exact power-of-two
+    # scalings where unscaled squares would overflow
+    cases += [(norm, [q * 2.0 ** k for q in pts])
+              for k in (509, 510) for norm, pts in cases[:20] + cases[100:150]]
+    # whole blocks of crossings drop out of the screen: 30 terminals give 8
+    # blocks on the 48-gon, and one of them has no candidate left to evaluate
+    rng = Random(1)
+    cases.append((gon48, [Vec2(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0))
+                          for _ in range(20)]
+                  + [Vec2(100.0 + rng.uniform(-1.0, 1.0), 100.0 + rng.uniform(-1.0, 1.0))
+                     for _ in range(10)]))
     pts = random_terminals(5, seed=2)
     cases += [
         (hexagon, [Vec2(1.5, -2.0)]),
@@ -136,6 +147,36 @@ def test_candidate_minimize_matches_loop_reference(diamond, hexagon, unit_triang
     for norm, pts in cases:
         assert repr(candidate_minimize(norm, pts)) == \
             repr(reference_candidate_minimize(norm, pts)), pts
+
+
+def lp_minimum(norm, points) -> float:
+    """Optimum of min sum t_i subject to t_i >= phi_k(x - x_i), by scipy's HiGHS.
+
+    The gauge is the largest dual-vertex functional, so this linear program
+    has the Fermat-Torricelli optimum as its value.
+    """
+    from scipy.optimize import linprog
+
+    duals = norm._dual_array
+    n, m = len(points), len(duals)
+    # variables x, y, t_1..t_n; row (i, k): phi_k . (x, y) - t_i <= phi_k . x_i
+    a_ub = np.zeros((n * m, 2 + n))
+    a_ub[:, :2] = np.tile(duals, (n, 1))
+    a_ub[np.arange(n * m), 2 + np.repeat(np.arange(n), m)] = -1.0
+    b_ub = np.concatenate([duals @ np.array([q.x, q.y]) for q in points])
+    cost = np.concatenate([[0.0, 0.0], np.ones(n)])
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub,
+                  bounds=[(None, None)] * 2 + [(0.0, None)] * n, method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+def test_candidate_minimize_matches_lp_oracle():
+    # 100 terminals on the 48-gon: 2,400 breaklines, 2.76 million crossings
+    norm = make_lambda_norm(24).norm
+    pts = random_terminals(100, seed=100)
+    _, best = candidate_minimize(norm, pts)
+    assert abs(best - lp_minimum(norm, pts)) <= DEFAULT_EPS * max(1.0, best)
 
 
 def test_candidate_minimize_memory_is_bounded():
