@@ -150,6 +150,17 @@ class PolygonalNorm:
     def _rel_array(self) -> np.ndarray:
         return np.array(self._rel_angles, dtype=float)
 
+    @cached_property
+    def _breaklines(self) -> tuple[float, float, np.ndarray, np.ndarray, np.ndarray]:
+        """max_k |v_k|, max_k |phi_k|, and the x, y and length arrays of the
+        breakline directions (vertices 0 .. m/2 - 1)."""
+        dirs = self.vertices[:len(self.vertices) // 2]
+        return (max(v.norm() for v in self.vertices),
+                max(f.magnitude() for f in self._duals),
+                np.array([d.x for d in dirs], dtype=float),
+                np.array([d.y for d in dirs], dtype=float),
+                np.array([d.norm() for d in dirs], dtype=float))
+
     def sector(self, v: Vec2) -> int:
         """Index k of the edge whose angular sector contains direction v."""
         a = (math.atan2(v.y, v.x) - self._base_angle) % _TWO_PI

@@ -4,15 +4,13 @@ The objective x -> sum_i gauge(x - x_i) is piecewise linear; it is linear
 on every cell of the arrangement of the lines through each terminal in each
 unit-ball vertex direction. The extreme points of the solution set are
 therefore arrangement vertices, which the solver enumerates outright
-instead of descending iteratively. The crossings of all line pairs are
-computed as numpy arrays, a fixed number of pairs at a time, with the same
-floating-point operations as a scalar loop over the pairs; only the
-candidates near each block's minimum are kept, so memory stays bounded
-however many candidates there are. The unit ball lies between the discs of
-radius 1 / max_k |phi_k| and max_k |v_k|, so a sum of Euclidean distances
-bounds the objective from both sides; it screens out the candidates that
-cannot reach the optimum before any gauge is computed, and only the rest
-are evaluated exactly.
+instead of descending iteratively. The crossings are numpy arrays over
+terminal pairs times direction pairs, in bounded blocks, computed with the
+operations of a scalar loop over line pairs; lines through one terminal
+meet there and are not paired. The unit ball lies between the discs of
+radius 1 / max_k |phi_k| and max_k |v_k|, so sums of Euclidean distances
+bound the objective on both sides and screen out, before any gauge, the
+candidates that cannot reach the optimum.
 
 Optimality at a point p outside the terminal set is certified by one
 norming functional per displacement x_i - p whose sum is zero; the full
@@ -31,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import takewhile
 
 import numpy as np
 
@@ -159,6 +158,34 @@ def _distance_sums(qx: np.ndarray, qy: np.ndarray, xs: np.ndarray,
     return np.ldexp(total, shift)
 
 
+def _crossing_blocks(qx: np.ndarray, qy: np.ndarray, dx: np.ndarray,
+                     dy: np.ndarray, dn: np.ndarray):
+    """The terminals, then the breakline crossings, at most _PAIR_BLOCK a block.
+
+    Lines through x_i in direction d_k and x_j in d_l (i < j), broadcast as
+    (terminal pair, k, l) a chunk of k rows at a time, meet at x_i + d_k * t,
+    t = ((x_j - x_i) x d_l) / (d_k x d_l), unless |d_k x d_l| <= 1e-12 |d_k| |d_l|.
+    """
+    rows = max(1, min(len(dx), _PAIR_BLOCK // len(dx)))  # k rows per block
+    step = max(1, _PAIR_BLOCK // (rows * len(dx)))  # terminal pairs per block
+    pi, pj = np.nonzero(np.arange(len(qx))[:, None] < np.arange(len(qx)))  # i < j
+    head = (qx, qy)
+    for k0 in range(0, len(dx), rows):
+        dxk, dyk, dnk = (a[k0:k0 + rows, None] for a in (dx, dy, dn))
+        den = dxk * dy - dyk * dx
+        kk, ll = np.nonzero(np.abs(den) > 1e-12 * dnk * dn)
+        den, dxk, dyk, dxl, dyl = den[kk, ll], dxk[kk, 0], dyk[kk, 0], dx[ll], dy[ll]
+        for p0 in range(0, len(pi), step):
+            i, j = pi[p0:p0 + step, None], pj[p0:p0 + step, None]
+            t = ((qx[j] - qx[i]) * dyl - (qy[j] - qy[i]) * dxl) / den
+            xs, ys = (qx[i] + dxk * t).ravel(), (qy[i] + dyk * t).ravel()
+            if head is not None:
+                xs, ys, head = np.concatenate([qx, xs]), np.concatenate([qy, ys]), None
+            yield xs, ys
+    if head is not None:  # a single terminal: no crossings
+        yield head
+
+
 def candidate_minimize(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...],
                        eps: float = DEFAULT_EPS) -> tuple[list[Vec2], float]:
     """Minimize over terminals plus all pairwise breakline intersections.
@@ -168,65 +195,37 @@ def candidate_minimize(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...
     intersection, so the minimum over candidates is the global minimum.
     Returns all minimizing candidates (deduplicated) and the value.
 
-    The line pairs are enumerated as index arrays, a fixed number of pairs
-    per block, with the arithmetic of a scalar loop over Vec2 done in the
-    same order, so the candidates are the same to the last bit. A block
-    keeps only the candidates within tolerance of its own minimum, a
-    superset of the global minimizers; memory is O(block + minimizers).
+    The crossings come from _crossing_blocks, each the same float as in a
+    scalar loop over Vec2 line pairs. Two lines through one terminal cross
+    at it (t = +-0); it heads the first block, so the stable key sort and
+    the dedup would drop that copy, which is not formed. The blocks fix only
+    the order, which sort and dedup undo, and keep what is near their minimum.
 
-    Before any gauge is computed, each candidate c gets the lower bound
-    sum_j |c - x_j| / r (r = max_k |v_k|), and the blocks carry an upper
-    bound on the optimum: the least phi_max * sum_j |c - x_j| so far
-    (phi_max = max_k |phi_k|) or the least value evaluated. Only candidates
-    whose bound, less a rounding slack, is within tolerance of the upper
-    bound are evaluated; a block where none is skips its evaluation. Every
-    candidate within tolerance of the optimum passes the screen, and the
-    objective is evaluated by the same operations in the same terminal
-    order, so the minimum, the minimizers and their order are the same
-    floats as when every candidate is evaluated.
+    The bounds sum_j |c - x_j| / r <= f(c) <= phi_max * sum_j |c - x_j|
+    (r = max_k |v_k|, phi_max = max_k |phi_k|) screen the candidates: only
+    those whose lower bound, less a rounding slack, is within tolerance of
+    the least upper bound or value so far get the gauge, in the same
+    operations and order. Every candidate within tolerance of the optimum
+    passes, so the minimum and minimizers are the same floats as without it.
     """
     if not points:
         raise EmptyInputError("need at least one terminal")
     pts = list(points)
     qx = np.array([q.x for q in pts], dtype=float)
     qy = np.array([q.y for q in pts], dtype=float)
+    r, phi_max, dx, dy, dn = norm._breaklines
     # |u| / r <= gauge(u) <= phi_max * |u|. The slack covers the rounding of
     # both sides: a few ulps per term, times r * phi_max where np.arctan2
     # puts a direction one sector off.
-    r = max(v.norm() for v in norm.vertices)
-    phi_max = max(f.magnitude() for f in norm._duals)
     slack = 1e-12 * len(pts) * r * phi_max
     shrink = max(0.0, 1.0 - slack) / r
     upper = math.inf
-    half = norm.m // 2
-    dirs = norm.vertices[:half]
-    # line i * half + k passes through terminal i in vertex direction k
-    px = np.repeat([q.x for q in pts], half)
-    py = np.repeat([q.y for q in pts], half)
-    dx = np.tile([d.x for d in dirs], len(pts))
-    dy = np.tile([d.y for d in dirs], len(pts))
-    dn = np.tile([d.norm() for d in dirs], len(pts))
-    # pairs l1 < l2 are numbered row by row; row l1 starts at row_start[l1]
-    rows = np.arange(len(px))
-    row_start = rows * len(px) - rows * (rows + 1) // 2
-    n_pairs = len(px) * (len(px) - 1) // 2
 
     blocks, mins = [], []
-    for start in range(0, n_pairs, _PAIR_BLOCK):
-        pair = np.arange(start, min(start + _PAIR_BLOCK, n_pairs))
-        l1 = np.searchsorted(row_start, pair, side="right") - 1
-        l2 = pair - row_start[l1] + l1 + 1
-        den = dx[l1] * dy[l2] - dy[l1] * dx[l2]
-        crossing = np.abs(den) > 1e-12 * dn[l1] * dn[l2]
-        l1, l2, den = l1[crossing], l2[crossing], den[crossing]
-        t = ((px[l2] - px[l1]) * dy[l2] - (py[l2] - py[l1]) * dx[l2]) / den
-        xs = px[l1] + dx[l1] * t
-        ys = py[l1] + dy[l1] * t
+    for b, (xs, ys) in enumerate(_crossing_blocks(qx, qy, dx, dy, dn)):
         term = np.full(len(xs), -1)  # index of the terminal a candidate is
-        if start == 0:  # the terminals are candidates too, ahead of the crossings
-            xs = np.concatenate([[q.x for q in pts], xs])
-            ys = np.concatenate([[q.y for q in pts], ys])
-            term = np.concatenate([np.arange(len(pts)), term])
+        if b == 0:
+            term[:len(pts)] = np.arange(len(pts))
         dist = _distance_sums(qx, qy, xs, ys)
         upper = min(upper, float(dist.min()) * phi_max * (1.0 + slack))
         # a NaN bound compares false, so its candidate is kept
@@ -242,18 +241,24 @@ def candidate_minimize(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...
         mins.append(low)
 
     best = float(np.min(mins))
-    vtol = eps * max(1.0, abs(best))
     xs, ys, term, vals = (np.concatenate(a) for a in zip(*blocks))
-    near = vals <= best + vtol
+    near = vals <= best + eps * max(1.0, abs(best))
     # a terminal is returned as the caller's own object (its coordinates may be ints)
     arg = [pts[k] if k >= 0 else Vec2(x, y) for x, y, k in
            zip(xs[near].tolist(), ys[near].tolist(), term[near].tolist())]
-    arg.sort(key=Vec2.key)
+    return _dedup(arg, eps), best
+
+
+def _dedup(cands: list[Vec2], eps: float) -> list[Vec2]:
+    """``cands`` stably sorted by Vec2.key, less each one within eps of one kept."""
     out: list[Vec2] = []
-    for c in arg:
-        if all((c - kept).norm() > eps for kept in out):
+    for c in sorted(cands, key=Vec2.key):
+        # x never decreases along out, and |c - q| >= c.x - q.x: only kept
+        # points at most eps left of c can lie within eps of it
+        if all((c - q).norm() > eps for q in
+               takewhile(lambda q: not c.x - q.x > eps, reversed(out))):
             out.append(c)
-    return out, best
+    return out
 
 
 def collinear_median(points: list[Vec2] | tuple[Vec2, ...],
@@ -636,7 +641,7 @@ def ft_solve(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...],
     # value * max_k |v_k| of the first terminal. Twice that keeps the square's
     # sides off the solution set; cones that reach them (a wrong certificate)
     # leave a vertex of objective >= 2 * value, which the check below rejects.
-    radius = 2.0 * value * max(v.norm() for v in norm.vertices)
+    radius = 2.0 * value * norm._breaklines[0]
     region = intersect_cones(cones, radius, eps)
     vtol = 100 * eps * max(1.0, abs(value))
     for v in region.vertices:

@@ -244,6 +244,21 @@ def test_usage_error_is_validation(capsys):
     assert main(["solve"]) == 1  # missing required --points
 
 
+def test_reused_parser_keeps_no_state(capsys, diamond_norm_file, hex_norm_file,
+                                      triangle_points_file):
+    # main parses every call with one parser per process; a usage error and
+    # another command in between must not change the next solve's bytes
+    solve = ["solve", "--norm", hex_norm_file, "--points", triangle_points_file]
+    code, first, _ = run(capsys, solve)
+    assert code == 0
+    code, out, err = run(capsys, ["solve", "--norm", hex_norm_file])
+    assert (code, out) == (1, "") and "--points" in err
+    code, out, _ = run(capsys, ["uniqueness", "--norm", diamond_norm_file])
+    assert (code, json.loads(out)) == (0, {"verdict": "unique"})
+    code, again, _ = run(capsys, solve)
+    assert code == 0 and again == first
+
+
 def test_internal_failure_exit_code(monkeypatch, capsys, tmp_path,
                                     diamond_norm_file):
     pts = tmp_path / "p.json"

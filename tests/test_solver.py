@@ -1,5 +1,7 @@
+import gc
 import math
 import tracemalloc
+import weakref
 from random import Random
 
 import numpy as np
@@ -23,14 +25,17 @@ from ftplane import (
     ft_solve,
     gauge,
     intersect_cones,
+    make_polygonal_norm,
     objective,
     select_functionals,
     verify_ft_point,
 )
+from ftplane import solver
 from ftplane.geometry import DEFAULT_EPS
 from ftplane.lambda_planes import make_lambda_norm
 from ftplane.norms import Functional, gauge_batch
 from ftplane.oracle import random_instance
+from ftplane.uniqueness import uniqueness_verdict
 
 from conftest import SQRT3, cone_radius, random_terminals, regions_match
 
@@ -191,6 +196,82 @@ def test_candidate_minimize_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 12_000_000
+
+
+@pytest.mark.parametrize("block, count", [(5, 360), (100, 90)])
+def test_candidate_minimize_block_shapes_match_loop_reference(
+        monkeypatch, diamond, hexagon, unit_triangle, block, count):
+    # small blocks split the 24 direction rows of the 48-gon (into 24 chunks
+    # of one row, each longer than the block, or 6 chunks of 4 rows) and
+    # give each of the 15 terminal pairs of six terminals blocks of its own
+    monkeypatch.setattr(solver, "_PAIR_BLOCK", block)
+    gon48 = make_lambda_norm(24).norm
+    rng = Random(5)
+    six = [Vec2(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)) for _ in range(6)]
+    qx, qy = np.array([q.x for q in six]), np.array([q.y for q in six])
+    assert sum(1 for _ in solver._crossing_blocks(
+        qx, qy, *gon48._breaklines[2:])) == count
+    cases = [(gon48, six), (gon48, six[:2]), (gon48, six[:3] + six[:2]),
+             (gon48, [Vec2(0.25, -1.0)]), (hexagon, [Vec2(1.5, -2.0)]),
+             (hexagon, random_terminals(7, seed=7)),
+             (hexagon, unit_triangle + unit_triangle[:2]),
+             (diamond, [Vec2(0, 0), Vec2(2, 0), Vec2(2, 0), Vec2(0, 2)])]
+    cases += [(norm, [Vec2(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(6)])
+              for norm in (diamond, hexagon) for _ in range(3)]
+    for norm, pts in cases:
+        assert repr(candidate_minimize(norm, pts)) == \
+            repr(reference_candidate_minimize(norm, pts)), pts
+
+
+def greedy_dedup(cands, eps):
+    """The pairwise loop that candidate_minimize's dedup replaces."""
+    out = []
+    for c in sorted(cands, key=Vec2.key):
+        if all((c - kept).norm() > eps for kept in out):
+            out.append(c)
+    return out
+
+
+def test_dedup_matches_greedy_loop():
+    # clouds on lattices with spacings near eps, jittered below eps, with
+    # repeated points and shared x coordinates
+    rng = Random(3)
+    eps = DEFAULT_EPS
+    for _ in range(3000):
+        sx, sy = (eps * rng.choice([0.3, 0.7, 0.999, 1.0, 1.001, 1.4]) for _ in "xy")
+        x0, y0 = rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0)
+        cloud = [Vec2(x0 + sx * rng.randint(0, 9) + eps * rng.uniform(-0.2, 0.2),
+                      y0 + sy * rng.randint(0, 9)) for _ in range(rng.randint(1, 40))]
+        cloud += rng.sample(cloud, len(cloud) // 4)
+        assert [id(c) for c in solver._dedup(cloud, eps)] == \
+            [id(c) for c in greedy_dedup(cloud, eps)]
+
+
+def test_candidate_minimize_memory_on_a_large_lambda_plane():
+    # the condition-1 witness of the 1,998-gon: three terminals, 2,997
+    # breaklines, 3 million crossings; a table of the 998,001 direction
+    # pairs (products, mask and index arrays) alone would pass 12 MB
+    norm = make_lambda_norm(999).norm
+    verdict = uniqueness_verdict(norm)
+    assert verdict.triple.condition == 1
+    tracemalloc.start()
+    try:
+        candidate_minimize(norm, list(verdict.witness))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12_000_000
+
+
+def test_solving_keeps_no_reference_to_the_norm():
+    # every CLI call builds a fresh norm: a cache keyed by norm would keep
+    # each one alive
+    norm = make_polygonal_norm([(2, 0), (1, 1), (-1, 1), (-2, 0), (-1, -1), (1, -1)])
+    ref = weakref.ref(norm)
+    ft_solve(norm, random_terminals(5, seed=5))
+    del norm
+    gc.collect()
+    assert ref() is None
 
 
 def test_verify_ft_point(diamond):
