@@ -5,12 +5,14 @@ on every cell of the arrangement of the lines through each terminal in each
 unit-ball vertex direction. The extreme points of the solution set are
 therefore arrangement vertices, which the solver enumerates outright
 instead of descending iteratively. The crossings are numpy arrays over
-terminal pairs times direction pairs, in bounded blocks, computed with the
-operations of a scalar loop over line pairs; lines through one terminal
-meet there and are not paired. The unit ball lies between the discs of
-radius 1 / max_k |phi_k| and max_k |v_k|, so sums of Euclidean distances
-bound the objective on both sides and screen out, before any gauge, the
-candidates that cannot reach the optimum.
+pairs of breaklines, in bounded blocks, computed with the operations of a
+scalar loop over line pairs; lines through one terminal meet there and are
+not paired. The unit ball lies between the discs of radius
+1 / max_k |phi_k| and max_k |v_k|, so sums of Euclidean distances bound the
+objective on both sides and screen out, before any gauge, the candidates
+that cannot reach the optimum. What the screen keeps lies in a sublevel set
+of the convex Euclidean distance sum; tangent cuts enclose that set in a
+polygon, and only the breaklines that meet the polygon are paired.
 
 Optimality at a point p outside the terminal set is certified by one
 norming functional per displacement x_i - p whose sum is zero; the full
@@ -30,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import takewhile
+from operator import mul
 
 import numpy as np
 
@@ -158,31 +161,89 @@ def _distance_sums(qx: np.ndarray, qy: np.ndarray, xs: np.ndarray,
     return np.ldexp(total, shift)
 
 
-def _crossing_blocks(qx: np.ndarray, qy: np.ndarray, dx: np.ndarray,
-                     dy: np.ndarray, dn: np.ndarray):
-    """The terminals, then the breakline crossings, at most _PAIR_BLOCK a block.
+# Where cuts are sought, per unit of terminal span: 8 directions, dyadic radii.
+_CUT_STEPS = np.exp(0.25j * np.pi * np.arange(8))[:, None] * np.ldexp(1.0, np.arange(-11, 1))
 
-    Lines through x_i in direction d_k and x_j in d_l (i < j), broadcast as
-    (terminal pair, k, l) a chunk of k rows at a time, meet at x_i + d_k * t,
-    t = ((x_j - x_i) x d_l) / (d_k x d_l), unless |d_k x d_l| <= 1e-12 |d_k| |d_l|.
-    """
-    rows = max(1, min(len(dx), _PAIR_BLOCK // len(dx)))  # k rows per block
-    step = max(1, _PAIR_BLOCK // (rows * len(dx)))  # terminal pairs per block
-    pi, pj = np.nonzero(np.arange(len(qx))[:, None] < np.arange(len(qx)))  # i < j
+
+def _clip_lines(gx: np.ndarray, gy: np.ndarray, bound: np.ndarray, qx: np.ndarray,
+                qy: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Mask over the lines x_i + d_k t, row-major in (i, k), that meet every
+    g_c . x <= bound_c. A cut with g . d_k == 0 keeps a line whole if its
+    offset is >= 0, else drops it (offset / 0 is no bound); a NaN keeps it."""
+    off = (bound[:, None] - (gx[:, None] * qx + gy[:, None] * qy))[:, :, None]
+    gd = (gx[:, None] * dx + gy[:, None] * dy)[:, None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = off / gd
+    lo = np.fmax.reduce(np.where(gd < 0.0, t, -np.inf), axis=0, initial=-np.inf)
+    hi = np.fmin.reduce(np.where(gd > 0.0, t, np.inf), axis=0, initial=np.inf)
+    dropped = ((gd == 0.0) & (off < 0.0)).any(axis=0)
+    return ((lo <= hi) & ~dropped).ravel()
+
+
+def _live_lines(norm: PolygonalNorm, pts: list[Vec2], qx: np.ndarray, qy: np.ndarray,
+                slack: float, shrink: float, eps: float) -> np.ndarray:
+    """Mask over the breaklines, row-major in (terminal, direction), that meet
+    a polygon around {D <= T}, D(c) = sum_j |c - x_j|, T from the objective at
+    a Weiszfeld point p0 and the screen's slack and shrink. D is convex: at
+    each y found around p0 with D(y) > T, a subgradient g gives the cut
+    g . x <= g . y + T - D(y) + margin, which holds on {D <= T}."""
+    _, _, dx, dy, _ = norm._breaklines
+    n, h = len(pts), len(dx)
+    every = np.ones(n * h, dtype=bool)  # below the guard, or without a cut
+    xs, ys = qx.tolist(), qy.tolist()
+    if (n * (n * (n - 1) // 2 * h * (h - 1)) <= _CELL_BLOCK or not shrink > 0.0
+            or not 0.0 < (span := max(max(xs) - min(xs), max(ys) - min(ys))) < math.inf):
+        return every
+    px, py = sum(xs) / n, sum(ys) / n
+    for _ in range(4):  # Weiszfeld steps; they stop on a terminal
+        ws = [math.hypot(x - px, y - py) for x, y in zip(xs, ys)]
+        if not 0.0 < min(ws) <= max(ws) < math.inf:
+            break
+        ws = [1.0 / w for w in ws]
+        px, py = sum(map(mul, ws, xs)) / sum(ws), sum(map(mul, ws, ys)) / sum(ws)
+    upper = objective(norm, pts, Vec2(px, py)) * (1.0 + slack + 1e-12)
+    target = (upper + eps * max(1.0, upper)) / shrink * (1.0 + 1e-9)
+    margin = 1e-9 * (target + n * (span + max(map(abs, xs + ys))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = complex(px, py) + span * _CUT_STEPS
+        ex, ey = y.real[:, :, None] - qx, y.imag[:, :, None] - qy
+        d = np.hypot(ex, ey)
+        dist = d.sum(axis=2)
+        out = dist > target + margin  # all False if T or the margin is not finite
+        if not (out.any(axis=1).all() and np.isfinite(dist).all()):
+            return every
+        pick = (np.arange(len(out)), out.argmax(axis=1))  # the smallest such radius
+        d = np.where(d[pick] > 0.0, d[pick], np.inf)  # a zero term at a terminal
+        gx, gy = (ex[pick] / d).sum(axis=1), (ey[pick] / d).sum(axis=1)
+        bound = (gx * y.real[pick] + gy * y.imag[pick] + (target - dist[pick])
+                 + margin * (1.0 + np.hypot(gx, gy)))
+    return _clip_lines(gx, gy, bound, qx, qy, dx, dy)
+
+
+def _crossing_blocks(qx: np.ndarray, qy: np.ndarray, dx: np.ndarray,
+                     dy: np.ndarray, dn: np.ndarray, live: np.ndarray):
+    """The terminals, then the crossings of live lines x_i + d_k t and x_j + d_l s
+    (i < j) in the order (i, k, j, l), at most _PAIR_BLOCK line pairs a block:
+    t = ((x_j - x_i) x d_l) / (d_k x d_l), unless |d_k x d_l| <= 1e-12 |d_k| |d_l|."""
+    li, lk = np.nonzero(live.reshape(len(qx), len(dx)))
+    lx, ly, ldx, ldy, ldn = qx[li], qy[li], dx[lk], dy[lk], dn[lk]
     head = (qx, qy)
-    for k0 in range(0, len(dx), rows):
-        dxk, dyk, dnk = (a[k0:k0 + rows, None] for a in (dx, dy, dn))
-        den = dxk * dy - dyk * dx
-        kk, ll = np.nonzero(np.abs(den) > 1e-12 * dnk * dn)
-        den, dxk, dyk, dxl, dyl = den[kk, ll], dxk[kk, 0], dyk[kk, 0], dx[ll], dy[ll]
-        for p0 in range(0, len(pi), step):
-            i, j = pi[p0:p0 + step, None], pj[p0:p0 + step, None]
-            t = ((qx[j] - qx[i]) * dyl - (qy[j] - qy[i]) * dxl) / den
-            xs, ys = (qx[i] + dxk * t).ravel(), (qy[i] + dyk * t).ravel()
+    rows = max(1, _PAIR_BLOCK // max(1, len(li)))
+    for a0 in range(0, len(li), rows):
+        a = slice(a0, a0 + rows)
+        for c0 in range(a0 + 1, len(li), _PAIR_BLOCK):
+            b = slice(c0, c0 + _PAIR_BLOCK)
+            den = ldx[a, None] * ldy[b] - ldy[a, None] * ldx[b]
+            ra, rb = np.nonzero((li[a, None] < li[b])
+                                & (np.abs(den) > 1e-12 * ldn[a, None] * ldn[b]))
+            den, ra, rb = den[ra, rb], ra + a0, rb + c0
+            t = ((lx[rb] - lx[ra]) * ldy[rb] - (ly[rb] - ly[ra]) * ldx[rb]) / den
+            xs, ys = lx[ra] + ldx[ra] * t, ly[ra] + ldy[ra] * t
             if head is not None:
                 xs, ys, head = np.concatenate([qx, xs]), np.concatenate([qy, ys]), None
-            yield xs, ys
-    if head is not None:  # a single terminal: no crossings
+            if len(xs):
+                yield xs, ys
+    if head is not None:  # no crossing
         yield head
 
 
@@ -196,17 +257,21 @@ def candidate_minimize(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...
     Returns all minimizing candidates (deduplicated) and the value.
 
     The crossings come from _crossing_blocks, each the same float as in a
-    scalar loop over Vec2 line pairs. Two lines through one terminal cross
-    at it (t = +-0); it heads the first block, so the stable key sort and
-    the dedup would drop that copy, which is not formed. The blocks fix only
-    the order, which sort and dedup undo, and keep what is near their minimum.
-
-    The bounds sum_j |c - x_j| / r <= f(c) <= phi_max * sum_j |c - x_j|
+    scalar loop over Vec2 line pairs, and in its order (i, k, j, l). Two lines
+    through one terminal cross at it (t = +-0); it heads the first block, so
+    the stable key sort and the dedup would drop that copy, which is not
+    formed. The bounds sum_j |c - x_j| / r <= f(c) <= phi_max sum_j |c - x_j|
     (r = max_k |v_k|, phi_max = max_k |phi_k|) screen the candidates: only
     those whose lower bound, less a rounding slack, is within tolerance of
     the least upper bound or value so far get the gauge, in the same
     operations and order. Every candidate within tolerance of the optimum
     passes, so the minimum and minimizers are the same floats as without it.
+
+    Only crossings of two live lines are formed: a candidate within
+    tolerance of the optimum lies in a convex sublevel set of the lower
+    bound, so on two lines that meet a polygon of tangent cuts around it
+    (_live_lines; a parallel cut keeps or drops a line whole). Below the
+    guard, where one broadcast call screens every crossing, all are live.
     """
     if not points:
         raise EmptyInputError("need at least one terminal")
@@ -220,9 +285,10 @@ def candidate_minimize(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...
     slack = 1e-12 * len(pts) * r * phi_max
     shrink = max(0.0, 1.0 - slack) / r
     upper = math.inf
+    live = _live_lines(norm, pts, qx, qy, slack, shrink, eps)
 
     blocks, mins = [], []
-    for b, (xs, ys) in enumerate(_crossing_blocks(qx, qy, dx, dy, dn)):
+    for b, (xs, ys) in enumerate(_crossing_blocks(qx, qy, dx, dy, dn, live)):
         term = np.full(len(xs), -1)  # index of the terminal a candidate is
         if b == 0:
             term[:len(pts)] = np.arange(len(pts))
@@ -311,12 +377,11 @@ def _zonogon_normals(gens: list[Vec2]) -> list[Vec2]:
     These are +-perp(g) for every generator g: they hold every facet normal
     of every such zonogon, and the perps of two independent directions also
     pin the ends of a segment and the point of the empty sum. Only when all
-    generators are parallel are the end caps +-g/|g| added.
+    generators are parallel are the end caps +-g/|g| added. A normal equal in
+    every bit to an earlier one (+0.0 and -0.0 differ) repeats its bound.
     """
-    out: list[Vec2] = []
-    for g in gens:
-        n = g.perp() * (1.0 / g.norm())
-        out += [n, -n]
+    perps = [g.perp() * (1.0 / g.norm()) for g in gens]
+    out = list({(v.x.hex(), v.y.hex()): v for n in perps for v in (n, -n)}.values())
     if gens and all(abs(g.cross(gens[0])) <= 1e-12 * g.norm() * gens[0].norm()
                     for g in gens):
         u = gens[0] * (1.0 / gens[0].norm())

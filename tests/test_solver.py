@@ -33,7 +33,7 @@ from ftplane import (
 from ftplane import solver
 from ftplane.geometry import DEFAULT_EPS
 from ftplane.lambda_planes import make_lambda_norm
-from ftplane.norms import Functional, gauge_batch
+from ftplane.norms import Functional, gauge_batch, norming_set
 from ftplane.oracle import random_instance
 from ftplane.uniqueness import uniqueness_verdict
 
@@ -90,12 +90,17 @@ def test_candidate_minimize_hexagon_triangle(hexagon, unit_triangle):
         assert any((c - q).norm() <= 1e-9 for c in arg)
 
 
-def reference_candidate_minimize(norm, points, eps=DEFAULT_EPS):
-    """The scalar pair loop over Vec2 lines that candidate_minimize replaces."""
+def reference_candidates(norm, points):
+    """The scalar pair loop over Vec2 lines that candidate_minimize replaces.
+
+    Returns the terminals and then every crossing, the pair (a, b) of line
+    indices (terminal * m/2 + direction) of each crossing (None for a
+    terminal), and the objective at each candidate.
+    """
     pts = list(points)
     half = norm.m // 2
     lines = [(q, norm.vertices[k]) for q in pts for k in range(half)]
-    cands = list(pts)
+    cands, pairs = list(pts), [None] * len(pts)
     for i in range(len(lines)):
         p1, d1 = lines[i]
         for j in range(i + 1, len(lines)):
@@ -105,10 +110,17 @@ def reference_candidate_minimize(norm, points, eps=DEFAULT_EPS):
                 continue
             t = (p2 - p1).cross(d2) / den
             cands.append(p1 + d1 * t)
+            pairs.append((i, j))
     arr = np.array([[c.x, c.y] for c in cands])
     vals = np.zeros(len(arr))
     for q in pts:
         vals += gauge_batch(norm, arr[:, 0] - q.x, arr[:, 1] - q.y)
+    return cands, pairs, vals
+
+
+def reference_candidate_minimize(norm, points, eps=DEFAULT_EPS):
+    """candidate_minimize by the scalar pair loop and a pairwise dedup."""
+    cands, _, vals = reference_candidates(norm, points)
     best = float(vals.min())
     vtol = eps * max(1.0, abs(best))
     arg = [cands[i] for i in np.flatnonzero(vals <= best + vtol)]
@@ -118,6 +130,20 @@ def reference_candidate_minimize(norm, points, eps=DEFAULT_EPS):
         if all((c - kept).norm() > eps for kept in out):
             out.append(c)
     return out, best
+
+
+@pytest.fixture
+def live_masks(monkeypatch):
+    """The live-line mask of every candidate_minimize call, in call order."""
+    masks = []
+    real = solver._live_lines
+
+    def spy(*args):
+        masks.append(real(*args))
+        return masks[-1]
+
+    monkeypatch.setattr(solver, "_live_lines", spy)
+    return masks
 
 
 def test_candidate_minimize_matches_loop_reference(diamond, hexagon, unit_triangle):
@@ -177,11 +203,14 @@ def lp_minimum(norm, points) -> float:
 
 
 def test_candidate_minimize_matches_lp_oracle():
-    # 100 terminals on the 48-gon: 2,400 breaklines, 2.76 million crossings
+    # 100 terminals on the 48-gon: 2,400 breaklines, 2.76 million crossings;
+    # the 200 of seed 200 solve with a checked certificate
     norm = make_lambda_norm(24).norm
-    pts = random_terminals(100, seed=100)
-    _, best = candidate_minimize(norm, pts)
-    assert abs(best - lp_minimum(norm, pts)) <= DEFAULT_EPS * max(1.0, best)
+    for n in (100, 200):
+        pts = random_terminals(n, seed=n)
+        _, best = candidate_minimize(norm, pts)
+        assert abs(best - lp_minimum(norm, pts)) <= DEFAULT_EPS * max(1.0, best)
+    assert ft_solve(norm, pts).objective == best
 
 
 def test_candidate_minimize_memory_is_bounded():
@@ -198,29 +227,98 @@ def test_candidate_minimize_memory_is_bounded():
     assert peak < 12_000_000
 
 
-@pytest.mark.parametrize("block, count", [(5, 360), (100, 90)])
+MIRROR_48GON = [Vec2(-0.0, -0.0), Vec2(-0.0, 0.5), Vec2(2.0, 0.0), Vec2(1.0, 1.0),
+                Vec2(2.0, 0.5)]
+
+
+@pytest.mark.parametrize("block, count", [(5, 1822), (720, 24)])
 def test_candidate_minimize_block_shapes_match_loop_reference(
-        monkeypatch, diamond, hexagon, unit_triangle, block, count):
-    # small blocks split the 24 direction rows of the 48-gon (into 24 chunks
-    # of one row, each longer than the block, or 6 chunks of 4 rows) and
-    # give each of the 15 terminal pairs of six terminals blocks of its own
+        monkeypatch, live_masks, diamond, hexagon, unit_triangle, block, count):
+    # with all 144 lines of six terminals live, block 5 takes one row at a
+    # time and splits its later lines into chunks of five; block 720 takes
+    # five rows at a time, across terminals. Chunks that hold only lines of
+    # the row's own terminal or parallel ones yield no block.
     monkeypatch.setattr(solver, "_PAIR_BLOCK", block)
     gon48 = make_lambda_norm(24).norm
     rng = Random(5)
     six = [Vec2(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)) for _ in range(6)]
     qx, qy = np.array([q.x for q in six]), np.array([q.y for q in six])
     assert sum(1 for _ in solver._crossing_blocks(
-        qx, qy, *gon48._breaklines[2:])) == count
+        qx, qy, *gon48._breaklines[2:], np.ones(6 * 24, dtype=bool))) == count
     cases = [(gon48, six), (gon48, six[:2]), (gon48, six[:3] + six[:2]),
              (gon48, [Vec2(0.25, -1.0)]), (hexagon, [Vec2(1.5, -2.0)]),
              (hexagon, random_terminals(7, seed=7)),
              (hexagon, unit_triangle + unit_triangle[:2]),
-             (diamond, [Vec2(0, 0), Vec2(2, 0), Vec2(2, 0), Vec2(0, 2)])]
-    cases += [(norm, [Vec2(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(6)])
-              for norm in (diamond, hexagon) for _ in range(3)]
+             (diamond, [Vec2(0, 0), Vec2(2, 0), Vec2(2, 0), Vec2(0, 2)]),
+             # above the guard: cuts, and row blocks that span two terminals
+             (gon48, MIRROR_48GON), (hexagon, random_terminals(16, seed=16)),
+             (make_lambda_norm(40).norm, random_terminals(3, seed=3))]
+    cases += [(norm, [Vec2(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(n)])
+              for norm, n in ((diamond, 6), (hexagon, 6), (diamond, 24), (hexagon, 16))
+              for _ in range(3)]
     for norm, pts in cases:
         assert repr(candidate_minimize(norm, pts)) == \
             repr(reference_candidate_minimize(norm, pts)), pts
+    pruned = [not mask.all() for mask in live_masks]
+    assert pruned.count(True) >= 8 and pruned.count(False) >= 8, pruned
+
+
+def test_argmin_crossings_lie_on_live_lines(live_masks):
+    # every crossing within tolerance of the loop reference's optimum is
+    # formed from two live lines, above the guard and wherever cuts are found
+    gon48 = make_lambda_norm(24).norm
+    cases = [(gon48, random_terminals(n, seed=n)) for n in (6, 8, 11, 15, 20, 30)]
+    rng = Random(17)
+    for lam in range(8, 31):  # mirror-, point- and diagonal-symmetric lattices
+        half = [Vec2(rng.randint(-3, 3) * 0.5, rng.randint(-3, 3) * 0.5) for _ in range(4)]
+        image = [[Vec2(-q.x, q.y) for q in half], [-q for q in half],
+                 [Vec2(q.y, q.x) for q in half]][lam % 3]
+        cases.append((make_lambda_norm(lam).norm, half + image))
+    for r in (10.0, 100.0, 1e3, 1e4):  # elongated hexagons
+        cases.append((make_polygonal_norm([(r, 0), (1, 1), (-1, 1), (-r, 0), (-1, -1),
+                                           (1, -1)]), random_terminals(16, seed=int(r))))
+    eight = random_terminals(8, seed=8)
+    cases += [(gon48, [q * 2.0 ** k for q in eight]) for k in (-40, 40)]
+    cases += [(gon48, eight[:6] + eight[:3]),  # duplicate terminals
+              (make_lambda_norm(100).norm, eight[:2]),
+              (gon48, MIRROR_48GON),
+              # rows: a horizontal one, one in a vertex direction, a vertical one
+              (gon48, [Vec2(x, 0.5) for x in (-2.5, -1.0, 0.0, 0.5, 2.0, 3.0)]),
+              (gon48, [gon48.vertices[5] * s for s in (-2.0, -0.5, 0.25, 1.0, 3.0, 4.5)]),
+              (gon48, [Vec2(1.0, y) for y in (-3.0, -1.0, 0.0, 1.5, 2.0, 4.0)])]
+    pruned = 0
+    for norm, pts in cases:
+        live_masks.clear()
+        candidate_minimize(norm, pts)
+        live = live_masks[0]
+        pruned += not live.all()
+        _, pairs, vals = reference_candidates(norm, pts)
+        best = float(vals.min())
+        near = np.flatnonzero(vals <= best + DEFAULT_EPS * max(1.0, best))
+        for a, b in (pairs[c] for c in near if pairs[c] is not None):
+            assert live[a] and live[b], (pts, a, b)
+    assert pruned >= 30, pruned
+
+
+def test_clip_lines_parallel_cuts_and_nan():
+    # lines through (0.5, 0), (1, 0) and (2, 0), vertical (-0.0, 1) and
+    # horizontal; the cut x <= 1 has g . d == -0.0 on the vertical lines
+    qx, qy = np.array([0.5, 1.0, 2.0]), np.zeros(3)
+    dx, dy = np.array([-0.0, 1.0]), np.array([1.0, 0.0])
+    cut = (np.array([1.0]), np.array([-0.0]), np.array([1.0]))
+    assert solver._clip_lines(*cut, qx, qy, dx, dy).tolist() == \
+        [True, True, True, True, False, True]
+    for nan in ([math.nan, 0.0, 1.0], [1.0, math.nan, 1.0], [1.0, 0.0, math.nan]):
+        both = [np.append(c, v) for c, v in zip(cut, nan)]
+        assert solver._clip_lines(*both, qx, qy, dx, dy).tolist() == \
+            [True, True, True, True, False, True]
+        alone = [np.array([v]) for v in nan]
+        assert solver._clip_lines(*alone, qx, qy, dx, dy).all()
+    # the square |x|, |y| <= 1: the diagonal x - y = 2 touches its corner,
+    # x - y = 3 misses it
+    gx, gy, bound = np.array([1.0, -1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0, -1.0]), np.ones(4)
+    assert solver._clip_lines(gx, gy, bound, np.array([2.0, 3.0]), np.zeros(2),
+                              np.array([1.0]), np.array([1.0])).tolist() == [True, False]
 
 
 def greedy_dedup(cands, eps):
@@ -625,3 +723,45 @@ def test_plus_shape_enumerates_equivalent_selections(diamond):
     assert regions[0].kind == "point"
     for r in regions[1:]:
         assert regions_match(regions[0], r, tol=1e-9)
+
+
+def zonogon_normals_with_duplicates(gens):
+    """_zonogon_normals as it was before bit-identical normals were dropped."""
+    out = []
+    for g in gens:
+        n = g.perp() * (1.0 / g.norm())
+        out += [n, -n]
+    if gens and all(abs(g.cross(gens[0])) <= 1e-12 * g.norm() * gens[0].norm()
+                    for g in gens):
+        u = gens[0] * (1.0 / gens[0].norm())
+        out += [u, -u]
+    return out
+
+
+def test_zonogon_normals_drop_only_bit_identical_duplicates(monkeypatch, diamond):
+    # a duplicated normal repeats a bound of the peel and a clip of the
+    # relaxed target, so selections and certificates stay the same
+    rng = Random(21)
+    cases = []
+    for _ in range(40):
+        centre = Vec2(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+        pts = plus_shape(centre, [rng.randint(0, 5) for _ in range(4)], rng.randrange(1000))
+        cases.append((centre, pts + [centre] * rng.randint(0, 2)))
+    centre = Vec2(0.3, -0.7)
+    _, _, gens = solver._zonogon([norming_set(diamond, q - centre)
+                                  for q in plus_shape(centre, (4, 3, 3, 3), seed=13)])
+    assert (len(zonogon_normals_with_duplicates(gens)), len(solver._zonogon_normals(gens))) \
+        == (26, 8)
+
+    def answers():
+        out = []
+        for p, pts in cases:
+            sets = [norming_set(diamond, q - p) for q in pts if q != p]
+            out.append(repr(solver._solve_selections(sets, Vec2(0.0, 0.0), limit=8)))
+            out.append(repr(verify_ft_point(diamond, pts, p)))
+        return out
+
+    deduped = answers()
+    monkeypatch.setattr(solver, "_zonogon_normals", zonogon_normals_with_duplicates)
+    assert answers() == deduped
+    assert sum("relaxed=()" not in a for a in deduped[1::2] if a != "None") >= 10

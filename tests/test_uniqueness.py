@@ -145,6 +145,14 @@ def test_verdict_octagon_unique():
     assert uniqueness_verdict(make_lambda_norm(4).norm).unique
 
 
+def test_verdict_on_a_large_non_unique_lambda_plane():
+    # the 6,000-gon: condition 1 fires, and its three witness points, with
+    # 9,000 breaklines, must solve to a polygon
+    verdict = uniqueness_verdict(make_lambda_norm(3000).norm)
+    assert not verdict.unique and verdict.triple.condition == 1
+    assert verdict.observed_kind == "polygon"
+
+
 def test_verdict_cond2_octagon(cond2_octagon):
     verdict = uniqueness_verdict(cond2_octagon)
     assert not verdict.unique
