@@ -35,7 +35,7 @@ from .geometry import DEFAULT_EPS, Vec2, check_eps
 from .lambda_planes import classify_lambda, make_lambda_norm
 from .norms import PolygonalNorm, make_polygonal_norm
 from .render import render_svg
-from .solver import FTSolution, build_cone, ft_solve
+from .solver import FTSolution, build_cones, ft_solve
 from .uniqueness import Verdict, uniqueness_verdict
 
 _VALIDATION_ERRORS = (
@@ -155,8 +155,7 @@ def cmd_solve(args) -> int:
 def _write_svg(path: str, norm, points, sol, eps) -> None:
     cones = ()
     if not sol.certificate.relaxed:
-        cones = tuple(build_cone(norm, q, f, eps)
-                      for q, f in zip(points, sol.certificate.functionals))
+        cones = build_cones(norm, points, sol.certificate.functionals, eps)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(render_svg(norm, points, sol, cones))
 
@@ -173,11 +172,10 @@ def cmd_witness(args) -> int:
     if verdict.unique:
         _emit({"verdict": "unique"})
         return 0
-    sol = ft_solve(norm, list(verdict.witness), args.tol)
     doc = _verdict_doc(verdict)
     doc["region"] = {
-        "kind": sol.region.kind,
-        "vertices": [[v.x, v.y] for v in sol.region.vertices],
+        "kind": verdict.region.kind,
+        "vertices": [[v.x, v.y] for v in verdict.region.vertices],
     }
     _emit(doc)
     return 0

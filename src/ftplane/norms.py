@@ -147,6 +147,13 @@ class PolygonalNorm:
         return np.array([[f.a, f.b] for f in self._duals], dtype=float)
 
     @cached_property
+    def _vertex_array(self) -> np.ndarray:
+        """m x 2, a transposed view: ``.T`` gives contiguous x and y rows."""
+        verts = self.vertices
+        return np.array([v.x for v in verts] + [v.y for v in verts],
+                        dtype=float).reshape(2, -1).T
+
+    @cached_property
     def _rel_array(self) -> np.ndarray:
         return np.array(self._rel_angles, dtype=float)
 
@@ -217,9 +224,27 @@ def dual_vertices(norm: PolygonalNorm) -> tuple[Functional, ...]:
     return norm._duals
 
 
+def dual_norms(norm: PolygonalNorm, funcs) -> tuple[np.ndarray, np.ndarray]:
+    """Each functional (row) at each unit-ball vertex (column), and each
+    row's maximum: the dual norms.
+
+    An entry is the float ``phi.a * v.x + phi.b * v.y`` (elementwise, never
+    ``@``, whose fused or reordered sums differ in the last bit; inf * 0 is a
+    silent NaN, as in Python). A maximum is the row's first largest entry,
+    as Python's ``max`` gives it, but NaN if the row holds one.
+    """
+    fa, fb = np.array([f.a for f in funcs] + [f.b for f in funcs],
+                      dtype=float).reshape(2, -1, 1)
+    vx, vy = norm._vertex_array.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = fa * vx
+        table += fb * vy
+    return table, table.ravel()[table.argmax(axis=1) + np.arange(0, table.size, norm.m)]
+
+
 def dual_norm(norm: PolygonalNorm, phi: Functional) -> float:
     """Operator norm of phi: max of phi over the unit-ball vertices."""
-    return max(phi(v) for v in norm.vertices)
+    return float(dual_norms(norm, (phi,))[1][0])
 
 
 def gauge(norm: PolygonalNorm, v: Vec2, eps: float = DEFAULT_EPS) -> float:

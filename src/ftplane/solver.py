@@ -18,7 +18,9 @@ Optimality at a point p outside the terminal set is certified by one
 norming functional per displacement x_i - p whose sum is zero; the full
 solution set is then the intersection of the cones these functionals span,
 one per terminal. At a terminal the certificate is relaxed: the remaining
-functionals need only sum to something of dual norm at most one.
+functionals need only sum to something of dual norm at most one. Dual norms
+and cone contacts come from one functional-by-vertex table (``dual_norms``),
+with the floats of a loop over the vertices.
 
 Each terminal's norming functionals form a point or a segment, so the sums
 of one pick per terminal form a zonogon. A selection peels it: each segment
@@ -56,6 +58,7 @@ from .norms import (
     PolygonalNorm,
     UniqueFunctional,
     dual_norm,
+    dual_norms,
     gauge,
     gauge_batch,
     norming_set,
@@ -550,32 +553,58 @@ def _relaxed_target(norm: PolygonalNorm, sets, ball_scale: int,
 
 # --- cones ------------------------------------------------------------------
 
-def build_cone(norm: PolygonalNorm, x: Vec2, phi: Functional,
-               eps: float = DEFAULT_EPS) -> Cone:
-    """Cone of points from which phi keeps norming the displacement to x.
+def _contact_sets(phis, eps: float, table: np.ndarray,
+                  tops: np.ndarray) -> tuple[list[float], list[float], list[list[int]]]:
+    """Per functional: its dual norm ``top``, its scale s = max(1, |phi|) and
+    its contacts {k : phi(v_k) >= top - 10 eps s}, read from its row of the
+    vertex table (``dual_norms``) with the floats of a loop over the vertices."""
+    tops = tops.tolist()
+    scales = [max(1.0, phi.magnitude()) for phi in phis]
+    floors = np.array([top - eps * s * 10 for top, s in zip(tops, scales)])
+    rows, cols = np.nonzero(table >= floors[:, None])
+    contacts: list[list[int]] = [[] for _ in scales]
+    for i, k in zip(rows.tolist(), cols.tolist()):
+        contacts[i].append(k)
+    return tops, scales, contacts
+
+
+def build_cones(norm: PolygonalNorm, points, phis, eps: float = DEFAULT_EPS,
+                table: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[Cone, ...]:
+    """One cone per terminal x and functional phi: the points from which phi
+    keeps norming the displacement to x.
 
     The level line phi = 1 touches the unit ball in a vertex (ray cone) or
     an edge (angle cone); the touching set is negated and translated to x.
+    ``table`` is ``dual_norms(norm, phis)``, if the caller has it.
     """
-    values = [phi(v) for v in norm.vertices]
-    top = max(values)
-    if abs(top - 1.0) > 100 * eps * max(1.0, phi.magnitude()):
-        raise NotUnitFunctionalError(f"dual norm is {top}, expected 1")
-    ctol = eps * max(1.0, phi.magnitude()) * 10
-    contact = [k for k, val in enumerate(values) if val >= top - ctol]
-    if len(contact) == 1:
-        return Cone(x, RayShape(-norm.vertices[contact[0]]))
-    if len(contact) == 2:
+    if table is None:
+        table = dual_norms(norm, phis)
+    m = norm.m
+    cones = []
+    for x, top, s, contact in zip(points, *_contact_sets(phis, eps, *table)):
+        if not abs(top - 1.0) <= 100 * eps * s:  # a NaN fails
+            raise NotUnitFunctionalError(f"dual norm is {top}, expected 1")
+        if len(contact) == 1:
+            cones.append(Cone(x, RayShape(-norm.vertices[contact[0]])))
+            continue
+        if len(contact) != 2:
+            raise NotUnitFunctionalError("support line touches more than one edge")
         i, j = contact
-        m = norm.m
         if j - i == 1:
             k = i
         elif i == 0 and j == m - 1:
             k = m - 1
         else:
             raise NotUnitFunctionalError("support line touches non-adjacent vertices")
-        return Cone(x, AngleShape(-norm.vertices[k], -norm.vertices[(k + 1) % m]))
-    raise NotUnitFunctionalError("support line touches more than one edge")
+        cones.append(Cone(x, AngleShape(-norm.vertices[k], -norm.vertices[(k + 1) % m])))
+    return tuple(cones)
+
+
+def build_cone(norm: PolygonalNorm, x: Vec2, phi: Functional,
+               eps: float = DEFAULT_EPS) -> Cone:
+    """Cone of points from which phi keeps norming the displacement to x
+    (``build_cones`` for one terminal)."""
+    return build_cones(norm, (x,), (phi,), eps)[0]
 
 
 def _cone_halfplanes(cone: Cone, eps: float) -> list[HalfPlane]:
@@ -623,35 +652,40 @@ def intersect_cones(cones: list[Cone] | tuple[Cone, ...], radius: float,
 # --- certificates and the full pipeline -------------------------------------
 
 def check_certificate(norm: PolygonalNorm, points, cert: Certificate,
-                      eps: float = DEFAULT_EPS) -> None:
+                      eps: float = DEFAULT_EPS) -> tuple[np.ndarray, np.ndarray]:
     """Raise CertificateError unless the certificate verifies.
 
     Checks the zero sum, and for every non-relaxed entry that the
     functional norms its displacement and has dual norm one; relaxed
-    entries only need dual norm at most one.
+    entries only need dual norm at most one. Returns the functionals'
+    ``dual_norms`` (vertex table and dual norms), for the cones.
     """
     pts = list(points)
     if len(cert.functionals) != len(pts):
         raise CertificateError("certificate length mismatch")
     scale = max([1.0] + [f.magnitude() for f in cert.functionals])
+    if scale == math.inf:  # tol would be inf, and every test below would pass
+        raise CertificateError("certificate holds an infinite functional")
     tol = 20 * eps * scale * max(1, len(pts))
     total = Functional(0.0, 0.0)
     for f in cert.functionals:
         total = total + f
-    if total.magnitude() > tol:
+    # each test is written so that a NaN fails it
+    if not total.magnitude() <= tol:
         raise CertificateError(f"functionals sum to {total}, not zero")
     relaxed = set(cert.relaxed)
-    for i, (q, f) in enumerate(zip(pts, cert.functionals)):
-        dn = dual_norm(norm, f)
+    table = dual_norms(norm, cert.functionals)
+    for i, (q, f, dn) in enumerate(zip(pts, cert.functionals, table[1].tolist())):
         if i in relaxed:
-            if dn > 1.0 + tol:
+            if not dn <= 1.0 + tol:
                 raise CertificateError(f"relaxed entry {i} has dual norm {dn}")
             continue
-        if abs(dn - 1.0) > tol:
+        if not abs(dn - 1.0) <= tol:
             raise CertificateError(f"entry {i} has dual norm {dn}, expected 1")
         g = gauge(norm, q - cert.base)
-        if abs(f(q - cert.base) - g) > tol * max(1.0, g):
+        if not abs(f(q - cert.base) - g) <= tol * max(1.0, g):
             raise CertificateError(f"entry {i} does not norm its displacement")
+    return table
 
 
 def ft_solve(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...],
@@ -700,8 +734,8 @@ def ft_solve(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...],
 
     phis = select_functionals(norm, pts, p, eps)
     cert = Certificate(p, phis, ())
-    check_certificate(norm, pts, cert, eps)
-    cones = tuple(build_cone(norm, q, f, eps) for q, f in zip(pts, phis))
+    table = check_certificate(norm, pts, cert, eps)
+    cones = build_cones(norm, pts, phis, eps, table)
     # gauge(u) >= |u| / max_k |v_k|, so every optimum lies within
     # value * max_k |v_k| of the first terminal. Twice that keeps the square's
     # sides off the solution set; cones that reach them (a wrong certificate)

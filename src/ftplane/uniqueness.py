@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import WitnessFailedError
-from .geometry import DEFAULT_EPS, Vec2, segment_interior_contains
+from .geometry import DEFAULT_EPS, Region, Vec2, segment_interior_contains
 from .norms import (
     EdgeElement,
     Functional,
@@ -51,6 +51,7 @@ class Verdict:
     witness: tuple[Vec2, Vec2, Vec2] | None = None
     expected_kind: str | None = None  # "polygon" | "segment"
     observed_kind: str | None = None
+    region: Region | None = None  # the witness's solution set, as validated
 
 
 # Edge pairs (conditions 1 and 2) or (j, k) cells (condition 3) per block of
@@ -195,10 +196,11 @@ def uniqueness_verdict(norm: PolygonalNorm,
             continue
         witness = tuple(element_point(norm, e) for e in triple.elements)
         expected = "polygon" if cond == 1 else "segment"
-        observed = ft_solve(norm, witness, eps).region.kind
+        region = ft_solve(norm, witness, eps).region
+        observed = region.kind
         ok = observed == expected if cond in (1, 3) else observed != "point"
         if not ok:
             raise WitnessFailedError(
                 f"condition {cond} witness solved to {observed}, expected {expected}")
-        return Verdict(False, triple, witness, expected, observed)
+        return Verdict(False, triple, witness, expected, observed, region)
     return Verdict(True)

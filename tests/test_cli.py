@@ -123,6 +123,25 @@ def test_witness_command(capsys, hex_norm_file, diamond_norm_file):
     assert json.loads(out) == {"verdict": "unique"}
 
 
+def test_witness_solves_its_triple_once(capsys, monkeypatch, hex_norm_file):
+    import ftplane.cli as cli
+    import ftplane.uniqueness as uniqueness
+
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(args[1])
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(uniqueness, "ft_solve", counted(uniqueness.ft_solve))
+    monkeypatch.setattr(cli, "ft_solve", counted(cli.ft_solve))
+    code, out, _ = run(capsys, ["witness", "--norm", hex_norm_file])
+    assert code == 0 and len(calls) == 1
+    assert json.loads(out)["region"]["kind"] == "polygon"
+
+
 def test_lambda_flag_replaces_norm_file(capsys, triangle_points_file):
     code, out, _ = run(capsys, ["solve", "--lambda", "3",
                                 "--points", triangle_points_file])

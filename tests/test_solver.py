@@ -10,6 +10,7 @@ import pytest
 from ftplane import (
     AngleShape,
     Certificate,
+    CertificateError,
     Cone,
     EmptyIntersectionError,
     InfeasibleError,
@@ -21,6 +22,7 @@ from ftplane import (
     check_certificate,
     collinear_median,
     dual_norm,
+    dual_vertices,
     enumerate_selections,
     ft_solve,
     gauge,
@@ -33,11 +35,18 @@ from ftplane import (
 from ftplane import solver
 from ftplane.geometry import DEFAULT_EPS
 from ftplane.lambda_planes import make_lambda_norm
-from ftplane.norms import Functional, gauge_batch, norming_set
-from ftplane.oracle import random_instance
+from ftplane.norms import Functional, dual_norms, gauge_batch, norming_set
+from ftplane.oracle import random_instance, random_symmetric_norm
 from ftplane.uniqueness import uniqueness_verdict
 
-from conftest import SQRT3, cone_radius, random_terminals, regions_match
+from conftest import (
+    COND2_OCTAGON,
+    COND3_HEXAGON,
+    SQRT3,
+    cone_radius,
+    random_terminals,
+    regions_match,
+)
 
 
 def l1_objective(points, x):
@@ -437,6 +446,89 @@ def test_build_cone_hexagon(hexagon):
     assert isinstance(cone.shape, AngleShape)
     assert (cone.shape.d1 - Vec2(-0.5, -SQRT3 / 2)).norm() <= 1e-12
     assert (cone.shape.d2 - Vec2(0.5, -SQRT3 / 2)).norm() <= 1e-12
+
+
+def scalar_contacts(norm, phi, eps=DEFAULT_EPS):
+    """The loop over the vertices that the functional-by-vertex table
+    replaces: phi's dual norm and contact set."""
+    values = [phi(v) for v in norm.vertices]
+    top = max(values)
+    ctol = eps * max(1.0, phi.magnitude()) * 10
+    return top, [k for k, val in enumerate(values) if val >= top - ctol]
+
+
+def scalar_cone(norm, x, phi, eps=DEFAULT_EPS):
+    """build_cone as a loop over the vertices: a Cone, or the error message."""
+    top, contact = scalar_contacts(norm, phi, eps)
+    if abs(top - 1.0) > 100 * eps * max(1.0, phi.magnitude()):
+        return f"dual norm is {top}, expected 1"
+    m = norm.m
+    if len(contact) == 1:
+        return Cone(x, RayShape(-norm.vertices[contact[0]]))
+    if len(contact) != 2:
+        return "support line touches more than one edge"
+    i, j = contact
+    if j - i != 1 and (i, j) != (0, m - 1):
+        return "support line touches non-adjacent vertices"
+    k = i if j - i == 1 else m - 1
+    return Cone(x, AngleShape(-norm.vertices[k], -norm.vertices[(k + 1) % m]))
+
+
+def table_norms():
+    """(norm, certificate functionals) for the table's reference test."""
+    norms = [random_symmetric_norm(Random(seed)) for seed in range(5)]
+    norms += [make_lambda_norm(lam).norm for lam in range(2, 61)]
+    norms += [make_polygonal_norm(COND2_OCTAGON), make_polygonal_norm(COND3_HEXAGON)]
+    # two terminals at the centre: its relaxed completion has dual norm <= 2
+    star = [Vec2(0, 0), Vec2(0, 0), Vec2(1, 0), Vec2(-0.5, 0.9), Vec2(-0.5, -0.8)]
+    for norm in norms:
+        relaxed = verify_ft_point(norm, star, Vec2(0, 0))
+        assert relaxed is not None and relaxed.relaxed == (0, 1)
+        funcs = list(relaxed.functionals)
+        for seed in range(2):
+            funcs += ft_solve(norm, random_terminals(4, seed)).certificate.functionals
+        yield norm, funcs
+    norm = make_lambda_norm(3000).norm
+    yield norm, list(ft_solve(norm, uniqueness_verdict(norm).witness).certificate.functionals)
+
+
+def test_vertex_table_matches_scalar_loop():
+    for norm, cert_funcs in table_norms():
+        stride = max(1, norm.m // 48)
+        funcs = list(dual_vertices(norm)[::stride])
+        funcs += [norming_set(norm, norm.vertices[k]).at(t)
+                  for k in range(0, norm.m, stride) for t in (0.25, 0.5, 0.8)]
+        funcs += cert_funcs
+        funcs += [Functional(0.0, 0.0), Functional(-0.0, -0.0), Functional(-0.0, 0.0)]
+        want = [scalar_contacts(norm, phi) for phi in funcs]
+        tops, _, contacts = solver._contact_sets(funcs, DEFAULT_EPS, *dual_norms(norm, funcs))
+        assert [t.hex() for t in tops] == [top.hex() for top, _ in want]
+        assert contacts == [c for _, c in want]
+        for phi in funcs:
+            try:
+                got = build_cone(norm, Vec2(1, 2), phi)
+            except NotUnitFunctionalError as exc:
+                got = str(exc)
+            assert got == scalar_cone(norm, Vec2(1, 2), phi)
+
+
+def test_non_finite_certificates_and_functionals_are_rejected(diamond, square):
+    nan = math.nan
+    pts = [Vec2(-2, 0), Vec2(2, 0), Vec2(0, 2)]
+    with pytest.raises(CertificateError, match="not zero"):
+        check_certificate(diamond, pts, Certificate(Vec2(0, 0), (Functional(nan, nan),) * 3))
+    # on the square an infinite functional has dual norm inf and no NaN
+    funcs = (Functional(math.inf, 0.0), Functional(-1.0, 0.0), Functional(0.0, -1.0))
+    with pytest.raises(CertificateError, match="infinite"):
+        check_certificate(square, [Vec2(2, 0.5), Vec2(-2, 0.5), Vec2(0.5, -2)],
+                          Certificate(Vec2(0, 0), funcs))
+    assert math.isnan(dual_norm(diamond, Functional(nan, nan)))
+    with pytest.raises(NotUnitFunctionalError, match="dual norm is nan"):
+        build_cone(diamond, Vec2(0, 0), Functional(nan, nan))
+    # inf * 0 at the vertices on the y axis is NaN, as in Python floats,
+    # and raises no RuntimeWarning
+    with pytest.raises(NotUnitFunctionalError, match="dual norm is nan"):
+        build_cone(diamond, Vec2(0, 0), Functional(math.inf, 0.0))
 
 
 def test_intersect_cones_rays(diamond):

@@ -14,6 +14,7 @@ from ftplane import (
     check_condition1,
     check_condition2,
     check_condition3,
+    check_certificate,
     convex_hull,
     dual_vertices,
     element_point,
@@ -151,6 +152,18 @@ def test_verdict_on_a_large_non_unique_lambda_plane():
     verdict = uniqueness_verdict(make_lambda_norm(3000).norm)
     assert not verdict.unique and verdict.triple.condition == 1
     assert verdict.observed_kind == "polygon"
+
+
+def test_verdict_on_the_19998_gon():
+    # condition 1 fires; the witness's 29,997 breaklines solve to a polygon,
+    # certified, and the verdict keeps that solution set
+    norm = make_lambda_norm(9999).norm
+    verdict = uniqueness_verdict(norm)
+    assert not verdict.unique and verdict.triple.condition == 1
+    assert verdict.observed_kind == verdict.region.kind == "polygon"
+    sol = ft_solve(norm, verdict.witness)
+    check_certificate(norm, verdict.witness, sol.certificate)
+    assert sol.region == verdict.region
 
 
 def test_verdict_cond2_octagon(cond2_octagon):
