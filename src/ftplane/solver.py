@@ -582,7 +582,8 @@ def build_cones(norm: PolygonalNorm, points, phis, eps: float = DEFAULT_EPS,
     m = norm.m
     cones = []
     for x, top, s, contact in zip(points, *_contact_sets(phis, eps, *table)):
-        if not abs(top - 1.0) <= 100 * eps * s:  # a NaN fails
+        # an infinite functional would make the tolerance inf; a NaN fails the test
+        if not (math.isfinite(s) and abs(top - 1.0) <= 100 * eps * s):
             raise NotUnitFunctionalError(f"dual norm is {top}, expected 1")
         if len(contact) == 1:
             cones.append(Cone(x, RayShape(-norm.vertices[contact[0]])))

@@ -7,16 +7,21 @@ two edge-interior elements and a vertex (condition 2), or one edge-interior
 element and an origin-symmetric vertex pair (condition 3) yields three
 points whose solution set is a polygon or segment. A norm admits non-unique
 three-point instances exactly when one of the conditions fires, and the
-firing triple itself is the witness. Conditions 1 and 2 share one pass over
-the edge pairs i < j that finds where -(d_i + d_j) lands on the dual polygon;
-condition 3 tests each edge functional against each dual edge. All three are
-numpy array passes over blocks of bounded size that repeat the scalar
-predicates' floating-point operations, so they return the same triples as
-pair-by-pair loops in O(m) memory.
+firing triple itself is the witness.
+
+A verdict builds the norm's dual set-up once (dual vertices and their
+magnitudes, the dual polygon, the zero tolerance and the window table) and
+shares it between the conditions. Conditions 1 and 2 are decided together
+in one pass over the edge pairs i < j that locates -(d_i + d_j) on the dual
+polygon once per pair; condition 3 tests each edge functional against each
+dual edge. Both are numpy array passes over blocks of bounded size that
+repeat the scalar predicates' floating-point operations, so they return the
+same triples as pair-by-pair loops in O(m) memory.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,109 +64,142 @@ class Verdict:
 _BLOCK = 2048
 
 
-def _first_pair_hit(norm: PolygonalNorm, eps: float,
-                    condition: int) -> ConsistentTriple | None:
-    """First condition-1 or condition-2 triple in edge-pair order i < j, then ascending k.
+@dataclass(frozen=True)
+class _DualSetup:
+    """What the three conditions read of one norm's dual, built once per verdict."""
 
-    The pairs are numbered row by row and taken in blocks of ``_BLOCK``.
-    psi = -(d_i + d_j) is located on the dual polygon with
-    ``PolygonalNorm.sector_batch``; only the dual vertices and edges of its
-    sector s and of s - 1, s + 1 and s + 2 can lie within eps of psi, and the
-    window stays wide enough when the array route puts psi one sector off.
-    The array predicates repeat the scalar floating-point operations, and
-    condition 2's orient survivors go through ``segment_interior_contains``,
-    so the triple is the one a pair-by-pair loop finds.
+    eps: float
+    duals: tuple[Functional, ...]
+    dual_polygon: PolygonalNorm  # the dual vertices as a polygon, for sector location
+    px: np.ndarray  # dual vertex coordinates
+    py: np.ndarray
+    ex: np.ndarray  # dual edge k, d_k - d_{k-1}
+    ey: np.ndarray
+    mags: list[float]  # |d_k|, with math.hypot
+    tol: float  # condition 1's zero test
+    # column s: the window of sector s, dual indices k = s - 1 .. s + 2 mod m
+    windows: np.ndarray
+    # column s, row by row: x of d_{s-2} .. d_{s+2}, y of d_{s-2} .. d_{s+2},
+    # then x and y of the dual edges k = s - 1 .. s + 2
+    window_table: np.ndarray
+
+    @classmethod
+    def build(cls, norm: PolygonalNorm, eps: float) -> "_DualSetup":
+        duals = dual_vertices(norm)
+        m = norm.m
+        px, py = norm._dual_array[:, 0], norm._dual_array[:, 1]
+        mags = [d.magnitude() for d in duals]
+        w = (np.arange(-2, 3)[:, None] + np.arange(m)) % m
+        ex, ey = px - px[w[1]], py - py[w[1]]
+        return cls(
+            eps=eps, duals=duals,
+            dual_polygon=PolygonalNorm(tuple(d.as_vec() for d in duals)),
+            px=px, py=py, ex=ex, ey=ey, mags=mags,
+            # functional magnitudes grow as the polygon thins, so scale the zero test
+            tol=eps * max(1.0, max(mags)),
+            windows=w[1:], window_table=np.concatenate([px[w], py[w], ex[w[1:]], ey[w[1:]]]),
+        )
+
+
+def _hits(mask: np.ndarray, k: np.ndarray) -> list[tuple[int, int]]:
+    """A block's hits, window rows by pair columns, as (pair, dual index k) in
+    pair order, then ascending k; the window ascends in k except where it
+    wraps past m - 1."""
+    return sorted(zip(np.nonzero(mask)[1].tolist(), k[mask].tolist()))
+
+
+def _pair_pass(setup: _DualSetup, cond1: bool = True,
+               cond2: bool = True) -> tuple[ConsistentTriple | None, ConsistentTriple | None]:
+    """First condition-1 and first condition-2 triple, in edge-pair order i < j, then ascending k.
+
+    One pass decides both conditions. The pairs are numbered row by row and
+    taken in blocks of ``_BLOCK``; psi = -(d_i + d_j) is located once per
+    pair with ``PolygonalNorm.sector_batch``. Only the dual vertices and
+    edges of its sector s and of s - 1, s + 1 and s + 2 can lie within eps
+    of psi, and the window stays wide enough when the array route puts psi
+    one sector off. The pass ends at the block holding the first condition-1
+    triple, so the condition-2 triple it returns with one comes from an
+    earlier block or is None; once condition 2 has fired, only condition 1
+    is tested. ``cond1=False`` scans past condition-1 hits until condition 2
+    fires; ``cond2=False`` tests condition 1 alone.
+
+    Condition 1 repeats the scalar zero test. Condition 2 compares orient's
+    cross product with eps times 4 max_k |d_k|, a bound on orient's scale
+    (every coordinate of psi is at most 2 max_k |d_k|, so every difference
+    orient takes is at most 3 max_k |d_k| after rounding); its survivors are
+    a superset of the pairs whose orient test passes, they go through
+    ``segment_interior_contains`` in order, and the triples are the ones a
+    pair-by-pair loop finds.
     """
-    duals = dual_vertices(norm)
-    m = norm.m
-    dual_polygon = PolygonalNorm(tuple(d.as_vec() for d in duals))
-    pts = dual_polygon.vertices
-    px, py = norm._dual_array[:, 0], norm._dual_array[:, 1]
-    # functional magnitudes grow as the polygon thins, so scale the zero test
-    tol = eps * max(1.0, max(d.magnitude() for d in duals))
+    m, eps, tol, duals = len(setup.duals), setup.eps, setup.tol, setup.duals
+    px, py = setup.px, setup.py
+    pts = setup.dual_polygon.vertices
+    cut = eps * 4.0 * max(setup.mags)
     rows = np.arange(m)
     row_start = rows * m - rows * (rows + 1) // 2
     n_pairs = m * (m - 1) // 2
-    # the window of sector s, dual indices s - 1 .. s + 2 mod m in ascending order
-    windows = np.sort((rows[:, None] + np.arange(-1, 3)) % m, axis=1)
+    hit2 = None
     for start in range(0, n_pairs, _BLOCK):
-        pair = np.arange(start, min(start + _BLOCK, n_pairs))
-        i = np.searchsorted(row_start, pair, side="right") - 1
+        stop = min(start + _BLOCK, n_pairs)
+        pair = np.arange(start, stop)
+        r0, r1 = row_start.searchsorted((start, stop - 1), side="right") - 1
+        i = row_start[r0 + 1:r1 + 1].searchsorted(pair, side="right") + r0
         j = pair - row_start[i] + i + 1
         qx, qy = -(px[i] + px[j]), -(py[i] + py[j])
-        k = windows[dual_polygon.sector_batch(qx, qy)]
-        qx, qy = qx[:, None], qy[:, None]
-        bx, by = px[k], py[k]
-        if condition == 1:
-            # bx - qx is (d_i + d_j) + d_k bit for bit
-            hit = (k > j[:, None]) & (np.abs(bx - qx) <= tol) & (np.abs(by - qy) <= tol)
-        else:
-            # orient(d_{k-1}, d_k, psi) == 0, the first test of segment_interior_contains
-            ax, ay = px[k - 1], py[k - 1]
-            cross = (bx - ax) * (qy - ay) - (by - ay) * (qx - ax)
-            scale = np.maximum(np.maximum(np.abs(bx - ax), np.abs(by - ay)),
-                               np.maximum(np.maximum(np.abs(qx - ax), np.abs(qy - ay)),
-                                          np.maximum(np.abs(qx - bx), np.abs(qy - by))))
-            hit = np.abs(cross) <= eps * scale
-        for row, col in zip(*np.nonzero(hit)):
-            i_, j_, k_ = int(i[row]), int(j[row]), int(k[row, col])
-            if condition == 1:
-                return ConsistentTriple((EdgeElement(i_, 0.5), EdgeElement(j_, 0.5),
-                                         EdgeElement(k_, 0.5)),
-                                        (duals[i_], duals[j_], duals[k_]), condition=1)
+        s = setup.dual_polygon.sector_batch(qx, qy)
+        table = setup.window_table.take(s, axis=1)
+        # d_w - psi is (d_i + d_j) + d_w bit for bit
+        dx, dy = table[0:5] - qx, table[5:10] - qy
+        if cond1:
+            near = np.abs(dx[1:]) <= tol
+            if near.any():
+                k = setup.windows.take(s, axis=1)
+                near &= (np.abs(dy[1:]) <= tol) & (k > j)
+                hits = _hits(near, k)
+                if hits:
+                    col, k_ = hits[0]
+                    i_, j_ = int(i[col]), int(j[col])
+                    return ConsistentTriple(
+                        (EdgeElement(i_, 0.5), EdgeElement(j_, 0.5), EdgeElement(k_, 0.5)),
+                        (duals[i_], duals[j_], duals[k_]), condition=1), hit2
+        if not cond2 or hit2 is not None:
+            continue
+        # |orient(d_{k-1}, d_k, psi)|'s cross product, bit for bit
+        cross = np.abs(table[10:14] * dy[:-1] - table[14:18] * dx[:-1])
+        close = cross <= cut
+        if not close.any():
+            continue
+        for col, k_ in _hits(close, setup.windows.take(s, axis=1)):
+            i_, j_ = int(i[col]), int(j[col])
             psi = -(pts[i_] + pts[j_])
             if segment_interior_contains(pts[k_ - 1], pts[k_], psi, eps):
-                return ConsistentTriple((EdgeElement(i_, 0.5), EdgeElement(j_, 0.5),
+                hit2 = ConsistentTriple((EdgeElement(i_, 0.5), EdgeElement(j_, 0.5),
                                          VertexElement(k_)),
                                         (duals[i_], duals[j_], Functional(psi.x, psi.y)),
                                         condition=2)
-    return None
+                break
+        if hit2 is not None and not cond1:
+            break
+    return None, hit2
 
 
-def check_condition1(norm: PolygonalNorm,
-                     eps: float = DEFAULT_EPS) -> ConsistentTriple | None:
-    """First edge triple (i < j < k) whose functionals sum to zero."""
-    return _first_pair_hit(norm, eps, 1)
-
-
-def check_condition2(norm: PolygonalNorm,
-                     eps: float = DEFAULT_EPS) -> ConsistentTriple | None:
-    """Edge pair whose negated functional sum lands strictly inside a dual edge.
-
-    The landing functional supports the circle at the paired vertex only,
-    giving a triple of two edge-interior elements and one vertex. Landing on
-    a dual-edge endpoint is excluded: that would be an edge functional and
-    condition 1 territory.
-    """
-    return _first_pair_hit(norm, eps, 2)
-
-
-def check_condition3(norm: PolygonalNorm,
-                     eps: float = DEFAULT_EPS) -> ConsistentTriple | None:
-    """Edge functional parallel to a dual edge and strictly shorter than it.
-
-    Writing the edge functional as t times the dual-edge direction with
-    0 < |t| < 1 lets the two vertex functionals sit strictly inside the dual
-    edges at an origin-symmetric vertex pair while all three sum to zero.
-    The parallel test runs as arrays over blocks of rows j; its survivors,
-    in (j, k) order, meet the |t| margins one by one.
-    """
-    duals = dual_vertices(norm)
-    m = norm.m
+def _condition3(setup: _DualSetup) -> ConsistentTriple | None:
+    """``check_condition3`` on a built set-up."""
+    duals, eps = setup.duals, setup.eps
+    m = len(duals)
     half = m // 2
-    steps = [duals[k] - duals[k - 1] for k in range(m)]
-    ua = np.array([u.a for u in steps])
-    ub = np.array([u.b for u in steps])
-    u_len = np.array([u.magnitude() for u in steps])
-    bound = eps * np.array([phi.magnitude() for phi in duals])
-    pa, pb = norm._dual_array[:, 0, None], norm._dual_array[:, 1, None]
+    ua, ub = setup.ex, setup.ey
+    u_len = np.array([math.hypot(a, b) for a, b in zip(ua.tolist(), ub.tolist())])
+    bound = eps * np.array(setup.mags)
+    pa, pb = setup.px[:, None], setup.py[:, None]
     per_block = max(1, _BLOCK // m)
     for start in range(0, m, per_block):
         rows = slice(start, start + per_block)
         parallel = ~(np.abs(pa[rows] * ub - pb[rows] * ua) > bound[rows, None] * u_len)
         for row, k in zip(*np.nonzero(parallel)):
             j, k = start + int(row), int(k)
-            phi, a, u = duals[j], duals[k - 1], steps[k]
+            phi, a = duals[j], duals[k - 1]
+            u = duals[k] - a
             um = u.magnitude()
             t = (phi.a * u.a + phi.b * u.b) / (um * um)
             margin = eps / um
@@ -179,28 +217,58 @@ def check_condition3(norm: PolygonalNorm,
     return None
 
 
-_CHECKS = ((1, check_condition1), (2, check_condition2), (3, check_condition3))
+def check_condition1(norm: PolygonalNorm,
+                     eps: float = DEFAULT_EPS) -> ConsistentTriple | None:
+    """First edge triple (i < j < k) whose functionals sum to zero."""
+    return _pair_pass(_DualSetup.build(norm, eps), cond2=False)[0]
+
+
+def check_condition2(norm: PolygonalNorm,
+                     eps: float = DEFAULT_EPS) -> ConsistentTriple | None:
+    """Edge pair whose negated functional sum lands strictly inside a dual edge.
+
+    The landing functional supports the circle at the paired vertex only,
+    giving a triple of two edge-interior elements and one vertex. Landing on
+    a dual-edge endpoint is excluded: that would be an edge functional and
+    condition 1 territory. The first such pair is found whether or not
+    condition 1 fires.
+    """
+    return _pair_pass(_DualSetup.build(norm, eps), cond1=False)[1]
+
+
+def check_condition3(norm: PolygonalNorm,
+                     eps: float = DEFAULT_EPS) -> ConsistentTriple | None:
+    """Edge functional parallel to a dual edge and strictly shorter than it.
+
+    Writing the edge functional as t times the dual-edge direction with
+    0 < |t| < 1 lets the two vertex functionals sit strictly inside the dual
+    edges at an origin-symmetric vertex pair while all three sum to zero.
+    The parallel test runs as arrays over blocks of rows j; its survivors,
+    in (j, k) order, meet the |t| margins one by one.
+    """
+    return _condition3(_DualSetup.build(norm, eps))
 
 
 def uniqueness_verdict(norm: PolygonalNorm,
                        eps: float = DEFAULT_EPS) -> Verdict:
-    """Run the conditions in order and validate the first firing witness.
+    """Take the first firing condition, in order 1, 2, 3, and validate its witness.
 
     The witness points are the triple's unit-circle elements themselves.
     Condition 1 must solve to a polygon, condition 3 to a segment;
     condition 2 must solve to something other than a point.
     """
-    for cond, checker in _CHECKS:
-        triple = checker(norm, eps)
-        if triple is None:
-            continue
-        witness = tuple(element_point(norm, e) for e in triple.elements)
-        expected = "polygon" if cond == 1 else "segment"
-        region = ft_solve(norm, witness, eps).region
-        observed = region.kind
-        ok = observed == expected if cond in (1, 3) else observed != "point"
-        if not ok:
-            raise WitnessFailedError(
-                f"condition {cond} witness solved to {observed}, expected {expected}")
-        return Verdict(False, triple, witness, expected, observed, region)
-    return Verdict(True)
+    setup = _DualSetup.build(norm, eps)
+    hit1, hit2 = _pair_pass(setup)
+    triple = hit1 or hit2 or _condition3(setup)
+    if triple is None:
+        return Verdict(True)
+    cond = triple.condition
+    witness = tuple(element_point(norm, e) for e in triple.elements)
+    expected = "polygon" if cond == 1 else "segment"
+    region = ft_solve(norm, witness, eps).region
+    observed = region.kind
+    ok = observed == expected if cond in (1, 3) else observed != "point"
+    if not ok:
+        raise WitnessFailedError(
+            f"condition {cond} witness solved to {observed}, expected {expected}")
+    return Verdict(False, triple, witness, expected, observed, region)

@@ -460,7 +460,8 @@ def scalar_contacts(norm, phi, eps=DEFAULT_EPS):
 def scalar_cone(norm, x, phi, eps=DEFAULT_EPS):
     """build_cone as a loop over the vertices: a Cone, or the error message."""
     top, contact = scalar_contacts(norm, phi, eps)
-    if abs(top - 1.0) > 100 * eps * max(1.0, phi.magnitude()):
+    scale = max(1.0, phi.magnitude())
+    if not (math.isfinite(scale) and abs(top - 1.0) <= 100 * eps * scale):
         return f"dual norm is {top}, expected 1"
     m = norm.m
     if len(contact) == 1:
@@ -529,6 +530,11 @@ def test_non_finite_certificates_and_functionals_are_rejected(diamond, square):
     # and raises no RuntimeWarning
     with pytest.raises(NotUnitFunctionalError, match="dual norm is nan"):
         build_cone(diamond, Vec2(0, 0), Functional(math.inf, 0.0))
+    # on the square the dual norm is inf with no NaN, and the unit test's
+    # tolerance 100 eps |phi| would be inf too
+    for phi in (Functional(math.inf, 0.0), Functional(0.0, -math.inf)):
+        with pytest.raises(NotUnitFunctionalError, match="dual norm is inf"):
+            build_cone(square, Vec2(0, 0), phi)
 
 
 def test_intersect_cones_rays(diamond):

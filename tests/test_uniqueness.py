@@ -9,8 +9,10 @@ from ftplane import (
     DEFAULT_EPS,
     ConsistentTriple,
     EdgeElement,
+    InfeasibleError,
     Vec2,
     VertexElement,
+    WitnessFailedError,
     check_condition1,
     check_condition2,
     check_condition3,
@@ -256,6 +258,24 @@ def test_condition1_memory_is_linear():
     assert peak < 2_000_000
 
 
+def test_verdict_locates_each_pair_once(monkeypatch):
+    # m = 100 and neither condition fires, so the pass runs in full over
+    # 4,950 pairs in three blocks: one sector location per pair for both
+    # conditions, not one per condition
+    located = []
+    sector_batch = PolygonalNorm.sector_batch
+
+    def counting(self, dx, dy):
+        located.append(len(dx))
+        return sector_batch(self, dx, dy)
+
+    monkeypatch.setattr(PolygonalNorm, "sector_batch", counting)
+    norm = make_lambda_norm(50).norm
+    assert uniqueness_verdict(norm).unique
+    n_pairs = norm.m * (norm.m - 1) // 2
+    assert sum(located) == n_pairs and len(located) == -(-n_pairs // _BLOCK) == 3
+
+
 def scalar_pair_hits(norm, eps=DEFAULT_EPS):
     """The pair-by-pair loop that conditions 1 and 2 replaced, kept as a reference."""
     duals = dual_vertices(norm)
@@ -343,6 +363,23 @@ def late_hit_norms():
     ]
 
 
+def cond2_before_cond1():
+    """A norm over 94 edges whose first condition-2 pair, (0, 45), lies in the
+    first block and whose first condition-1 pair, (41, 46), in a later one."""
+    rng = Random(1)
+    a = math.degrees(math.acos(math.cos(math.radians(20)) / 2))
+    # d at 270 - a and 270 + a sum to minus the middle of the dual edge from
+    # 70 to 110 degrees; d at 55, 175 and 295 (minus d at 115) sum to zero
+    return norm_from_dual_angles([90 - a, 90 + a, 70, 110, 55, 115, 175]
+                                 + [rng.uniform(28.5, 54.5) for _ in range(40)])
+
+
+def pair_index(norm, triple):
+    """Position of the triple's edge pair i < j in the pass's row-by-row numbering."""
+    m, i, j = norm.m, triple.elements[0].edge, triple.elements[1].edge
+    return i * m - i * (i + 1) // 2 + j - i - 1
+
+
 def near_tolerance(vertices):
     """Copies with one vertex pair moved by 1e-10..1e-8, across the zero tests' tolerances."""
     half = len(vertices) // 2
@@ -365,11 +402,12 @@ def test_conditions_match_scalar_reference():
               for r in rotations(COND2_OCTAGON) + rotations(COND3_HEXAGON)]
     hexagon = [(1, 0), (0.5, SQRT3 / 2), (-0.5, SQRT3 / 2),
                (-1, 0), (-0.5, -SQRT3 / 2), (0.5, -SQRT3 / 2)]
-    for verts in (hexagon, COND2_OCTAGON, COND3_HEXAGON):
-        norms += near_tolerance(verts)
+    moved_cond2 = near_tolerance(COND2_OCTAGON)
+    norms += near_tolerance(hexagon) + moved_cond2 + near_tolerance(COND3_HEXAGON)
     late = late_hit_norms()
+    both = cond2_before_cond1()
     fired = [0, 0, 0]
-    for norm in norms + late:
+    for norm in norms + late + [both]:
         hits = list(scalar_pair_hits(norm))
         want = (next((t for t in hits if t.condition == 1), None),
                 next((t for t in hits if t.condition == 2), None),
@@ -378,16 +416,30 @@ def test_conditions_match_scalar_reference():
         assert repr(got) == repr(want)
         for c, t in enumerate(got):
             fired[c] += t is not None
+        # the verdict takes the first condition that fires, in order 1, 2, 3
+        first = next((t for t in want if t is not None), None)
+        try:
+            verdict = uniqueness_verdict(norm)
+        except (WitnessFailedError, InfeasibleError):
+            # some condition-2 octagons moved across the tolerance still fire
+            # condition 2, but their witness solve fails: the condition's
+            # absolute eps and the solver's tolerances disagree there
+            assert any(norm is n for n in moved_cond2) and first.condition == 2
+            continue
+        assert repr(verdict.triple) == repr(first)
     assert min(fired) >= 30, fired
     # the first hit of each condition lies outside the first block
     for norm, check in zip(late, (check_condition1, check_condition2, check_condition3)):
-        m, e = norm.m, check(norm).elements
-        i = e[0].edge
+        m, triple = norm.m, check(norm)
         if check is check_condition3:
-            assert i >= _BLOCK // m
+            assert triple.elements[0].edge >= _BLOCK // m
         else:
             assert m * (m - 1) // 2 > _BLOCK
-            assert i * m - i * (i + 1) // 2 + e[1].edge - i - 1 >= _BLOCK
+            assert pair_index(norm, triple) >= _BLOCK
+    # condition 2 fires a block before condition 1, and the verdict scans on
+    t1, t2 = check_condition1(both), check_condition2(both)
+    assert pair_index(both, t2) < _BLOCK <= pair_index(both, t1)
+    assert uniqueness_verdict(both).triple == t1
 
 
 def test_verdict_memory_is_bounded_across_blocks():
@@ -399,3 +451,32 @@ def test_verdict_memory_is_bounded_across_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 4_000_000
+
+
+def non_point_triple(norm, rng, tries):
+    """First of ``tries`` random triples on the integer grid [-3, 3]^2 whose
+    solution set is not a point, or None."""
+    for _ in range(tries):
+        points = [Vec2(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(3)]
+        if ft_solve(norm, points).region.kind != "point":
+            return points
+    return None
+
+
+def test_criterion_agrees_with_a_random_triple_search():
+    # the converse of the criterion: no three points of a unique norm have a
+    # non-point solution set, and a random search finds three on a non-unique
+    # one within a few tries (grid points also line up along lattice vertex
+    # directions, as condition 3's segment instances need)
+    norms = lattice_norms(80, seed=7)
+    norms += [make_polygonal_norm([v * scale for v in norm.vertices])
+              for norm in norms[::8] for scale in (0.25, 8.0)]
+    norms += [make_polygonal_norm(r) for r in rotations(COND3_HEXAGON)]
+    rng = Random(0)
+    fired = []
+    for norm in norms:
+        verdict = uniqueness_verdict(norm)
+        found = non_point_triple(norm, rng, 40 if verdict.unique else 400)
+        assert (found is None) == verdict.unique, (norm.vertices, verdict.triple, found)
+        fired.append(0 if verdict.unique else verdict.triple.condition)
+    assert fired.count(0) >= 60 and fired.count(1) >= 3 and fired.count(2) >= 10, fired
