@@ -5,23 +5,7 @@ certificates, decides whether solutions are unique for every three-point
 input, and classifies planes normed by regular polygons.
 """
 
-from .errors import (
-    CertificateError,
-    EmptyInputError,
-    EmptyIntersectionError,
-    InfeasibleError,
-    InputFormatError,
-    LambdaTooSmallError,
-    NotConvexError,
-    NotSymmetricError,
-    NotUnitFunctionalError,
-    OddVertexCountError,
-    OriginOutsideError,
-    PlaneError,
-    PreconditionViolatedError,
-    WitnessFailedError,
-    ZeroVectorError,
-)
+from .errors import CertificateError, InputError, PlaneError
 from .geometry import (
     DEFAULT_EPS,
     HalfPlane,
@@ -91,11 +75,7 @@ from .render import render_svg
 
 # grouped by defining module, in import order
 __all__ = [
-    "CertificateError", "EmptyInputError", "EmptyIntersectionError",
-    "InfeasibleError", "InputFormatError", "LambdaTooSmallError",
-    "NotConvexError", "NotSymmetricError", "NotUnitFunctionalError",
-    "OddVertexCountError", "OriginOutsideError", "PlaneError",
-    "PreconditionViolatedError", "WitnessFailedError", "ZeroVectorError",
+    "CertificateError", "InputError", "PlaneError",
 
     "DEFAULT_EPS", "HalfPlane", "Region", "Vec2", "convex_hull", "orient",
     "segment_interior_contains",

@@ -15,38 +15,13 @@ import json
 import math
 import sys
 
-from .errors import (
-    CertificateError,
-    EmptyInputError,
-    EmptyIntersectionError,
-    InfeasibleError,
-    InputFormatError,
-    LambdaTooSmallError,
-    NotConvexError,
-    NotSymmetricError,
-    NotUnitFunctionalError,
-    OddVertexCountError,
-    OriginOutsideError,
-    PreconditionViolatedError,
-    WitnessFailedError,
-    ZeroVectorError,
-)
+from .errors import CertificateError, InputError
 from .geometry import DEFAULT_EPS, Vec2, check_eps
 from .lambda_planes import classify_lambda, make_lambda_norm
 from .norms import PolygonalNorm, make_polygonal_norm
 from .render import render_svg
 from .solver import FTSolution, build_cones, ft_solve
 from .uniqueness import Verdict, uniqueness_verdict
-
-_VALIDATION_ERRORS = (
-    InputFormatError, EmptyInputError, OddVertexCountError, NotConvexError,
-    NotSymmetricError, OriginOutsideError, LambdaTooSmallError,
-    PreconditionViolatedError, ZeroVectorError, OSError,
-)
-_CERTIFICATE_ERRORS = (
-    CertificateError, WitnessFailedError, InfeasibleError,
-    EmptyIntersectionError, NotUnitFunctionalError,
-)
 
 
 def _round12(obj):
@@ -68,41 +43,41 @@ def _load_json(path: str):
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
-        raise InputFormatError(f"{path}: not valid JSON ({exc})") from exc
+        raise InputError(f"{path}: not valid JSON ({exc})") from exc
     except UnicodeDecodeError as exc:
-        raise InputFormatError(f"{path}: not UTF-8 text ({exc})") from exc
+        raise InputError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
 def _load_norm(args) -> PolygonalNorm:
     if args.lam is not None:
         return make_lambda_norm(args.lam).norm
     if args.norm is None:
-        raise InputFormatError("a norm is required: pass --norm FILE or --lambda K")
+        raise InputError("a norm is required: pass --norm FILE or --lambda K")
     doc = _load_json(args.norm)
     if not isinstance(doc, dict) or "type" not in doc:
-        raise InputFormatError(f"{args.norm}: expected an object with a 'type' key")
+        raise InputError(f"{args.norm}: expected an object with a 'type' key")
     if doc["type"] == "lambda":
         lam = doc.get("lambda")
         if not isinstance(lam, int) or isinstance(lam, bool):
-            raise InputFormatError(f"{args.norm}: 'lambda' must be an integer")
+            raise InputError(f"{args.norm}: 'lambda' must be an integer")
         return make_lambda_norm(lam).norm
     if doc["type"] == "polygon":
         verts = _pairs(doc.get("vertices"))
         if verts is None:
-            raise InputFormatError(f"{args.norm}: 'vertices' must be [[x, y], ...]")
+            raise InputError(f"{args.norm}: 'vertices' must be [[x, y], ...]")
         return make_polygonal_norm(verts, args.tol)
-    raise InputFormatError(f"{args.norm}: unknown norm type {doc['type']!r}")
+    raise InputError(f"{args.norm}: unknown norm type {doc['type']!r}")
 
 
 def _load_points(path: str) -> list[Vec2]:
     doc = _load_json(path)
     out = _pairs(doc.get("points") if isinstance(doc, dict) else None)
     if not out:
-        raise InputFormatError(f"{path}: expected {{\"points\": [[x, y], ...]}}")
+        raise InputError(f"{path}: expected {{\"points\": [[x, y], ...]}}")
     # the solver subtracts coordinates, so their spans must be finite too
     xs, ys = [p.x for p in out], [p.y for p in out]
     if not all(map(math.isfinite, xs + ys + [max(xs) - min(xs), max(ys) - min(ys)])):
-        raise InputFormatError(f"{path}: coordinates and their spans must be finite")
+        raise InputError(f"{path}: coordinates and their spans must be finite")
     return out
 
 
@@ -257,10 +232,10 @@ def main(argv: list[str] | None = None) -> int:
         if hasattr(args, "tol"):
             check_eps(args.tol)
         return args.func(args)
-    except _VALIDATION_ERRORS as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except _CERTIFICATE_ERRORS as exc:
+    except CertificateError as exc:
         print(f"certificate failure: {exc}", file=sys.stderr)
         return 2
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import EmptyInputError, InputFormatError
+from .errors import InputError
 
 DEFAULT_EPS = 1e-9
 
@@ -20,7 +20,7 @@ DEFAULT_EPS = 1e-9
 def check_eps(eps: float) -> float:
     """Validate a comparison tolerance. Must satisfy 0 < eps < 1e-3."""
     if not (0.0 < eps < 1e-3):
-        raise InputFormatError(f"tolerance must lie in (0, 1e-3), got {eps!r}")
+        raise InputError(f"tolerance must lie in (0, 1e-3), got {eps!r}")
     return eps
 
 
@@ -123,7 +123,7 @@ class Region:
 def convex_hull(points: list[Vec2] | tuple[Vec2, ...], eps: float = DEFAULT_EPS) -> Region:
     """Convex hull, collapsed to a segment or point when degenerate."""
     if not points:
-        raise EmptyInputError("convex hull needs at least one point")
+        raise InputError("convex hull needs at least one point")
     pts = sorted(points, key=Vec2.key)
     spread = max(pts[-1].x - pts[0].x,
                  max(p.y for p in pts) - min(p.y for p in pts))

@@ -13,12 +13,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import (
-    CertificateError,
-    LambdaTooSmallError,
-    NotConvexError,
-    PreconditionViolatedError,
-)
+from .errors import CertificateError, InputError
 from .geometry import DEFAULT_EPS, Vec2, orient
 from .norms import PolygonalNorm, VertexElement, classify_direction
 from .solver import FTSolution, ft_solve
@@ -36,7 +31,7 @@ class LambdaPlane:
 def make_lambda_norm(lam: int) -> LambdaPlane:
     """Regular 2*lam-gon of circumradius 1, vertex k at angle k*pi/lam."""
     if lam < 2:
-        raise LambdaTooSmallError(f"parameter must be >= 2, got {lam}")
+        raise InputError(f"parameter must be >= 2, got {lam}")
 
     def vertex(k: int) -> Vec2:
         return Vec2(math.cos(k * math.pi / lam), math.sin(k * math.pi / lam))
@@ -44,7 +39,7 @@ def make_lambda_norm(lam: int) -> LambdaPlane:
     # make_polygonal_norm's convexity test on vertices 0..2, which every triple
     # repeats, run before 2*lam vertices exist; lam past the float range fails it
     if lam > sys.float_info.max or orient(*map(vertex, range(3)), DEFAULT_EPS) != 1:
-        raise NotConvexError(f"parameter {lam}: vertices not in strictly convex position")
+        raise InputError(f"parameter {lam}: vertices not in strictly convex position")
     half = [vertex(k) for k in range(lam)]
     verts = half + [-v for v in half]  # mirrored half keeps symmetry exact
     return LambdaPlane(lam, PolygonalNorm(tuple(verts)))
@@ -108,13 +103,13 @@ def lambda_triangle_solution(lam: int, x1: Vec2, x2: Vec2, x3: Vec2,
     cross-checked against this prediction before being returned.
     """
     if lam % 3 != 0:
-        raise PreconditionViolatedError(f"parameter {lam} is not a multiple of 3")
+        raise InputError(f"parameter {lam} is not a multiple of 3")
     if orient(x1, x2, x3, eps) == 0:
-        raise PreconditionViolatedError("triangle is degenerate")
+        raise InputError("triangle is degenerate")
     pts = (x1, x2, x3)
     for i in range(3):
         if _angle_at(pts[i], pts[(i + 1) % 3], pts[(i + 2) % 3]) >= _THIRD - eps:
-            raise PreconditionViolatedError("triangle has an angle of 120 degrees or more")
+            raise InputError("triangle has an angle of 120 degrees or more")
     plane = make_lambda_norm(lam)
     p = torricelli_point(x1, x2, x3, eps)
     assert p is not None

@@ -22,13 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    NotConvexError,
-    NotSymmetricError,
-    OddVertexCountError,
-    OriginOutsideError,
-    ZeroVectorError,
-)
+from .errors import InputError
 from .geometry import DEFAULT_EPS, Vec2, orient
 
 _TWO_PI = 2.0 * math.pi
@@ -193,29 +187,29 @@ def make_polygonal_norm(vertices: list[Vec2] | list[tuple[float, float]],
     verts = [v if isinstance(v, Vec2) else Vec2(float(v[0]), float(v[1]))
              for v in vertices]
     if any(not v.is_finite() for v in verts):
-        raise NotConvexError("vertices must be finite")
+        raise InputError("vertices must be finite")
     m = len(verts)
     if m % 2 == 1:
-        raise OddVertexCountError(f"vertex count must be even, got {m}")
+        raise InputError(f"vertex count must be even, got {m}")
     if m < 4:
-        raise NotConvexError(f"need at least 4 vertices, got {m}")
+        raise InputError(f"need at least 4 vertices, got {m}")
     area2 = sum(verts[k].cross(verts[(k + 1) % m]) for k in range(m))
     if area2 < 0.0:
         verts.reverse()
     for k in range(m):
         if orient(verts[k], verts[(k + 1) % m], verts[(k + 2) % m], eps) != 1:
-            raise NotConvexError(
+            raise InputError(
                 f"vertices {k}..{k + 2} are not in strictly convex position")
     half = m // 2
     for k in range(half):
         d = verts[k + half] + verts[k]
         if d.norm() > eps * max(1.0, verts[k].norm()):
-            raise NotSymmetricError(
+            raise InputError(
                 f"vertex {k + half} is not the reflection of vertex {k}")
     origin = Vec2(0.0, 0.0)
     for k in range(m):
         if orient(verts[k], verts[(k + 1) % m], origin, eps) != 1:
-            raise OriginOutsideError("origin is not strictly inside the polygon")
+            raise InputError("origin is not strictly inside the polygon")
     return PolygonalNorm(tuple(verts))
 
 
@@ -275,7 +269,7 @@ def classify_direction(norm: PolygonalNorm, v: Vec2,
     behavior at the boundary is deterministic.
     """
     if v.x == 0.0 and v.y == 0.0:
-        raise ZeroVectorError("cannot classify the zero vector")
+        raise InputError("cannot classify the zero vector")
     k = norm.sector(v)
     m = norm.m
     vlen = v.norm()

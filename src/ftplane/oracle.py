@@ -13,10 +13,9 @@ from random import Random
 
 import numpy as np
 
-from .errors import EmptyInputError
+from .errors import InputError, PlaneError
 from .geometry import DEFAULT_EPS, Region, Vec2, convex_hull
 from .norms import PolygonalNorm, make_polygonal_norm
-from .errors import PlaneError
 
 
 @dataclass(frozen=True)
@@ -88,7 +87,7 @@ def grid_minimize(norm: PolygonalNorm, points,
                   grid: GridSpec | None = None) -> tuple[Vec2, float]:
     """Best grid point after the refinement rounds."""
     if not points:
-        raise EmptyInputError("need at least one terminal")
+        raise InputError("need at least one terminal")
     grid = grid or GridSpec()
     lo, hi = grid.bbox if grid.bbox is not None else auto_bbox(norm, points)
     res = grid.resolution
@@ -136,7 +135,7 @@ def probe_solution_set(norm: PolygonalNorm, points, region: Region,
     rng = rng or Random(0)
     verts = list(region.vertices)
     if not verts:
-        raise EmptyInputError("cannot probe an empty region")
+        raise InputError("cannot probe an empty region")
     if value is None:
         value = min(oracle_objective(norm, points, v) for v in verts)
 

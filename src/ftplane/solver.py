@@ -38,13 +38,7 @@ from operator import mul
 
 import numpy as np
 
-from .errors import (
-    CertificateError,
-    EmptyInputError,
-    EmptyIntersectionError,
-    InfeasibleError,
-    NotUnitFunctionalError,
-)
+from .errors import CertificateError, InputError
 from .geometry import (
     DEFAULT_EPS,
     HalfPlane,
@@ -113,7 +107,7 @@ def objective(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...],
               x: Vec2) -> float:
     """Sum of gauge distances from x to the terminals."""
     if not points:
-        raise EmptyInputError("objective needs at least one terminal")
+        raise InputError("objective needs at least one terminal")
     return sum(gauge(norm, x - q) for q in points)
 
 
@@ -277,7 +271,7 @@ def candidate_minimize(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...
     guard, where one broadcast call screens every crossing, all are live.
     """
     if not points:
-        raise EmptyInputError("need at least one terminal")
+        raise InputError("need at least one terminal")
     pts = list(points)
     qx = np.array([q.x for q in pts], dtype=float)
     qy = np.array([q.y for q in pts], dtype=float)
@@ -472,10 +466,10 @@ def select_functionals(norm: PolygonalNorm, points, p: Vec2,
     """Concrete norming functionals at p (not a terminal) summing to zero."""
     for q in points:
         if (q - p).norm() <= eps:
-            raise InfeasibleError("p coincides with a terminal")
+            raise CertificateError("p coincides with a terminal")
     sols = enumerate_selections(norm, points, p, eps, limit=1)
     if not sols:
-        raise InfeasibleError("no norming selection sums to zero at p")
+        raise CertificateError("no norming selection sums to zero at p")
     return sols[0]
 
 
@@ -584,19 +578,19 @@ def build_cones(norm: PolygonalNorm, points, phis, eps: float = DEFAULT_EPS,
     for x, top, s, contact in zip(points, *_contact_sets(phis, eps, *table)):
         # an infinite functional would make the tolerance inf; a NaN fails the test
         if not (math.isfinite(s) and abs(top - 1.0) <= 100 * eps * s):
-            raise NotUnitFunctionalError(f"dual norm is {top}, expected 1")
+            raise CertificateError(f"dual norm is {top}, expected 1")
         if len(contact) == 1:
             cones.append(Cone(x, RayShape(-norm.vertices[contact[0]])))
             continue
         if len(contact) != 2:
-            raise NotUnitFunctionalError("support line touches more than one edge")
+            raise CertificateError("support line touches more than one edge")
         i, j = contact
         if j - i == 1:
             k = i
         elif i == 0 and j == m - 1:
             k = m - 1
         else:
-            raise NotUnitFunctionalError("support line touches non-adjacent vertices")
+            raise CertificateError("support line touches non-adjacent vertices")
         cones.append(Cone(x, AngleShape(-norm.vertices[k], -norm.vertices[(k + 1) % m])))
     return tuple(cones)
 
@@ -635,7 +629,7 @@ def intersect_cones(cones: list[Cone] | tuple[Cone, ...], radius: float,
     the first cone's apex; it must contain the whole intersection.
     """
     if not cones:
-        raise EmptyInputError("need at least one cone")
+        raise InputError("need at least one cone")
     hps: list[HalfPlane] = []
     for cone in cones:
         hps.extend(_cone_halfplanes(cone, eps))
@@ -646,7 +640,7 @@ def intersect_cones(cones: list[Cone] | tuple[Cone, ...], radius: float,
              HalfPlane(Vec2(0.0, 1.0), c.y + r), HalfPlane(Vec2(-1.0, 0.0), r - c.x)]
     region = clip_polygon(square, sides, hps, eps)
     if region.kind == "empty":
-        raise EmptyIntersectionError("cone intersection is empty")
+        raise CertificateError("cone intersection is empty")
     return region
 
 
@@ -693,50 +687,45 @@ def ft_solve(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...],
              eps: float = DEFAULT_EPS) -> FTSolution:
     """Full solution set of the Fermat-Torricelli problem.
 
-    Pipeline: odd collinear shortcut; candidate minimization; a certified
-    interior point of the solution set; cone intersection; cross-validation
-    that every region vertex attains the optimal value.
+    A point p of the solution set comes first: the middle point of an odd
+    collinear set, else the single minimizing candidate, else the centroid
+    of the minimizing candidates (or the first of them off the terminals,
+    if the centroid lands on one). One certify step follows on every path:
+    ``verify_ft_point`` finds the certificate and ``check_certificate``
+    checks it. A relaxed certificate means p is a terminal; only the first
+    two sources give one, and there p is the whole solution set. Otherwise
+    the solution set is the intersection of the certificate's cones, and
+    every vertex of it must attain the optimal value.
     """
     if not points:
-        raise EmptyInputError("need at least one terminal")
+        raise InputError("need at least one terminal")
     pts = tuple(points)
-
-    med = collinear_median(pts, eps)
-    if med is not None:
-        value = objective(norm, pts, med)
-        cert = verify_ft_point(norm, pts, med, eps)
-        if cert is None:
-            raise CertificateError("odd collinear median failed to certify")
-        return FTSolution(Region.point(med), value, cert)
-
-    cands, value = candidate_minimize(norm, pts, eps)
 
     def near_terminal(c: Vec2) -> bool:
         return any((c - q).norm() <= eps for q in pts)
 
-    if len(cands) == 1 and near_terminal(cands[0]):
-        p = cands[0]
-        cert = verify_ft_point(norm, pts, p, eps)
-        if cert is None:
-            raise CertificateError("terminal optimum failed to certify")
-        check_certificate(norm, pts, cert, eps)
-        return FTSolution(Region.point(p), value, cert)
-
-    if len(cands) == 1:
-        p = cands[0]
+    p = collinear_median(pts, eps)
+    if p is not None:
+        value = objective(norm, pts, p)
     else:
-        p = Vec2(sum(c.x for c in cands) / len(cands),
-                 sum(c.y for c in cands) / len(cands))
-        if near_terminal(p):
-            nonterm = [c for c in cands if not near_terminal(c)]
-            if not nonterm:
-                raise CertificateError("argmin average unexpectedly hit a terminal")
-            p = nonterm[0]
+        cands, value = candidate_minimize(norm, pts, eps)
+        p = cands[0]
+        if len(cands) > 1:
+            p = Vec2(sum(c.x for c in cands) / len(cands),
+                     sum(c.y for c in cands) / len(cands))
+            if near_terminal(p):
+                nonterm = [c for c in cands if not near_terminal(c)]
+                if not nonterm:
+                    raise CertificateError("argmin average unexpectedly hit a terminal")
+                p = nonterm[0]
 
-    phis = select_functionals(norm, pts, p, eps)
-    cert = Certificate(p, phis, ())
+    cert = verify_ft_point(norm, pts, p, eps)
+    if cert is None:
+        raise CertificateError("no norming selection sums to zero at p")
     table = check_certificate(norm, pts, cert, eps)
-    cones = build_cones(norm, pts, phis, eps, table)
+    if cert.relaxed:
+        return FTSolution(Region.point(p), value, cert)
+    cones = build_cones(norm, pts, cert.functionals, eps, table)
     # gauge(u) >= |u| / max_k |v_k|, so every optimum lies within
     # value * max_k |v_k| of the first terminal. Twice that keeps the square's
     # sides off the solution set; cones that reach them (a wrong certificate)

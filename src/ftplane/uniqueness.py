@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import WitnessFailedError
+from .errors import CertificateError
 from .geometry import DEFAULT_EPS, Region, Vec2, segment_interior_contains
 from .norms import (
     EdgeElement,
@@ -108,8 +108,8 @@ def _hits(mask: np.ndarray, k: np.ndarray) -> list[tuple[int, int]]:
     return sorted(zip(np.nonzero(mask)[1].tolist(), k[mask].tolist()))
 
 
-def _pair_pass(setup: _DualSetup, cond1: bool = True,
-               cond2: bool = True) -> tuple[ConsistentTriple | None, ConsistentTriple | None]:
+def _pair_pass(setup: _DualSetup,
+               cond1: bool = True) -> tuple[ConsistentTriple | None, ConsistentTriple | None]:
     """First condition-1 and first condition-2 triple, in edge-pair order i < j, then ascending k.
 
     One pass decides both conditions. The pairs are numbered row by row and
@@ -121,7 +121,7 @@ def _pair_pass(setup: _DualSetup, cond1: bool = True,
     triple, so the condition-2 triple it returns with one comes from an
     earlier block or is None; once condition 2 has fired, only condition 1
     is tested. ``cond1=False`` scans past condition-1 hits until condition 2
-    fires; ``cond2=False`` tests condition 1 alone.
+    fires.
 
     Condition 1 repeats the scalar zero test. Condition 2 compares orient's
     cross product with eps times 4 max_k |d_k|, a bound on orient's scale
@@ -162,7 +162,7 @@ def _pair_pass(setup: _DualSetup, cond1: bool = True,
                     return ConsistentTriple(
                         (EdgeElement(i_, 0.5), EdgeElement(j_, 0.5), EdgeElement(k_, 0.5)),
                         (duals[i_], duals[j_], duals[k_]), condition=1), hit2
-        if not cond2 or hit2 is not None:
+        if hit2 is not None:
             continue
         # |orient(d_{k-1}, d_k, psi)|'s cross product, bit for bit
         cross = np.abs(table[10:14] * dy[:-1] - table[14:18] * dx[:-1])
@@ -220,7 +220,7 @@ def _condition3(setup: _DualSetup) -> ConsistentTriple | None:
 def check_condition1(norm: PolygonalNorm,
                      eps: float = DEFAULT_EPS) -> ConsistentTriple | None:
     """First edge triple (i < j < k) whose functionals sum to zero."""
-    return _pair_pass(_DualSetup.build(norm, eps), cond2=False)[0]
+    return _pair_pass(_DualSetup.build(norm, eps))[0]
 
 
 def check_condition2(norm: PolygonalNorm,
@@ -269,6 +269,6 @@ def uniqueness_verdict(norm: PolygonalNorm,
     observed = region.kind
     ok = observed == expected if cond in (1, 3) else observed != "point"
     if not ok:
-        raise WitnessFailedError(
+        raise CertificateError(
             f"condition {cond} witness solved to {observed}, expected {expected}")
     return Verdict(False, triple, witness, expected, observed, region)

@@ -4,8 +4,8 @@ from random import Random
 import pytest
 
 from ftplane import (
-    EmptyInputError,
     HalfPlane,
+    InputError,
     Region,
     Vec2,
     convex_hull,
@@ -67,7 +67,7 @@ def test_hull_interior_point_removed():
 
 
 def test_hull_empty_input_rejected():
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(InputError, match="convex hull needs at least one point"):
         convex_hull([])
 
 

@@ -4,9 +4,7 @@ from random import Random
 import pytest
 
 from ftplane import (
-    LambdaTooSmallError,
-    NotConvexError,
-    PreconditionViolatedError,
+    InputError,
     Vec2,
     classify_lambda,
     ft_solve,
@@ -39,14 +37,14 @@ def test_make_lambda_norm():
         assert math.atan2(v.y, v.x) % (2 * math.pi) == pytest.approx(
             (k * math.pi / 3) % (2 * math.pi), abs=1e-12)
         assert v.norm() == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(LambdaTooSmallError):
+    with pytest.raises(InputError, match="parameter must be >= 2, got 1"):
         make_lambda_norm(1)
 
 
 def test_huge_lambda_fails_the_convexity_test_at_once():
     # adjacent vertices closer than the tolerance; 10**400 is beyond floats
     for lam in (75_248, 10 ** 11, 10 ** 400):
-        with pytest.raises(NotConvexError, match=f"parameter {lam}:"):
+        with pytest.raises(InputError, match=f"parameter {lam}: vertices not in strictly convex"):
             make_lambda_norm(lam)
     assert make_lambda_norm(65_248).norm.m == 130_496  # still accepted
 
@@ -99,9 +97,9 @@ def test_triangle_solution_vertex_contact(unit_triangle):
 
 def test_triangle_solution_preconditions(unit_triangle):
     wide = [Vec2(0, 0), Vec2(1, 0), Vec2(0.5, 0.05)]
-    with pytest.raises(PreconditionViolatedError):
+    with pytest.raises(InputError, match="angle of 120 degrees or more"):
         lambda_triangle_solution(3, *wide)
-    with pytest.raises(PreconditionViolatedError):
+    with pytest.raises(InputError, match="parameter 4 is not a multiple of 3"):
         lambda_triangle_solution(4, *unit_triangle)
     # wide triangles still go through the generic solver
     sol = ft_solve(make_lambda_norm(3).norm, wide)

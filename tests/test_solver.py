@@ -12,9 +12,6 @@ from ftplane import (
     Certificate,
     CertificateError,
     Cone,
-    EmptyIntersectionError,
-    InfeasibleError,
-    NotUnitFunctionalError,
     RayShape,
     Vec2,
     build_cone,
@@ -422,7 +419,7 @@ def test_select_functionals_hexagon_centroid(hexagon, unit_triangle):
 
 
 def test_select_functionals_single_point_infeasible(diamond):
-    with pytest.raises(InfeasibleError):
+    with pytest.raises(CertificateError, match="no norming selection sums to zero at p"):
         select_functionals(diamond, [Vec2(3, 3)], Vec2(0, 0))
 
 
@@ -437,7 +434,7 @@ def test_build_cone_diamond(diamond):
     assert isinstance(cone.shape, RayShape)
     assert (cone.shape.direction.x, cone.shape.direction.y) == (-1, 0)
 
-    with pytest.raises(NotUnitFunctionalError):
+    with pytest.raises(CertificateError, match="dual norm is 2.0, expected 1"):
         build_cone(diamond, Vec2(0, 0), Functional(2, 0))
 
 
@@ -508,7 +505,7 @@ def test_vertex_table_matches_scalar_loop():
         for phi in funcs:
             try:
                 got = build_cone(norm, Vec2(1, 2), phi)
-            except NotUnitFunctionalError as exc:
+            except CertificateError as exc:
                 got = str(exc)
             assert got == scalar_cone(norm, Vec2(1, 2), phi)
 
@@ -524,16 +521,16 @@ def test_non_finite_certificates_and_functionals_are_rejected(diamond, square):
         check_certificate(square, [Vec2(2, 0.5), Vec2(-2, 0.5), Vec2(0.5, -2)],
                           Certificate(Vec2(0, 0), funcs))
     assert math.isnan(dual_norm(diamond, Functional(nan, nan)))
-    with pytest.raises(NotUnitFunctionalError, match="dual norm is nan"):
+    with pytest.raises(CertificateError, match="dual norm is nan"):
         build_cone(diamond, Vec2(0, 0), Functional(nan, nan))
     # inf * 0 at the vertices on the y axis is NaN, as in Python floats,
     # and raises no RuntimeWarning
-    with pytest.raises(NotUnitFunctionalError, match="dual norm is nan"):
+    with pytest.raises(CertificateError, match="dual norm is nan"):
         build_cone(diamond, Vec2(0, 0), Functional(math.inf, 0.0))
     # on the square the dual norm is inf with no NaN, and the unit test's
     # tolerance 100 eps |phi| would be inf too
     for phi in (Functional(math.inf, 0.0), Functional(0.0, -math.inf)):
-        with pytest.raises(NotUnitFunctionalError, match="dual norm is inf"):
+        with pytest.raises(CertificateError, match="dual norm is inf"):
             build_cone(square, Vec2(0, 0), phi)
 
 
@@ -544,7 +541,7 @@ def test_intersect_cones_rays(diamond):
     assert (seg.vertices[0] - Vec2(0, 0)).norm() <= 1e-9
     assert (seg.vertices[1] - Vec2(4, 0)).norm() <= 1e-9
 
-    with pytest.raises(EmptyIntersectionError):
+    with pytest.raises(CertificateError, match="cone intersection is empty"):
         intersect_cones([Cone(Vec2(0, 0), RayShape(Vec2(1, 0))),
                          Cone(Vec2(0, 1), RayShape(Vec2(1, 0)))], 10.0)
 
@@ -617,6 +614,28 @@ def test_ft_solve_collinear_odd(diamond):
     sol = ft_solve(diamond, [Vec2(0, 0), Vec2(1, 0), Vec2(5, 0)])
     assert sol.region.kind == "point"
     assert (sol.region.vertices[0] - Vec2(1, 0)).norm() <= 1e-9
+
+
+def test_every_ft_solve_path_checks_its_certificate(monkeypatch, diamond, hexagon,
+                                                    unit_triangle):
+    checked = []
+
+    def spy(norm, points, cert, eps=DEFAULT_EPS):
+        checked.append(cert)
+        return check_certificate(norm, points, cert, eps)
+
+    monkeypatch.setattr(solver, "check_certificate", spy)
+    cases = [
+        (diamond, [Vec2(0, 0), Vec2(1, 0), Vec2(5, 0)], "point"),  # collinear median
+        (diamond, [Vec2(0, 0), Vec2(1, 0), Vec2(0, 1), Vec2(-1, 0), Vec2(0, -1)],
+         "point"),  # a terminal
+        (hexagon, unit_triangle, "polygon"),  # cones
+    ]
+    for norm, pts, kind in cases:
+        checked.clear()
+        sol = ft_solve(norm, pts)
+        assert sol.region.kind == kind
+        assert checked == [sol.certificate]
 
 
 def test_ft_solve_single_and_pair(diamond):
