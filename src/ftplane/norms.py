@@ -210,6 +210,11 @@ def make_polygonal_norm(vertices: list[Vec2] | list[tuple[float, float]],
     for k in range(m):
         if orient(verts[k], verts[(k + 1) % m], origin, eps) != 1:
             raise InputError("origin is not strictly inside the polygon")
+    # each edge turns counterclockwise about the origin by less than pi; the
+    # turns sum to 2 pi for a simple polygon, to 2 pi w for one winding w times
+    turn = sum(math.atan2(p.cross(q), p.dot(q)) for p, q in zip(verts, verts[1:] + verts[:1]))
+    if turn > 3.0 * math.pi:
+        raise InputError(f"vertices wind {round(turn / _TWO_PI)} times around the origin")
     return PolygonalNorm(tuple(verts))
 
 

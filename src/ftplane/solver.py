@@ -7,12 +7,10 @@ therefore arrangement vertices, which the solver enumerates outright
 instead of descending iteratively. The crossings are numpy arrays over
 pairs of breaklines, in bounded blocks, computed with the operations of a
 scalar loop over line pairs; lines through one terminal meet there and are
-not paired. The unit ball lies between the discs of radius
-1 / max_k |phi_k| and max_k |v_k|, so sums of Euclidean distances bound the
-objective on both sides and screen out, before any gauge, the candidates
-that cannot reach the optimum. What the screen keeps lies in a sublevel set
-of the convex Euclidean distance sum; tangent cuts enclose that set in a
-polygon, and only the breaklines that meet the polygon are paired.
+not paired. Every candidate within tolerance of the optimum lies in a
+sublevel set of the objective; cuts by sums of unit functionals, one per
+terminal, enclose that set in a polygon, and only the breaklines that meet
+the polygon are paired. Each crossing formed gets the gauge.
 
 Optimality at a point p outside the terminal set is certified by one
 norming functional per displacement x_i - p whose sum is zero; the full
@@ -113,8 +111,8 @@ def objective(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...],
 
 # Breakline pairs per block of candidate_minimize; fixes its working memory.
 _PAIR_BLOCK = 1 << 15
-# Terminal-candidate cells per broadcast call of _objective_batch and
-# _distance_sums: a group of terminals shares one call.
+# Terminal-candidate cells per broadcast call of _objective_batch: a group of
+# terminals shares one call.
 _CELL_BLOCK = 1 << 13
 
 
@@ -135,31 +133,10 @@ def _objective_batch(norm: PolygonalNorm, qx: np.ndarray, qy: np.ndarray,
     return total
 
 
-def _distance_sums(qx: np.ndarray, qy: np.ndarray, xs: np.ndarray,
-                   ys: np.ndarray) -> np.ndarray:
-    """Sum of Euclidean distances from each (xs, ys) to the terminals.
-
-    The coordinates are scaled by a power of two that brings every
-    difference below 1, so the squares cannot overflow; the scaling is exact
-    and is undone on the sums.
-    """
-    span = max(max(xs.max(), qx.max()) - min(xs.min(), qx.min()),
-               max(ys.max(), qy.max()) - min(ys.min(), qy.min()))
-    shift = math.frexp(span)[1] if 0.0 < span < math.inf else 0
-    xs, ys = np.ldexp(xs, -shift), np.ldexp(ys, -shift)
-    qx, qy = np.ldexp(qx, -shift), np.ldexp(qy, -shift)
-    total = np.zeros(len(xs))
-    for gx, gy in _terminal_groups(qx, qy, len(xs)):
-        dx, dy = xs - gx, ys - gy
-        dx *= dx
-        dy *= dy
-        dx += dy
-        total += np.sqrt(dx, out=dx).sum(axis=0)
-    return np.ldexp(total, shift)
-
-
-# Where cuts are sought, per unit of terminal span: 8 directions, dyadic radii.
-_CUT_STEPS = np.exp(0.25j * np.pi * np.arange(8))[:, None] * np.ldexp(1.0, np.arange(-11, 1))
+# Where cuts are sought, per unit of terminal span from p0: p0 itself, then
+# 8 directions at 12 dyadic radii each.
+_CUT_STEPS = np.append(0.0, np.exp(0.25j * np.pi * np.arange(8))[:, None]
+                       * np.ldexp(1.0, np.arange(-11, 1)))
 
 
 def _clip_lines(gx: np.ndarray, gy: np.ndarray, bound: np.ndarray, qx: np.ndarray,
@@ -177,18 +154,20 @@ def _clip_lines(gx: np.ndarray, gy: np.ndarray, bound: np.ndarray, qx: np.ndarra
     return ((lo <= hi) & ~dropped).ravel()
 
 
-def _live_lines(norm: PolygonalNorm, pts: list[Vec2], qx: np.ndarray, qy: np.ndarray,
-                slack: float, shrink: float, eps: float) -> np.ndarray:
+def _live_lines(norm: PolygonalNorm, qx: np.ndarray, qy: np.ndarray,
+                eps: float) -> np.ndarray:
     """Mask over the breaklines, row-major in (terminal, direction), that meet
-    a polygon around {D <= T}, D(c) = sum_j |c - x_j|, T from the objective at
-    a Weiszfeld point p0 and the screen's slack and shrink. D is convex: at
-    each y found around p0 with D(y) > T, a subgradient g gives the cut
-    g . x <= g . y + T - D(y) + margin, which holds on {D <= T}."""
-    _, _, dx, dy, _ = norm._breaklines
-    n, h = len(pts), len(dx)
+    a polygon around {f <= T}, f the objective and T its value at a Weiszfeld
+    point p0 plus tolerance. For any unit functionals phi_j,
+    f(x) >= sum_j phi_j(x - x_j), so the cut g . x <= T + sum_j phi_j(x_j)
+    + margin, g = sum_j phi_j, holds on {f <= T} whatever sectors give the
+    phi_j. They are taken at p0 and, on 8 rays from it, at the first dyadic
+    radius where f > T and at 4 and 16 times that radius (at most the span)."""
+    r, phi_max, dx, dy, _ = norm._breaklines
+    n, h = len(qx), len(dx)
     every = np.ones(n * h, dtype=bool)  # below the guard, or without a cut
     xs, ys = qx.tolist(), qy.tolist()
-    if (n * (n * (n - 1) // 2 * h * (h - 1)) <= _CELL_BLOCK or not shrink > 0.0
+    if (n * (n * (n - 1) // 2 * h * (h - 1)) <= _CELL_BLOCK
             or not 0.0 < (span := max(max(xs) - min(xs), max(ys) - min(ys))) < math.inf):
         return every
     px, py = sum(xs) / n, sum(ys) / n
@@ -198,23 +177,25 @@ def _live_lines(norm: PolygonalNorm, pts: list[Vec2], qx: np.ndarray, qy: np.nda
             break
         ws = [1.0 / w for w in ws]
         px, py = sum(map(mul, ws, xs)) / sum(ws), sum(map(mul, ws, ys)) / sum(ws)
-    upper = objective(norm, pts, Vec2(px, py)) * (1.0 + slack + 1e-12)
-    target = (upper + eps * max(1.0, upper)) / shrink * (1.0 + 1e-9)
-    margin = 1e-9 * (target + n * (span + max(map(abs, xs + ys))))
     with np.errstate(over="ignore", invalid="ignore"):
-        y = complex(px, py) + span * _CUT_STEPS
-        ex, ey = y.real[:, :, None] - qx, y.imag[:, :, None] - qy
-        d = np.hypot(ex, ey)
-        dist = d.sum(axis=2)
-        out = dist > target + margin  # all False if T or the margin is not finite
-        if not (out.any(axis=1).all() and np.isfinite(dist).all()):
+        y = complex(px, py) + span * _CUT_STEPS  # p0, then the rays' radii
+        ex, ey = y.real[:, None] - qx, y.imag[:, None] - qy
+        k = norm.sector_batch(ex, ey)
+        fa, fb = norm._dual_array[k, 0], norm._dual_array[k, 1]
+        vals = np.maximum(fa * ex + fb * ey, 0.0).sum(axis=1)
+        target = vals[0] + eps * max(1.0, vals[0])
+        # rounding of f (a few ulps per term, times r * phi_max where
+        # np.arctan2 puts a direction one sector off) and of the cuts' sums
+        margin = 1e-9 * (r * phi_max * target
+                         + n * phi_max * (span + max(map(abs, xs + ys))))
+        out = (vals[1:] > target + margin).reshape(8, 12)  # all False if T is not finite
+        if not (out.any(axis=1).all() and np.isfinite(vals).all()):
             return every
-        pick = (np.arange(len(out)), out.argmax(axis=1))  # the smallest such radius
-        d = np.where(d[pick] > 0.0, d[pick], np.inf)  # a zero term at a terminal
-        gx, gy = (ex[pick] / d).sum(axis=1), (ey[pick] / d).sum(axis=1)
-        bound = (gx * y.real[pick] + gy * y.imag[pick] + (target - dist[pick])
-                 + margin * (1.0 + np.hypot(gx, gy)))
-    return _clip_lines(gx, gy, bound, qx, qy, dx, dy)
+        first = out.argmax(axis=1)  # the smallest such radius, then 4 and 16 times it
+        pick = np.append(0, 1 + 12 * np.arange(8) + np.minimum(first + [[0], [2], [4]], 11))
+        fa, fb = fa[pick], fb[pick]
+        bound = target + margin + (fa * qx + fb * qy).sum(axis=1)
+    return _clip_lines(fa.sum(axis=1), fb.sum(axis=1), bound, qx, qy, dx, dy)
 
 
 def _crossing_blocks(qx: np.ndarray, qy: np.ndarray, dx: np.ndarray,
@@ -257,48 +238,30 @@ def candidate_minimize(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...
     scalar loop over Vec2 line pairs, and in its order (i, k, j, l). Two lines
     through one terminal cross at it (t = +-0); it heads the first block, so
     the stable key sort and the dedup would drop that copy, which is not
-    formed. The bounds sum_j |c - x_j| / r <= f(c) <= phi_max sum_j |c - x_j|
-    (r = max_k |v_k|, phi_max = max_k |phi_k|) screen the candidates: only
-    those whose lower bound, less a rounding slack, is within tolerance of
-    the least upper bound or value so far get the gauge, in the same
-    operations and order. Every candidate within tolerance of the optimum
-    passes, so the minimum and minimizers are the same floats as without it.
+    formed. Every crossing formed gets the gauge, and those within tolerance
+    of their block's least value are kept for the final filter.
 
     Only crossings of two live lines are formed: a candidate within
-    tolerance of the optimum lies in a convex sublevel set of the lower
-    bound, so on two lines that meet a polygon of tangent cuts around it
+    tolerance of the optimum lies in the sublevel set {f <= T} of the
+    objective f, so on two lines that meet a polygon of cuts around it
     (_live_lines; a parallel cut keeps or drops a line whole). Below the
-    guard, where one broadcast call screens every crossing, all are live.
+    guard, where one broadcast call gauges every crossing, all are live.
     """
     if not points:
         raise InputError("need at least one terminal")
     pts = list(points)
     qx = np.array([q.x for q in pts], dtype=float)
     qy = np.array([q.y for q in pts], dtype=float)
-    r, phi_max, dx, dy, dn = norm._breaklines
-    # |u| / r <= gauge(u) <= phi_max * |u|. The slack covers the rounding of
-    # both sides: a few ulps per term, times r * phi_max where np.arctan2
-    # puts a direction one sector off.
-    slack = 1e-12 * len(pts) * r * phi_max
-    shrink = max(0.0, 1.0 - slack) / r
-    upper = math.inf
-    live = _live_lines(norm, pts, qx, qy, slack, shrink, eps)
+    _, _, dx, dy, dn = norm._breaklines
+    live = _live_lines(norm, qx, qy, eps)
 
     blocks, mins = [], []
     for b, (xs, ys) in enumerate(_crossing_blocks(qx, qy, dx, dy, dn, live)):
         term = np.full(len(xs), -1)  # index of the terminal a candidate is
         if b == 0:
             term[:len(pts)] = np.arange(len(pts))
-        dist = _distance_sums(qx, qy, xs, ys)
-        upper = min(upper, float(dist.min()) * phi_max * (1.0 + slack))
-        # a NaN bound compares false, so its candidate is kept
-        keep = ~(dist * shrink > upper + eps * max(1.0, upper))
-        if not keep.any():
-            continue
-        xs, ys, term = xs[keep], ys[keep], term[keep]
         vals = _objective_batch(norm, qx, qy, xs, ys)
         low = vals.min()
-        upper = min(upper, float(low))
         near = vals <= low + eps * max(1.0, low)
         blocks.append((xs[near], ys[near], term[near], vals[near]))
         mins.append(low)

@@ -231,6 +231,18 @@ def test_malformed_documents_are_validation_errors(tmp_path, capsys, flag, doc,
     assert err.startswith("error: ") and str(path) in err
 
 
+def test_self_intersecting_unit_ball_is_validation_error(tmp_path, capsys):
+    # a star whose vertex triples all turn left; solving on it once gave a
+    # certificate that does not verify (exit 2)
+    norm = tmp_path / "star.json"
+    norm.write_text(json.dumps({"type": "polygon", "vertices": [
+        [-2, 3], [-2, -3], [3, 0], [-3, 1], [2, -3], [2, 3], [-3, 0], [3, -1]]}))
+    pts = tmp_path / "p.json"
+    pts.write_text(json.dumps({"points": [[4, -3], [4, -3], [-2, 2]]}))
+    code, out, err = run(capsys, ["solve", "--norm", str(norm), "--points", str(pts)])
+    assert code == 1 and out == "" and "wind 3 times" in err
+
+
 def test_huge_lambda_is_validation_error(tmp_path, capsys):
     path = tmp_path / "n.json"
     path.write_text(json.dumps({"type": "lambda", "lambda": 10 ** 11}))

@@ -35,6 +35,11 @@ def test_make_norm_validation():
         make_polygonal_norm([(1, 0), (2, 0), (-1, 0), (-2, 0)])
     with pytest.raises(InputError, match="is not the reflection of vertex"):
         make_polygonal_norm([(2, 0), (0, 1), (-1, 0), (0, -1)])
+    # every vertex triple turns left and every edge passes the origin on its
+    # left, but the star winds three times around it
+    with pytest.raises(InputError, match="vertices wind 3 times around the origin"):
+        make_polygonal_norm([(-2, 3), (-2, -3), (3, 0), (-3, 1),
+                             (2, -3), (2, 3), (-3, 0), (3, -1)])
 
 
 def test_make_norm_accepts_clockwise_input():
