@@ -20,7 +20,6 @@ from .norms import (
     Functional,
     FunctionalSegment,
     PolygonalNorm,
-    UniqueFunctional,
     VertexElement,
     classify_direction,
     dual_norm,
@@ -44,7 +43,6 @@ from .solver import (
     ft_solve,
     intersect_cones,
     objective,
-    select_functionals,
     verify_ft_point,
 )
 from .uniqueness import (
@@ -81,14 +79,13 @@ __all__ = [
     "segment_interior_contains",
 
     "EdgeElement", "Functional", "FunctionalSegment", "PolygonalNorm",
-    "UniqueFunctional", "VertexElement", "classify_direction", "dual_norm",
-    "dual_vertices", "element_point", "gauge", "make_polygonal_norm",
-    "norming_set",
+    "VertexElement", "classify_direction", "dual_norm", "dual_vertices",
+    "element_point", "gauge", "make_polygonal_norm", "norming_set",
 
     "AngleShape", "Certificate", "Cone", "FTSolution", "RayShape",
     "build_cone", "candidate_minimize", "check_certificate",
     "collinear_median", "enumerate_selections", "ft_solve", "intersect_cones",
-    "objective", "select_functionals", "verify_ft_point",
+    "objective", "verify_ft_point",
 
     "ConsistentTriple", "Verdict", "check_condition1", "check_condition2",
     "check_condition3", "uniqueness_verdict",

@@ -12,11 +12,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 
 from .errors import CertificateError, InputError
-from .geometry import DEFAULT_EPS, Vec2, check_eps
+from .geometry import DEFAULT_EPS, Vec2, check_eps, finite_spans
 from .lambda_planes import classify_lambda, make_lambda_norm
 from .norms import PolygonalNorm, make_polygonal_norm
 from .render import render_svg
@@ -74,9 +73,7 @@ def _load_points(path: str) -> list[Vec2]:
     out = _pairs(doc.get("points") if isinstance(doc, dict) else None)
     if not out:
         raise InputError(f"{path}: expected {{\"points\": [[x, y], ...]}}")
-    # the solver subtracts coordinates, so their spans must be finite too
-    xs, ys = [p.x for p in out], [p.y for p in out]
-    if not all(map(math.isfinite, xs + ys + [max(xs) - min(xs), max(ys) - min(ys)])):
+    if not finite_spans(out):
         raise InputError(f"{path}: coordinates and their spans must be finite")
     return out
 
@@ -101,7 +98,7 @@ def _solution_doc(sol: FTSolution) -> dict:
         "objective": sol.objective,
         "certificate": {
             "p": [sol.certificate.base.x, sol.certificate.base.y],
-            "functionals": [[f.a, f.b] for f in sol.certificate.functionals],
+            "functionals": [[f.x, f.y] for f in sol.certificate.functionals],
         },
     }
 

@@ -67,7 +67,11 @@ class Vec2:
         return (self.x, self.y)
 
 
-ORIGIN = Vec2(0.0, 0.0)
+def finite_spans(points: list[Vec2] | tuple[Vec2, ...]) -> bool:
+    """True iff every coordinate of the (non-empty) points and their x and y
+    spans are finite; the solver subtracts coordinates, so a span must be too."""
+    xs, ys = [p.x for p in points], [p.y for p in points]
+    return all(map(math.isfinite, xs + ys + [max(xs) - min(xs), max(ys) - min(ys)]))
 
 
 def orient(a: Vec2, b: Vec2, c: Vec2, eps: float = DEFAULT_EPS) -> int:

@@ -9,8 +9,11 @@ counterclockwise. Index conventions used by the whole package:
 * the support functionals at vertex ``k`` sweep the dual edge from
   ``dual_vertices(norm)[k - 1]`` to ``dual_vertices(norm)[k]``.
 
-Directions interior to an edge have exactly one norming functional (the
-edge functional); vertex directions have a whole segment of them.
+A functional phi is a ``Vec2``, a point of the dual plane, with
+phi(v) = phi.dot(v); ``Functional`` is that type's name on the dual side.
+The norming set of a direction is one functional (the edge functional, for
+a direction interior to an edge) or a ``FunctionalSegment`` (the dual edge,
+for a vertex direction).
 """
 
 from __future__ import annotations
@@ -26,38 +29,7 @@ from .errors import InputError
 from .geometry import DEFAULT_EPS, Vec2, orient
 
 _TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class Functional:
-    """Linear functional phi(v) = a*v.x + b*v.y on the plane."""
-
-    a: float
-    b: float
-
-    def __call__(self, v: Vec2) -> float:
-        return self.a * v.x + self.b * v.y
-
-    def __add__(self, other: "Functional") -> "Functional":
-        return Functional(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: "Functional") -> "Functional":
-        return Functional(self.a - other.a, self.b - other.b)
-
-    def __neg__(self) -> "Functional":
-        return Functional(-self.a, -self.b)
-
-    def __mul__(self, s: float) -> "Functional":
-        return Functional(self.a * s, self.b * s)
-
-    __rmul__ = __mul__
-
-    def as_vec(self) -> Vec2:
-        """Coordinates of the functional as a point of the dual plane."""
-        return Vec2(self.a, self.b)
-
-    def magnitude(self) -> float:
-        return math.hypot(self.a, self.b)
+Functional = Vec2  # the dual plane's name for its points
 
 
 @dataclass(frozen=True)
@@ -79,13 +51,6 @@ UnitCircleElement = VertexElement | EdgeElement
 
 
 @dataclass(frozen=True)
-class UniqueFunctional:
-    """Norming set with exactly one member."""
-
-    phi: Functional
-
-
-@dataclass(frozen=True)
 class FunctionalSegment:
     """All convex combinations of lo and hi; every member norms the vector."""
 
@@ -93,11 +58,11 @@ class FunctionalSegment:
     hi: Functional
 
     def at(self, t: float) -> Functional:
-        return Functional(self.lo.a + t * (self.hi.a - self.lo.a),
-                          self.lo.b + t * (self.hi.b - self.lo.b))
+        return Vec2(self.lo.x + t * (self.hi.x - self.lo.x),
+                    self.lo.y + t * (self.hi.y - self.lo.y))
 
 
-FunctionalSet = UniqueFunctional | FunctionalSegment
+FunctionalSet = Functional | FunctionalSegment
 
 
 @dataclass(frozen=True)
@@ -118,7 +83,7 @@ class PolygonalNorm:
         for k in range(m):
             p, q = verts[k], verts[(k + 1) % m]
             det = p.x * q.y - p.y * q.x  # positive: CCW with origin inside
-            out.append(Functional((q.y - p.y) / det, (p.x - q.x) / det))
+            out.append(Vec2((q.y - p.y) / det, (p.x - q.x) / det))
         return tuple(out)
 
     @cached_property
@@ -138,7 +103,7 @@ class PolygonalNorm:
 
     @cached_property
     def _dual_array(self) -> np.ndarray:
-        return np.array([[f.a, f.b] for f in self._duals], dtype=float)
+        return np.array([[f.x, f.y] for f in self._duals], dtype=float)
 
     @cached_property
     def _vertex_array(self) -> np.ndarray:
@@ -157,7 +122,7 @@ class PolygonalNorm:
         breakline directions (vertices 0 .. m/2 - 1)."""
         dirs = self.vertices[:len(self.vertices) // 2]
         return (max(v.norm() for v in self.vertices),
-                max(f.magnitude() for f in self._duals),
+                max(f.norm() for f in self._duals),
                 np.array([d.x for d in dirs], dtype=float),
                 np.array([d.y for d in dirs], dtype=float),
                 np.array([d.norm() for d in dirs], dtype=float))
@@ -227,12 +192,12 @@ def dual_norms(norm: PolygonalNorm, funcs) -> tuple[np.ndarray, np.ndarray]:
     """Each functional (row) at each unit-ball vertex (column), and each
     row's maximum: the dual norms.
 
-    An entry is the float ``phi.a * v.x + phi.b * v.y`` (elementwise, never
+    An entry is the float ``phi.x * v.x + phi.y * v.y`` (elementwise, never
     ``@``, whose fused or reordered sums differ in the last bit; inf * 0 is a
     silent NaN, as in Python). A maximum is the row's first largest entry,
     as Python's ``max`` gives it, but NaN if the row holds one.
     """
-    fa, fb = np.array([f.a for f in funcs] + [f.b for f in funcs],
+    fa, fb = np.array([f.x for f in funcs] + [f.y for f in funcs],
                       dtype=float).reshape(2, -1, 1)
     vx, vy = norm._vertex_array.T
     with np.errstate(over="ignore", invalid="ignore"):
@@ -254,7 +219,7 @@ def gauge(norm: PolygonalNorm, v: Vec2, eps: float = DEFAULT_EPS) -> float:
     """
     if v.x == 0.0 and v.y == 0.0:
         return 0.0
-    val = norm._duals[norm.sector(v)](v)
+    val = norm._duals[norm.sector(v)].dot(v)
     return val if val > 0.0 else 0.0
 
 
@@ -275,6 +240,8 @@ def classify_direction(norm: PolygonalNorm, v: Vec2,
     """
     if v.x == 0.0 and v.y == 0.0:
         raise InputError("cannot classify the zero vector")
+    if not v.is_finite():
+        raise InputError(f"cannot classify the non-finite vector {v}")
     k = norm.sector(v)
     m = norm.m
     vlen = v.norm()
@@ -293,13 +260,13 @@ def norming_set(norm: PolygonalNorm, v: Vec2,
                 eps: float = DEFAULT_EPS) -> FunctionalSet:
     """All unit functionals phi with phi(v) = gauge(v).
 
-    Edge-interior directions give the single edge functional; vertex
+    Edge-interior directions give the edge functional itself; vertex
     directions give the whole dual edge at that vertex.
     """
     element = classify_direction(norm, v, eps)
     duals = norm._duals
     if isinstance(element, EdgeElement):
-        return UniqueFunctional(duals[element.edge])
+        return duals[element.edge]
     k = element.index
     return FunctionalSegment(duals[k - 1], duals[k])
 

@@ -71,7 +71,7 @@ def oracle_objective(norm: PolygonalNorm, points, x: Vec2) -> float:
     """Scalar objective via the max-of-functionals gauge."""
     total = 0.0
     for q in points:
-        total += max(f(x - q) for f in norm._duals)
+        total += max(f.dot(x - q) for f in norm._duals)
     return total
 
 
@@ -222,7 +222,7 @@ def random_symmetric_norm(rng: Random, m: int | None = None,
             norm = make_polygonal_norm(list(hull.vertices), eps)
         except PlaneError:
             continue
-        if max(f.magnitude() for f in norm._duals) > 2.0:
+        if max(f.norm() for f in norm._duals) > 2.0:
             continue  # inradius below 0.5
         k = norm.m
         vert_angles = sorted(math.atan2(v.y, v.x) % (2 * math.pi)

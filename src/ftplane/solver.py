@@ -43,12 +43,13 @@ from .geometry import (
     Region,
     Vec2,
     clip_polygon,
+    finite_spans,
     orient,
 )
 from .norms import (
     Functional,
+    FunctionalSegment,
     PolygonalNorm,
-    UniqueFunctional,
     dual_norm,
     dual_norms,
     gauge,
@@ -307,9 +308,9 @@ def collinear_median(points: list[Vec2] | tuple[Vec2, ...],
 # --- functional selection -------------------------------------------------
 
 def _set_bounds(fset) -> tuple[Functional, Functional]:
-    if isinstance(fset, UniqueFunctional):
-        return fset.phi, fset.phi
-    return fset.lo, fset.hi
+    if isinstance(fset, FunctionalSegment):
+        return fset.lo, fset.hi
+    return fset, fset
 
 
 def _zonogon(sets) -> tuple[Vec2, list[int], list[Vec2]]:
@@ -323,8 +324,8 @@ def _zonogon(sets) -> tuple[Vec2, list[int], list[Vec2]]:
     gens: list[Vec2] = []
     for idx, s in enumerate(sets):
         lo, hi = _set_bounds(s)
-        base = base + lo.as_vec()
-        g = (hi - lo).as_vec()
+        base = base + lo
+        g = hi - lo
         if g.norm() > 1e-12:
             idxs.append(idx)
             gens.append(g)
@@ -398,7 +399,7 @@ def _solve_selections(sets, target: Vec2,
     """
     base, idxs, gens = _zonogon(sets)
     t_target = target - base
-    scale = max([1.0] + [f.magnitude() for s in sets for f in _set_bounds(s)])
+    scale = max([1.0] + [f.norm() for s in sets for f in _set_bounds(s)])
     rtol = 2e-9 * scale * max(1, len(sets))
     order = list(range(len(gens)))
 
@@ -424,18 +425,6 @@ def _solve_selections(sets, target: Vec2,
     return sels
 
 
-def select_functionals(norm: PolygonalNorm, points, p: Vec2,
-                       eps: float = DEFAULT_EPS) -> tuple[Functional, ...]:
-    """Concrete norming functionals at p (not a terminal) summing to zero."""
-    for q in points:
-        if (q - p).norm() <= eps:
-            raise CertificateError("p coincides with a terminal")
-    sols = enumerate_selections(norm, points, p, eps, limit=1)
-    if not sols:
-        raise CertificateError("no norming selection sums to zero at p")
-    return sols[0]
-
-
 def enumerate_selections(norm: PolygonalNorm, points, p: Vec2,
                          eps: float = DEFAULT_EPS,
                          limit: int = 8) -> list[tuple[Functional, ...]]:
@@ -448,32 +437,24 @@ def verify_ft_point(norm: PolygonalNorm, points, p: Vec2,
                     eps: float = DEFAULT_EPS) -> Certificate | None:
     """Certificate that p minimizes the objective, or None.
 
-    Away from the terminals this is the zero-sum condition on norming
-    functionals. At a terminal the condition relaxes: the other functionals
-    must sum to something of dual norm at most one (at most d, when d
-    terminals coincide there); the completing entries are stored at the
-    relaxed indices so the certificate still sums to zero.
+    One norming functional per terminal away from p must sum to zero. When
+    none do and d terminals coincide with p, the condition relaxes: the
+    others need only sum to some psi of dual norm at most d, and each of the
+    d relaxed entries is -psi / d, so the certificate still sums to zero.
     """
     pts = list(points)
     omitted = tuple(i for i, q in enumerate(pts) if (q - p).norm() <= eps)
-    if not omitted:
-        sols = enumerate_selections(norm, pts, p, eps, limit=1)
-        return Certificate(p, sols[0], ()) if sols else None
-
-    kept = [i for i in range(len(pts)) if i not in omitted]
-    sets = [norming_set(norm, pts[i] - p, eps) for i in kept]
-    d = len(omitted)
+    sets = [norming_set(norm, q - p, eps) for i, q in enumerate(pts) if i not in omitted]
     psi = Vec2(0.0, 0.0)
     sols = _solve_selections(sets, psi)
-    if not sols:
-        psi = _relaxed_target(norm, sets, d, eps)
+    if not sols and omitted:
+        psi = _relaxed_target(norm, sets, len(omitted), eps)
         sols = [] if psi is None else _solve_selections(sets, psi)
     if not sols:
         return None
-    completion = Functional(-psi.x / d, -psi.y / d)
-    funcs: list[Functional] = [completion] * len(pts)
-    for i, phi in zip(kept, sols[0]):
-        funcs[i] = phi
+    funcs, d = sols[0], len(omitted)
+    for i in omitted:  # ascending, so each lands at its own index
+        funcs.insert(i, Vec2(-psi.x / d, -psi.y / d))
     return Certificate(p, tuple(funcs), omitted)
 
 
@@ -488,7 +469,7 @@ def _relaxed_target(norm: PolygonalNorm, sets, ball_scale: int,
     """
     base, _, gens = _zonogon(sets)
     if not gens:
-        if dual_norm(norm, Functional(base.x, base.y)) <= ball_scale + 10 * eps:
+        if dual_norm(norm, base) <= ball_scale + 10 * eps:
             return base
         return None
     # the support of the zonogon in a unit direction n is n.base plus the
@@ -496,7 +477,7 @@ def _relaxed_target(norm: PolygonalNorm, sets, ball_scale: int,
     hps = [HalfPlane(n, n.dot(base) + sum(max(0.0, n.dot(g)) for g in gens))
            for n in _zonogon_normals(gens)]
     m, scale = norm.m, float(ball_scale)
-    ball_verts = [f.as_vec() * scale for f in norm._duals]
+    ball_verts = [f * scale for f in norm._duals]
     # the edge from dual vertex k to k+1 lies on the support line of primal
     # vertex k+1
     ball_edges = [HalfPlane(norm.vertices[(k + 1) % m], scale) for k in range(m)]
@@ -516,7 +497,7 @@ def _contact_sets(phis, eps: float, table: np.ndarray,
     its contacts {k : phi(v_k) >= top - 10 eps s}, read from its row of the
     vertex table (``dual_norms``) with the floats of a loop over the vertices."""
     tops = tops.tolist()
-    scales = [max(1.0, phi.magnitude()) for phi in phis]
+    scales = [max(1.0, phi.norm()) for phi in phis]
     floors = np.array([top - eps * s * 10 for top, s in zip(tops, scales)])
     rows, cols = np.nonzero(table >= floors[:, None])
     contacts: list[list[int]] = [[] for _ in scales]
@@ -570,11 +551,13 @@ def _cone_halfplanes(cone: Cone, eps: float) -> list[HalfPlane]:
     if isinstance(cone.shape, AngleShape):
         d1, d2 = cone.shape.d1, cone.shape.d2
         if d1.cross(d2) <= eps * d1.norm() * d2.norm():
-            raise ValueError("angle cone must sweep counterclockwise below pi")
+            raise InputError("angle cone must sweep counterclockwise below pi")
         n1 = Vec2(d1.y, -d1.x)
         n2 = Vec2(-d2.y, d2.x)
         return [HalfPlane(n1, n1.dot(v)), HalfPlane(n2, n2.dot(v))]
     d = cone.shape.direction
+    if d.x == 0.0 and d.y == 0.0:
+        raise InputError("ray cone needs a nonzero direction")
     n = Vec2(d.y, -d.x)
     back = -d * (1.0 / d.norm())
     return [HalfPlane(n, n.dot(v)),
@@ -621,15 +604,15 @@ def check_certificate(norm: PolygonalNorm, points, cert: Certificate,
     pts = list(points)
     if len(cert.functionals) != len(pts):
         raise CertificateError("certificate length mismatch")
-    scale = max([1.0] + [f.magnitude() for f in cert.functionals])
+    scale = max([1.0] + [f.norm() for f in cert.functionals])
     if scale == math.inf:  # tol would be inf, and every test below would pass
         raise CertificateError("certificate holds an infinite functional")
     tol = 20 * eps * scale * max(1, len(pts))
-    total = Functional(0.0, 0.0)
+    total = Vec2(0.0, 0.0)
     for f in cert.functionals:
         total = total + f
     # each test is written so that a NaN fails it
-    if not total.magnitude() <= tol:
+    if not total.norm() <= tol:
         raise CertificateError(f"functionals sum to {total}, not zero")
     relaxed = set(cert.relaxed)
     table = dual_norms(norm, cert.functionals)
@@ -641,7 +624,7 @@ def check_certificate(norm: PolygonalNorm, points, cert: Certificate,
         if not abs(dn - 1.0) <= tol:
             raise CertificateError(f"entry {i} has dual norm {dn}, expected 1")
         g = gauge(norm, q - cert.base)
-        if not abs(f(q - cert.base) - g) <= tol * max(1.0, g):
+        if not abs(f.dot(q - cert.base) - g) <= tol * max(1.0, g):
             raise CertificateError(f"entry {i} does not norm its displacement")
     return table
 
@@ -663,6 +646,8 @@ def ft_solve(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...],
     if not points:
         raise InputError("need at least one terminal")
     pts = tuple(points)
+    if not finite_spans(pts):
+        raise InputError("coordinates and their spans must be finite")
 
     def near_terminal(c: Vec2) -> bool:
         return any((c - q).norm() <= eps for q in pts)

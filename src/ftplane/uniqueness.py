@@ -9,8 +9,9 @@ points whose solution set is a polygon or segment. A norm admits non-unique
 three-point instances exactly when one of the conditions fires, and the
 firing triple itself is the witness.
 
-A verdict builds the norm's dual set-up once (dual vertices and their
-magnitudes, the dual polygon, the zero tolerance and the window table) and
+A verdict builds the norm's dual set-up once (the dual polygon, whose
+vertices are the edge functionals, their lengths, the zero tolerance and
+the window table) and
 shares it between the conditions. Conditions 1 and 2 are decided together
 in one pass over the edge pairs i < j that locates -(d_i + d_j) on the dual
 polygon once per pair; condition 3 tests each edge functional against each
@@ -54,7 +55,6 @@ class Verdict:
     unique: bool
     triple: ConsistentTriple | None = None
     witness: tuple[Vec2, Vec2, Vec2] | None = None
-    expected_kind: str | None = None  # "polygon" | "segment"
     observed_kind: str | None = None
     region: Region | None = None  # the witness's solution set, as validated
 
@@ -69,8 +69,7 @@ class _DualSetup:
     """What the three conditions read of one norm's dual, built once per verdict."""
 
     eps: float
-    duals: tuple[Functional, ...]
-    dual_polygon: PolygonalNorm  # the dual vertices as a polygon, for sector location
+    dual_polygon: PolygonalNorm  # vertex k is the edge functional d_k
     px: np.ndarray  # dual vertex coordinates
     py: np.ndarray
     ex: np.ndarray  # dual edge k, d_k - d_{k-1}
@@ -88,12 +87,11 @@ class _DualSetup:
         duals = dual_vertices(norm)
         m = norm.m
         px, py = norm._dual_array[:, 0], norm._dual_array[:, 1]
-        mags = [d.magnitude() for d in duals]
+        mags = [d.norm() for d in duals]
         w = (np.arange(-2, 3)[:, None] + np.arange(m)) % m
         ex, ey = px - px[w[1]], py - py[w[1]]
         return cls(
-            eps=eps, duals=duals,
-            dual_polygon=PolygonalNorm(tuple(d.as_vec() for d in duals)),
+            eps=eps, dual_polygon=PolygonalNorm(duals),
             px=px, py=py, ex=ex, ey=ey, mags=mags,
             # functional magnitudes grow as the polygon thins, so scale the zero test
             tol=eps * max(1.0, max(mags)),
@@ -131,9 +129,8 @@ def _pair_pass(setup: _DualSetup,
     ``segment_interior_contains`` in order, and the triples are the ones a
     pair-by-pair loop finds.
     """
-    m, eps, tol, duals = len(setup.duals), setup.eps, setup.tol, setup.duals
-    px, py = setup.px, setup.py
-    pts = setup.dual_polygon.vertices
+    duals, eps, tol = setup.dual_polygon.vertices, setup.eps, setup.tol
+    m, px, py = len(duals), setup.px, setup.py
     cut = eps * 4.0 * max(setup.mags)
     rows = np.arange(m)
     row_start = rows * m - rows * (rows + 1) // 2
@@ -171,11 +168,11 @@ def _pair_pass(setup: _DualSetup,
             continue
         for col, k_ in _hits(close, setup.windows.take(s, axis=1)):
             i_, j_ = int(i[col]), int(j[col])
-            psi = -(pts[i_] + pts[j_])
-            if segment_interior_contains(pts[k_ - 1], pts[k_], psi, eps):
+            psi = -(duals[i_] + duals[j_])
+            if segment_interior_contains(duals[k_ - 1], duals[k_], psi, eps):
                 hit2 = ConsistentTriple((EdgeElement(i_, 0.5), EdgeElement(j_, 0.5),
                                          VertexElement(k_)),
-                                        (duals[i_], duals[j_], Functional(psi.x, psi.y)),
+                                        (duals[i_], duals[j_], psi),
                                         condition=2)
                 break
         if hit2 is not None and not cond1:
@@ -185,7 +182,7 @@ def _pair_pass(setup: _DualSetup,
 
 def _condition3(setup: _DualSetup) -> ConsistentTriple | None:
     """``check_condition3`` on a built set-up."""
-    duals, eps = setup.duals, setup.eps
+    duals, eps = setup.dual_polygon.vertices, setup.eps
     m = len(duals)
     half = m // 2
     ua, ub = setup.ex, setup.ey
@@ -200,8 +197,8 @@ def _condition3(setup: _DualSetup) -> ConsistentTriple | None:
             j, k = start + int(row), int(k)
             phi, a = duals[j], duals[k - 1]
             u = duals[k] - a
-            um = u.magnitude()
-            t = (phi.a * u.a + phi.b * u.b) / (um * um)
+            um = u.norm()
+            t = phi.dot(u) / (um * um)
             margin = eps / um
             if not (2 * margin < abs(t) < 1.0 - 2 * margin):
                 continue
@@ -271,4 +268,4 @@ def uniqueness_verdict(norm: PolygonalNorm,
     if not ok:
         raise CertificateError(
             f"condition {cond} witness solved to {observed}, expected {expected}")
-    return Verdict(False, triple, witness, expected, observed, region)
+    return Verdict(False, triple, witness, observed, region)

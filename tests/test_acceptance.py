@@ -24,9 +24,9 @@ from ftplane import (
     make_lambda_norm,
     make_polygonal_norm,
     probe_solution_set,
-    select_functionals,
     torricelli_point,
     uniqueness_verdict,
+    verify_ft_point,
 )
 from ftplane.norms import Functional
 from ftplane.oracle import final_cell_diameter, random_instance, random_symmetric_norm
@@ -102,14 +102,14 @@ def test_criterion_4_certificate_soundness(corpus200):
         total = Functional(0.0, 0.0)
         for f in cert.functionals:
             total = total + f
-        ok = total.magnitude() <= 1e-8
+        ok = total.norm() <= 1e-8
         relaxed = set(cert.relaxed)
         for i, (q, f) in enumerate(zip(pts, cert.functionals)):
             if i in relaxed:
                 ok = ok and dual_norm(norm, f) <= 1 + 1e-8
                 continue
             g = gauge(norm, q - cert.base)
-            ok = ok and abs(f(q - cert.base) - g) <= 1e-8 * max(1.0, g)
+            ok = ok and abs(f.dot(q - cert.base) - g) <= 1e-8 * max(1.0, g)
             ok = ok and abs(dual_norm(norm, f) - 1.0) <= 1e-8
         if not ok:
             bad += 1
@@ -175,7 +175,7 @@ def test_criterion_6_choice_independence(corpus200):
             for alt in alts:
                 if any((alt - q).norm() <= 1e-9 for q in pts):
                     continue
-                sel = select_functionals(norm, pts, alt)
+                sel = verify_ft_point(norm, pts, alt).functionals
                 cones = [build_cone(norm, q, f) for q, f in zip(pts, sel)]
                 regions.append(intersect_cones(cones, radius))
             multi_base += 1

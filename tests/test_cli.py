@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -111,6 +115,18 @@ def test_lambda_json(capsys):
     assert [d["lambda"] for d in docs] == [2, 3, 4, 5, 6]
     assert [d["verdict"] for d in docs] == [
         "unique", "nonunique", "unique", "unique", "nonunique"]
+
+
+def test_module_entry_matches_main(capsys):
+    argv = ["lambda", "--max", "6", "--json"]
+    code, out, _ = run(capsys, argv)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "ftplane", *argv],
+                          capture_output=True, env=env, timeout=120)
+    assert proc.returncode == code == 0
+    assert proc.stdout == out.encode()
 
 
 def test_witness_command(capsys, hex_norm_file, diamond_norm_file):

@@ -7,7 +7,6 @@ from ftplane import (
     EdgeElement,
     FunctionalSegment,
     InputError,
-    UniqueFunctional,
     Vec2,
     VertexElement,
     classify_direction,
@@ -77,22 +76,22 @@ def test_gauge_properties(diamond, hexagon):
 
 
 def test_dual_vertices_diamond(diamond):
-    duals = [(f.a, f.b) for f in dual_vertices(diamond)]
+    duals = [(f.x, f.y) for f in dual_vertices(diamond)]
     assert duals == [(1, 1), (-1, 1), (-1, -1), (1, -1)]
 
 
 def test_dual_vertices_hexagon(hexagon):
     duals = dual_vertices(hexagon)
-    mags = [f.magnitude() for f in duals]
+    mags = [f.norm() for f in duals]
     assert all(m == pytest.approx(2 / SQRT3, abs=1e-12) for m in mags)
-    angles = sorted(math.atan2(f.b, f.a) % (2 * math.pi) for f in duals)
+    angles = sorted(math.atan2(f.y, f.x) % (2 * math.pi) for f in duals)
     expected = sorted((math.radians(30 + 60 * k)) % (2 * math.pi) for k in range(6))
     for got, want in zip(angles, expected):
         assert got == pytest.approx(want, abs=1e-9)
 
 
 def test_dual_vertices_square(square):
-    duals = sorted((round(f.a, 12), round(f.b, 12)) for f in dual_vertices(square))
+    duals = sorted((round(f.x, 12), round(f.y, 12)) for f in dual_vertices(square))
     assert duals == [(-1, 0), (0, -1), (0, 1), (1, 0)]
 
 
@@ -116,15 +115,15 @@ def test_classify_direction(diamond, hexagon):
 
 def test_norming_set_examples(diamond, hexagon):
     ns = norming_set(diamond, Vec2(1, 1))
-    assert isinstance(ns, UniqueFunctional)
-    assert (ns.phi.a, ns.phi.b) == (1, 1)
+    assert not isinstance(ns, FunctionalSegment)
+    assert (ns.x, ns.y) == (1, 1)
     ns = norming_set(diamond, Vec2(1, 0))
     assert isinstance(ns, FunctionalSegment)
-    assert (ns.lo.a, ns.lo.b) == (1, -1) and (ns.hi.a, ns.hi.b) == (1, 1)
+    assert (ns.lo.x, ns.lo.y) == (1, -1) and (ns.hi.x, ns.hi.y) == (1, 1)
     ns = norming_set(hexagon, Vec2(0, 1))
-    assert isinstance(ns, UniqueFunctional)
-    assert ns.phi.a == pytest.approx(0.0, abs=1e-12)
-    assert ns.phi.b == pytest.approx(2 / SQRT3, abs=1e-12)
+    assert not isinstance(ns, FunctionalSegment)
+    assert ns.x == pytest.approx(0.0, abs=1e-12)
+    assert ns.y == pytest.approx(2 / SQRT3, abs=1e-12)
 
 
 def test_norming_pairing_and_existence(diamond, hexagon):
@@ -136,20 +135,20 @@ def test_norming_pairing_and_existence(diamond, hexagon):
             if v.norm() < 1e-6:
                 continue
             ns = norming_set(norm, v)
-            members = ([ns.phi] if isinstance(ns, UniqueFunctional)
-                       else [ns.lo, ns.at(0.5), ns.hi])
+            members = ([ns.lo, ns.at(0.5), ns.hi] if isinstance(ns, FunctionalSegment)
+                       else [ns])
             g = gauge(norm, v)
             assert members, "every nonzero vector has a norming functional"
             for phi in members:
-                assert phi(v) == pytest.approx(g, abs=1e-9 * max(1, g))
+                assert phi.dot(v) == pytest.approx(g, abs=1e-9 * max(1, g))
                 assert dual_norm(norm, phi) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_bipolar_recovers_vertices(diamond, hexagon):
     rng = Random(7)
     for norm in [diamond, hexagon, random_symmetric_norm(rng)]:
-        polar = make_polygonal_norm([f.as_vec() for f in dual_vertices(norm)])
-        back = sorted((v.x, v.y) for v in (f.as_vec() for f in dual_vertices(polar)))
+        polar = make_polygonal_norm(list(dual_vertices(norm)))
+        back = sorted((v.x, v.y) for v in dual_vertices(polar))
         orig = sorted((v.x, v.y) for v in norm.vertices)
         for got, want in zip(back, orig):
             assert got == pytest.approx(want, abs=1e-9)

@@ -112,7 +112,7 @@ def test_random_norm_generator_properties():
         for k in range(half):
             assert (norm.vertices[k + half] + norm.vertices[k]).norm() <= 1e-9
         # inradius gate keeps the gauge 2-Lipschitz
-        assert max(f.magnitude() for f in norm._duals) <= 2.0 + 1e-12
+        assert max(f.norm() for f in norm._duals) <= 2.0 + 1e-12
         for v in norm.vertices:
             assert 0.5 - 1e-12 <= v.norm() <= 1.5 + 1e-12
 

@@ -17,9 +17,9 @@ def test_all_is_importable_and_holds_no_module():
 
 def test_public_calls_raise_one_of_two_error_classes(diamond, square, unit_triangle):
     from ftplane import (
-        CertificateError, Cone, Functional, InputError, PlaneError, RayShape, Vec2,
-        build_cone, classify_direction, ft_solve, intersect_cones,
-        lambda_triangle_solution, make_lambda_norm, make_polygonal_norm)
+        AngleShape, CertificateError, Cone, Functional, InputError, PlaneError, RayShape,
+        Vec2, build_cone, classify_direction, ft_solve, intersect_cones,
+        lambda_triangle_solution, make_lambda_norm, make_polygonal_norm, norming_set)
 
     assert issubclass(InputError, (PlaneError, ValueError))
     assert issubclass(CertificateError, PlaneError)
@@ -31,6 +31,12 @@ def test_public_calls_raise_one_of_two_error_classes(diamond, square, unit_trian
         (lambda: ft_solve(diamond, []), "need at least one terminal"),
         (lambda: classify_direction(diamond, Vec2(0, 0)), "zero vector"),
         (lambda: lambda_triangle_solution(4, *unit_triangle), "not a multiple of 3"),
+        (lambda: intersect_cones([Cone(Vec2(0, 0), RayShape(Vec2(0, 0)))], 10.0),
+         "nonzero direction"),
+        (lambda: intersect_cones([Cone(Vec2(0, 0), AngleShape(Vec2(1, 0), Vec2(-1, 0)))], 10.0),
+         "angle cone must sweep counterclockwise below pi"),
+        (lambda: classify_direction(diamond, Vec2(math.nan, 1)), "non-finite"),
+        (lambda: norming_set(diamond, Vec2(math.nan, 1)), "non-finite"),
     ]
     for call, message in bad_input:
         with pytest.raises(InputError, match=message):

@@ -1,6 +1,7 @@
 import gc
 import math
 import tracemalloc
+import warnings
 import weakref
 from random import Random
 
@@ -12,6 +13,7 @@ from ftplane import (
     Certificate,
     CertificateError,
     Cone,
+    InputError,
     RayShape,
     Vec2,
     build_cone,
@@ -26,7 +28,6 @@ from ftplane import (
     intersect_cones,
     make_polygonal_norm,
     objective,
-    select_functionals,
     verify_ft_point,
 )
 from ftplane import solver
@@ -397,33 +398,32 @@ def test_verify_ft_point_relaxed_at_terminal(diamond):
     total = Functional(0.0, 0.0)
     for f in cert.functionals:
         total = total + f
-    assert total.magnitude() <= 1e-9
+    assert total.norm() <= 1e-9
     assert dual_norm(diamond, cert.functionals[1]) <= 1 + 1e-9
 
 
-def test_select_functionals_diamond(diamond):
+def test_verify_ft_point_diamond(diamond):
     pts = [Vec2(-2, 0), Vec2(2, 0), Vec2(0, 2)]
-    phis = select_functionals(diamond, pts, Vec2(0, 0))
+    phis = verify_ft_point(diamond, pts, Vec2(0, 0)).functionals
     total = Functional(0.0, 0.0)
     for phi, q in zip(phis, pts):
         total = total + phi
-        assert phi(q) == pytest.approx(gauge(diamond, q), abs=1e-9)
+        assert phi.dot(q) == pytest.approx(gauge(diamond, q), abs=1e-9)
         assert dual_norm(diamond, phi) == pytest.approx(1.0, abs=1e-9)
-    assert total.magnitude() <= 1e-9
+    assert total.norm() <= 1e-9
 
 
-def test_select_functionals_hexagon_centroid(hexagon, unit_triangle):
+def test_verify_ft_point_hexagon_centroid(hexagon, unit_triangle):
     p = Vec2(0.5, SQRT3 / 6)
-    phis = select_functionals(hexagon, unit_triangle, p)
-    angles = sorted(math.degrees(math.atan2(f.b, f.a)) % 360 for f in phis)
+    phis = verify_ft_point(hexagon, unit_triangle, p).functionals
+    angles = sorted(math.degrees(math.atan2(f.y, f.x)) % 360 for f in phis)
     assert angles == pytest.approx([90.0, 210.0, 330.0], abs=1e-7)
     for f in phis:
-        assert f.magnitude() == pytest.approx(2 / SQRT3, abs=1e-9)
+        assert f.norm() == pytest.approx(2 / SQRT3, abs=1e-9)
 
 
-def test_select_functionals_single_point_infeasible(diamond):
-    with pytest.raises(CertificateError, match="no norming selection sums to zero at p"):
-        select_functionals(diamond, [Vec2(3, 3)], Vec2(0, 0))
+def test_verify_ft_point_single_point_infeasible(diamond):
+    assert verify_ft_point(diamond, [Vec2(3, 3)], Vec2(0, 0)) is None
 
 
 def test_build_cone_diamond(diamond):
@@ -451,16 +451,16 @@ def test_build_cone_hexagon(hexagon):
 def scalar_contacts(norm, phi, eps=DEFAULT_EPS):
     """The loop over the vertices that the functional-by-vertex table
     replaces: phi's dual norm and contact set."""
-    values = [phi(v) for v in norm.vertices]
+    values = [phi.dot(v) for v in norm.vertices]
     top = max(values)
-    ctol = eps * max(1.0, phi.magnitude()) * 10
+    ctol = eps * max(1.0, phi.norm()) * 10
     return top, [k for k, val in enumerate(values) if val >= top - ctol]
 
 
 def scalar_cone(norm, x, phi, eps=DEFAULT_EPS):
     """build_cone as a loop over the vertices: a Cone, or the error message."""
     top, contact = scalar_contacts(norm, phi, eps)
-    scale = max(1.0, phi.magnitude())
+    scale = max(1.0, phi.norm())
     if not (math.isfinite(scale) and abs(top - 1.0) <= 100 * eps * scale):
         return f"dual norm is {top}, expected 1"
     m = norm.m
@@ -537,6 +537,17 @@ def test_non_finite_certificates_and_functionals_are_rejected(diamond, square):
             build_cone(square, Vec2(0, 0), phi)
 
 
+def test_non_finite_terminals_are_input_errors(diamond):
+    nan, inf = math.nan, math.inf
+    for pts in ([Vec2(nan, 0), Vec2(1, 1), Vec2(2, 0)],
+                [Vec2(inf, 0), Vec2(1, 1), Vec2(2, 0)],
+                [Vec2(1e308, 0), Vec2(-1e308, 1), Vec2(2, 0)]):  # the x span overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before any arithmetic warns
+            with pytest.raises(InputError, match="coordinates and their spans must be finite"):
+                ft_solve(diamond, pts)
+
+
 def test_intersect_cones_rays(diamond):
     seg = intersect_cones([Cone(Vec2(0, 0), RayShape(Vec2(1, 0))),
                            Cone(Vec2(4, 0), RayShape(Vec2(-1, 0)))], 10.0)
@@ -551,7 +562,7 @@ def test_intersect_cones_rays(diamond):
 
 def test_intersect_cones_hexagon_triangle(hexagon, unit_triangle):
     p = Vec2(0.5, SQRT3 / 6)
-    phis = select_functionals(hexagon, unit_triangle, p)
+    phis = verify_ft_point(hexagon, unit_triangle, p).functionals
     cones = [build_cone(hexagon, q, f) for q, f in zip(unit_triangle, phis)]
     radius = cone_radius(hexagon, objective(hexagon, unit_triangle, p))
     region = intersect_cones(cones, radius)
