@@ -636,12 +636,15 @@ def ft_solve(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...],
     A point p of the solution set comes first: the middle point of an odd
     collinear set, else the single minimizing candidate, else the centroid
     of the minimizing candidates (or the first of them off the terminals,
-    if the centroid lands on one). One certify step follows on every path:
-    ``verify_ft_point`` finds the certificate and ``check_certificate``
-    checks it. A relaxed certificate means p is a terminal; only the first
-    two sources give one, and there p is the whole solution set. Otherwise
-    the solution set is the intersection of the certificate's cones, and
-    every vertex of it must attain the optimal value.
+    if the centroid lands on one). On a nearly flat objective that centroid
+    can miss the optimum; when it does not certify, the lowest-valued
+    candidate (the first on ties) takes its place. One certify step follows
+    on every path: ``verify_ft_point`` finds the certificate and
+    ``check_certificate`` checks it. A relaxed certificate means p is a
+    terminal; only the first two sources may give one, and there p is the
+    whole solution set. Otherwise the solution set is the intersection of
+    the certificate's cones, and every vertex of it must attain the optimal
+    value.
     """
     if not points:
         raise InputError("need at least one terminal")
@@ -652,7 +655,7 @@ def ft_solve(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...],
     def near_terminal(c: Vec2) -> bool:
         return any((c - q).norm() <= eps for q in pts)
 
-    p = collinear_median(pts, eps)
+    p, cands = collinear_median(pts, eps), []
     if p is not None:
         value = objective(norm, pts, p)
     else:
@@ -668,7 +671,12 @@ def ft_solve(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...],
                 p = nonterm[0]
 
     cert = verify_ft_point(norm, pts, p, eps)
-    if cert is None:
+    if cert is None and len(cands) > 1:
+        p = min(cands, key=lambda c: objective(norm, pts, c))
+        cert = verify_ft_point(norm, pts, p, eps)
+    # several candidates mean more than one optimum, which a relaxed
+    # certificate's one-point region would drop
+    if cert is None or (cert.relaxed and len(cands) > 1):
         raise CertificateError("no norming selection sums to zero at p")
     table = check_certificate(norm, pts, cert, eps)
     if cert.relaxed:

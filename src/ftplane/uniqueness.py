@@ -17,7 +17,10 @@ in one pass over the edge pairs i < j that locates -(d_i + d_j) on the dual
 polygon once per pair; condition 3 tests each edge functional against each
 dual edge. Both are numpy array passes over blocks of bounded size that
 repeat the scalar predicates' floating-point operations, so they return the
-same triples as pair-by-pair loops in O(m) memory.
+same triples as pair-by-pair loops in O(m) memory. Where a pass screens
+cheaply first, the screen's survivors meet the scalar float tests as
+gathered arrays; scalar code only judges the cells left after those and
+builds the firing triple.
 """
 
 from __future__ import annotations
@@ -125,9 +128,13 @@ def _pair_pass(setup: _DualSetup,
     cross product with eps times 4 max_k |d_k|, a bound on orient's scale
     (every coordinate of psi is at most 2 max_k |d_k|, so every difference
     orient takes is at most 3 max_k |d_k| after rounding); its survivors are
-    a superset of the pairs whose orient test passes, they go through
-    ``segment_interior_contains`` in order, and the triples are the ones a
-    pair-by-pair loop finds.
+    a superset of the pairs whose orient test passes. They are gathered and
+    meet orient's zero test and the interior test 0 < (psi - d_{k-1}) . u <
+    u . u of ``segment_interior_contains`` as arrays, with the same float
+    operations, so only pairs that pass both reach the scalar predicate,
+    which still judges the endpoints (its ``math.hypot`` is not numpy's).
+    It takes them in order, and the triples are the ones a pair-by-pair
+    loop finds.
     """
     duals, eps, tol = setup.dual_polygon.vertices, setup.eps, setup.tol
     m, px, py = len(duals), setup.px, setup.py
@@ -166,6 +173,15 @@ def _pair_pass(setup: _DualSetup,
         close = cross <= cut
         if not close.any():
             continue
+        # the survivors meet orient's zero test and the interior test of
+        # segment_interior_contains as arrays, with its float operations
+        w, col = np.nonzero(close)
+        ux, uy = table[10 + w, col], table[14 + w, col]
+        ax, ay = dx[w, col], dy[w, col]  # d_{k-1} - psi
+        bx, by = dx[w + 1, col], dy[w + 1, col]  # d_k - psi
+        scale = np.maximum.reduce([np.abs(v) for v in (ux, uy, ax, ay, bx, by)])
+        t = -(ax * ux + ay * uy)  # (psi - d_{k-1}) . u, bit for bit
+        close[w, col] = (cross[w, col] <= eps * scale) & (0.0 < t) & (t < ux * ux + uy * uy)
         for col, k_ in _hits(close, setup.windows.take(s, axis=1)):
             i_, j_ = int(i[col]), int(j[col])
             psi = -(duals[i_] + duals[j_])
@@ -181,27 +197,41 @@ def _pair_pass(setup: _DualSetup,
 
 
 def _condition3(setup: _DualSetup) -> ConsistentTriple | None:
-    """``check_condition3`` on a built set-up."""
+    """``check_condition3`` on a built set-up.
+
+    The parallel test runs as arrays over blocks of rows j. Its survivors
+    are gathered before any further arithmetic and meet the |t| margins as
+    arrays, with the scalar float operations and ``math.hypot`` lengths, so
+    the extra work grows with the survivors only; the first cell to pass,
+    in (j, k) order, builds its triple with scalar ``Vec2`` arithmetic.
+    """
     duals, eps = setup.dual_polygon.vertices, setup.eps
     m = len(duals)
     half = m // 2
     ua, ub = setup.ex, setup.ey
     u_len = np.array([math.hypot(a, b) for a, b in zip(ua.tolist(), ub.tolist())])
+    # per dual edge: |u|^2 and the |t| margins 2 eps / |u| and 1 - 2 eps / |u|
+    u_sq, lo = u_len * u_len, 2 * (eps / u_len)
+    hi = 1.0 - lo
     bound = eps * np.array(setup.mags)
     pa, pb = setup.px[:, None], setup.py[:, None]
     per_block = max(1, _BLOCK // m)
     for start in range(0, m, per_block):
         rows = slice(start, start + per_block)
         parallel = ~(np.abs(pa[rows] * ub - pb[rows] * ua) > bound[rows, None] * u_len)
-        for row, k in zip(*np.nonzero(parallel)):
-            j, k = start + int(row), int(k)
+        j, k = np.nonzero(parallel)
+        if not j.size:
+            continue
+        # the |t| margins on the survivors only, with the scalar float operations
+        j += start
+        t = np.abs((setup.px[j] * ua[k] + setup.py[j] * ub[k]) / u_sq[k])
+        fits = np.flatnonzero((lo[k] < t) & (t < hi[k]))
+        if fits.size:
+            j, k = int(j[fits[0]]), int(k[fits[0]])
             phi, a = duals[j], duals[k - 1]
             u = duals[k] - a
             um = u.norm()
             t = phi.dot(u) / (um * um)
-            margin = eps / um
-            if not (2 * margin < abs(t) < 1.0 - 2 * margin):
-                continue
             s, r = (1.0 - t) / 2.0, (1.0 + t) / 2.0
             psi1 = a + u * s
             psi2 = -(a + u * r)
@@ -240,8 +270,8 @@ def check_condition3(norm: PolygonalNorm,
     Writing the edge functional as t times the dual-edge direction with
     0 < |t| < 1 lets the two vertex functionals sit strictly inside the dual
     edges at an origin-symmetric vertex pair while all three sum to zero.
-    The parallel test runs as arrays over blocks of rows j; its survivors,
-    in (j, k) order, meet the |t| margins one by one.
+    The parallel test and the |t| margins run as arrays; the first cell
+    to pass both, in (j, k) order, gives the triple.
     """
     return _condition3(_DualSetup.build(norm, eps))
 

@@ -223,6 +223,24 @@ def test_candidate_minimize_matches_lp_oracle(live_masks):
     assert live_masks[-1].size == 24_000 and live_masks[-1].sum() <= 240
 
 
+def test_flat_argmin_certifies_its_lowest_candidate():
+    # the third draw of Random(9) on the 48-gon: two argmin candidates 5.2e-4
+    # apart and 3.9e-7 apart in value; their centroid does not certify, the
+    # lower one does
+    rng = Random(9)
+    for n in (50, 100, 200):
+        pts = [Vec2(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(n)]
+    norm = make_lambda_norm(24).norm
+    cands, best = candidate_minimize(norm, pts)
+    assert len(cands) == 2
+    centroid = Vec2((cands[0].x + cands[1].x) / 2, (cands[0].y + cands[1].y) / 2)
+    assert verify_ft_point(norm, pts, centroid) is None
+    sol = ft_solve(norm, pts)
+    assert sol.certificate.base == min(cands, key=lambda c: objective(norm, pts, c))
+    assert sol.objective == best == objective(norm, pts, sol.certificate.base)
+    assert abs(best - lp_minimum(norm, pts)) <= DEFAULT_EPS * max(1.0, best)
+
+
 def test_candidate_minimize_memory_is_bounded():
     # 30 terminals on the 48-gon: 720 breaklines, 258,840 crossings; one Vec2
     # per candidate peaked at 58 MB

@@ -1,6 +1,5 @@
 import itertools
 import math
-import re
 import tracemalloc
 from random import Random
 
@@ -28,6 +27,7 @@ from ftplane import (
 from ftplane.lambda_planes import make_lambda_norm
 from ftplane.norms import Functional, PolygonalNorm
 from ftplane.oracle import random_symmetric_norm
+from ftplane import uniqueness
 from ftplane.uniqueness import _BLOCK
 
 from conftest import COND2_OCTAGON, COND3_HEXAGON, SQRT3, rotations
@@ -393,7 +393,8 @@ def near_tolerance(vertices):
 
 def test_conditions_match_scalar_reference():
     norms = [random_symmetric_norm(rng) for rng in map(Random, range(5)) for _ in range(200)]
-    norms += [make_lambda_norm(lam).norm for lam in range(2, 61)]
+    # odd planes up to m = 202, whose condition-3 survivors fall in every block of rows
+    norms += [make_lambda_norm(lam).norm for lam in [*range(2, 61), 61, 97, 101]]
     norms += lattice_norms(550, seed=5)
     norms += [make_polygonal_norm(r)
               for r in rotations(COND2_OCTAGON) + rotations(COND3_HEXAGON)]
@@ -419,11 +420,10 @@ def test_conditions_match_scalar_reference():
             verdict = uniqueness_verdict(norm)
         except CertificateError as exc:
             # some condition-2 octagons moved across the tolerance still fire
-            # condition 2, but their witness solve fails: the condition's
+            # condition 2, but their witness solves to a point: the condition's
             # absolute eps and the solver's tolerances disagree there
             assert any(norm is n for n in moved_cond2) and first.condition == 2
-            assert re.fullmatch("condition 2 witness solved to point, expected segment"
-                                "|no norming selection sums to zero at p", str(exc))
+            assert str(exc) == "condition 2 witness solved to point, expected segment"
             continue
         assert repr(verdict.triple) == repr(first)
     assert min(fired) >= 30, fired
@@ -439,6 +439,26 @@ def test_conditions_match_scalar_reference():
     t1, t2 = check_condition1(both), check_condition2(both)
     assert pair_index(both, t2) < _BLOCK <= pair_index(both, t1)
     assert uniqueness_verdict(both).triple == t1
+
+
+def test_scalar_judge_sees_only_real_candidates(monkeypatch):
+    # the array tests reject every pair that is collinear with a dual edge
+    # but outside it, so segment_interior_contains sees none on the
+    # lambda-planes and still accepts the condition-2 pair of each rotation
+    calls = []
+
+    def counting(*args):
+        calls.append(segment_interior_contains(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(uniqueness, "segment_interior_contains", counting)
+    for lam in range(2, 61):
+        uniqueness_verdict(make_lambda_norm(lam).norm)
+    assert calls == []
+    for r in rotations(COND2_OCTAGON):
+        calls.clear()
+        assert check_condition2(make_polygonal_norm(r)) is not None
+        assert calls[-1] is True
 
 
 def test_verdict_memory_is_bounded_across_blocks():
