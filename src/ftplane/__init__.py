@@ -35,7 +35,7 @@ from .solver import (
     Cone,
     FTSolution,
     RayShape,
-    build_cone,
+    build_cones,
     candidate_minimize,
     check_certificate,
     collinear_median,
@@ -54,16 +54,12 @@ from .uniqueness import (
     uniqueness_verdict,
 )
 from .lambda_planes import (
-    LambdaPlane,
     classify_lambda,
     lambda_triangle_solution,
     make_lambda_norm,
     torricelli_point,
 )
 from .oracle import (
-    GridSpec,
-    ProbeReport,
-    auto_bbox,
     grid_minimize,
     probe_solution_set,
     random_instance,
@@ -83,18 +79,18 @@ __all__ = [
     "element_point", "gauge", "make_polygonal_norm", "norming_set",
 
     "AngleShape", "Certificate", "Cone", "FTSolution", "RayShape",
-    "build_cone", "candidate_minimize", "check_certificate",
+    "build_cones", "candidate_minimize", "check_certificate",
     "collinear_median", "enumerate_selections", "ft_solve", "intersect_cones",
     "objective", "verify_ft_point",
 
     "ConsistentTriple", "Verdict", "check_condition1", "check_condition2",
     "check_condition3", "uniqueness_verdict",
 
-    "LambdaPlane", "classify_lambda", "lambda_triangle_solution",
-    "make_lambda_norm", "torricelli_point",
+    "classify_lambda", "lambda_triangle_solution", "make_lambda_norm",
+    "torricelli_point",
 
-    "GridSpec", "ProbeReport", "auto_bbox", "grid_minimize",
-    "probe_solution_set", "random_instance", "random_symmetric_norm",
+    "grid_minimize", "probe_solution_set", "random_instance",
+    "random_symmetric_norm",
 
     "render_svg",
 ]

@@ -240,11 +240,11 @@ def clip_polygon(vertices: list[Vec2], edge_halfplanes: list[HalfPlane],
     ``edge_halfplanes[k]`` must carry the edge leaving ``vertices[k]``. Each
     output vertex is computed as the intersection of the two support lines
     that bound its edges, which keeps coordinates accurate even for slivers.
-    Raises ValueError for a half-plane normal no longer than ``eps``.
+    Raises InputError for a half-plane normal no longer than ``eps``.
     """
     for hp in halfplanes:
         if hp.normal.norm() <= eps:
-            raise ValueError("half-plane normal is too short")
+            raise InputError("half-plane normal is too short")
     poly = list(zip(vertices, (hp.unit() for hp in edge_halfplanes)))
     for hp in halfplanes:
         poly = _clip(poly, hp.unit(), eps)

@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import CertificateError, InputError
-from .geometry import DEFAULT_EPS, Vec2, orient
+from .geometry import DEFAULT_EPS, Vec2, check_eps, orient
 from .norms import PolygonalNorm, VertexElement, classify_direction
 from .solver import FTSolution, ft_solve
 from .uniqueness import Verdict, uniqueness_verdict
@@ -69,6 +69,7 @@ def torricelli_point(x1: Vec2, x2: Vec2, x3: Vec2,
     Defined only for non-degenerate triangles with all angles strictly below
     120 degrees; built by crossing two lines to outer equilateral apexes.
     """
+    check_eps(eps)
     if orient(x1, x2, x3, eps) == 0:
         return None
     pts = (x1, x2, x3)
@@ -102,6 +103,7 @@ def lambda_triangle_solution(lam: int, x1: Vec2, x2: Vec2, x3: Vec2,
     vertices it collapses to the point itself. The generic solver result is
     cross-checked against this prediction before being returned.
     """
+    check_eps(eps)
     if lam % 3 != 0:
         raise InputError(f"parameter {lam} is not a multiple of 3")
     if orient(x1, x2, x3, eps) == 0:

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError
-from .geometry import DEFAULT_EPS, Vec2, orient
+from .geometry import DEFAULT_EPS, Vec2, check_eps, orient
 
 _TWO_PI = 2.0 * math.pi
 Functional = Vec2  # the dual plane's name for its points
@@ -149,6 +149,7 @@ def make_polygonal_norm(vertices: list[Vec2] | list[tuple[float, float]],
     Accepts clockwise input (it is reversed); the starting vertex is kept so
     callers control the edge indexing.
     """
+    check_eps(eps)
     verts = [v if isinstance(v, Vec2) else Vec2(float(v[0]), float(v[1]))
              for v in vertices]
     if any(not v.is_finite() for v in verts):
@@ -211,7 +212,7 @@ def dual_norm(norm: PolygonalNorm, phi: Functional) -> float:
     return float(dual_norms(norm, (phi,))[1][0])
 
 
-def gauge(norm: PolygonalNorm, v: Vec2, eps: float = DEFAULT_EPS) -> float:
+def gauge(norm: PolygonalNorm, v: Vec2) -> float:
     """Minkowski gauge of v: the scale at which v meets the polygon boundary.
 
     Located by binary search over the angular sectors of the edges; the
@@ -249,7 +250,7 @@ def classify_direction(norm: PolygonalNorm, v: Vec2,
         w = norm.vertices[idx]
         if abs(v.cross(w)) <= eps * vlen * w.norm() and v.dot(w) > 0.0:
             return VertexElement(idx)
-    vhat = v * (1.0 / gauge(norm, v, eps))
+    vhat = v * (1.0 / gauge(norm, v))
     a, b = norm.vertices[k], norm.vertices[(k + 1) % m]
     d = b - a
     t = (vhat - a).dot(d) / d.dot(d)

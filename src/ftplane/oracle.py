@@ -18,22 +18,10 @@ from .geometry import DEFAULT_EPS, Region, Vec2, convex_hull
 from .norms import PolygonalNorm, make_polygonal_norm
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Search grid: bounding box, cells per axis, zoom-in rounds.
-
-    ``bbox`` of None means the terminal bounding box inflated by one norm
-    unit. Every refinement round shrinks the box tenfold around the
-    incumbent.
-    """
-
-    bbox: tuple[Vec2, Vec2] | None = None
-    resolution: int = 400
-    refine_rounds: int = 3
-
-    def __post_init__(self):
-        if self.resolution < 8:
-            raise ValueError(f"resolution must be >= 8, got {self.resolution}")
+# The search grid: cells per axis, and zoom rounds that each shrink the box
+# tenfold around the incumbent.
+_RESOLUTION = 400
+_REFINE_ROUNDS = 3
 
 
 @dataclass(frozen=True)
@@ -77,27 +65,24 @@ def oracle_objective(norm: PolygonalNorm, points, x: Vec2) -> float:
 
 def auto_bbox(norm: PolygonalNorm, points) -> tuple[Vec2, Vec2]:
     """Terminal bounding box inflated by one norm unit on every side."""
+    if not points:
+        raise InputError("need at least one terminal")
     r = max(v.norm() for v in norm.vertices)
     xs = [q.x for q in points]
     ys = [q.y for q in points]
     return (Vec2(min(xs) - r, min(ys) - r), Vec2(max(xs) + r, max(ys) + r))
 
 
-def grid_minimize(norm: PolygonalNorm, points,
-                  grid: GridSpec | None = None) -> tuple[Vec2, float]:
-    """Best grid point after the refinement rounds."""
-    if not points:
-        raise InputError("need at least one terminal")
-    grid = grid or GridSpec()
-    lo, hi = grid.bbox if grid.bbox is not None else auto_bbox(norm, points)
-    res = grid.resolution
+def grid_minimize(norm: PolygonalNorm, points) -> tuple[Vec2, float]:
+    """Best grid point after the refinement rounds, starting from ``auto_bbox``."""
+    lo, hi = auto_bbox(norm, points)
     best_pt = lo
     best_val = math.inf
     cx, cy = (lo.x + hi.x) / 2, (lo.y + hi.y) / 2
     wx, wy = hi.x - lo.x, hi.y - lo.y
-    for _ in range(grid.refine_rounds + 1):
-        xs = np.linspace(cx - wx / 2, cx + wx / 2, res + 1)
-        ys = np.linspace(cy - wy / 2, cy + wy / 2, res + 1)
+    for _ in range(_REFINE_ROUNDS + 1):
+        xs = np.linspace(cx - wx / 2, cx + wx / 2, _RESOLUTION + 1)
+        ys = np.linspace(cy - wy / 2, cy + wy / 2, _RESOLUTION + 1)
         vals = _objective_grid(norm, points, xs, ys)
         idx = int(vals.argmin())
         val = float(vals.flat[idx])
@@ -110,29 +95,26 @@ def grid_minimize(norm: PolygonalNorm, points,
     return best_pt, best_val
 
 
-def final_cell_diameter(norm: PolygonalNorm, points,
-                        grid: GridSpec | None = None) -> float:
+def final_cell_diameter(norm: PolygonalNorm, points) -> float:
     """Diagonal of one cell of the last refinement grid."""
-    grid = grid or GridSpec()
-    lo, hi = grid.bbox if grid.bbox is not None else auto_bbox(norm, points)
-    shrink = 10.0 ** grid.refine_rounds
-    wx = (hi.x - lo.x) / shrink / grid.resolution
-    wy = (hi.y - lo.y) / shrink / grid.resolution
+    lo, hi = auto_bbox(norm, points)
+    shrink = 10.0 ** _REFINE_ROUNDS
+    wx = (hi.x - lo.x) / shrink / _RESOLUTION
+    wy = (hi.y - lo.y) / shrink / _RESOLUTION
     return math.hypot(wx, wy)
 
 
 def probe_solution_set(norm: PolygonalNorm, points, region: Region,
-                       value: float | None = None, samples: int = 64,
-                       delta: float = 1e-6,
-                       rng: Random | None = None) -> ProbeReport:
+                       value: float | None = None, delta: float = 1e-6) -> ProbeReport:
     """Compare objective values inside the region against pushed-out points.
 
-    Inside samples (vertices, edge midpoints, random convex combinations)
-    should match the optimal value; points pushed ``delta`` outward along
-    the boundary normals should exceed it. A corrupted region shows up as a
-    large inside deviation or a non-positive outside excess.
+    Inside samples (vertices, edge midpoints, 64 random convex combinations
+    drawn from ``Random(0)``) should match the optimal value; points pushed
+    ``delta`` outward along the boundary normals should exceed it. A
+    corrupted region shows up as a large inside deviation or a non-positive
+    outside excess.
     """
-    rng = rng or Random(0)
+    rng = Random(0)
     verts = list(region.vertices)
     if not verts:
         raise InputError("cannot probe an empty region")
@@ -143,14 +125,14 @@ def probe_solution_set(norm: PolygonalNorm, points, region: Region,
     if region.kind == "segment":
         a, b = verts
         inside.append((a + b) * 0.5)
-        for _ in range(samples):
+        for _ in range(64):
             t = rng.random()
             inside.append(a + (b - a) * t)
     elif region.kind == "polygon":
         n = len(verts)
         for i in range(n):
             inside.append((verts[i] + verts[(i + 1) % n]) * 0.5)
-        for _ in range(samples):
+        for _ in range(64):
             ws = [rng.random() for _ in range(n)]
             tot = sum(ws)
             x = sum(w * v.x for w, v in zip(ws, verts)) / tot
@@ -192,11 +174,10 @@ def probe_solution_set(norm: PolygonalNorm, points, region: Region,
 
 # --- random instances --------------------------------------------------------
 
-def random_symmetric_norm(rng: Random, m: int | None = None,
-                          eps: float = DEFAULT_EPS) -> PolygonalNorm:
+def random_symmetric_norm(rng: Random, eps: float = DEFAULT_EPS) -> PolygonalNorm:
     """Random centrally symmetric polygon norm with 4..20 vertices.
 
-    Samples m/2 angles and radii in [0.5, 1.5], mirrors through the origin
+    Samples 2..10 angles and radii in [0.5, 1.5], mirrors through the origin
     and takes the convex hull (which may drop sampled points that fall
     inside; symmetry survives, so the result just has fewer vertices).
     Rejected when the hull degenerates or loses symmetry, when the inradius
@@ -204,8 +185,7 @@ def random_symmetric_norm(rng: Random, m: int | None = None,
     bounds hold) or when two vertices get angularly too close.
     """
     while True:
-        mm = m if m is not None else 2 * rng.randint(2, 10)
-        half = mm // 2
+        half = rng.randint(2, 10)
         angles = sorted(rng.uniform(0.0, math.pi) for _ in range(half))
         # radius band per norm: narrow bands keep many-vertex hulls alive,
         # wide bands give spiky low-count ones
@@ -234,12 +214,8 @@ def random_symmetric_norm(rng: Random, m: int | None = None,
         return norm
 
 
-def random_points(rng: Random, n: int, low: float = -5.0,
-                  high: float = 5.0) -> list[Vec2]:
-    return [Vec2(rng.uniform(low, high), rng.uniform(low, high)) for _ in range(n)]
-
-
 def random_instance(rng: Random) -> tuple[PolygonalNorm, list[Vec2]]:
     """A random norm with 3..7 random terminals in [-5, 5]^2."""
     norm = random_symmetric_norm(rng)
-    return norm, random_points(rng, rng.randint(3, 7))
+    return norm, [Vec2(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0))
+                  for _ in range(rng.randint(3, 7))]

@@ -19,12 +19,12 @@ def _path(points: list[Vec2], close: bool) -> str:
     return " ".join(parts)
 
 
-def render_svg(norm: PolygonalNorm, points, solution: FTSolution | None = None,
-               cones: tuple[Cone, ...] | list[Cone] = (), size: int = 640) -> str:
-    """One norm path, one marker per terminal, one region path, one path per cone."""
-    anchors: list[Vec2] = list(norm.vertices) + list(points)
-    if solution is not None:
-        anchors += list(solution.region.vertices)
+def render_svg(norm: PolygonalNorm, points, solution: FTSolution,
+               cones: tuple[Cone, ...] | list[Cone] = ()) -> str:
+    """One norm path, one marker per terminal, one region path, one path per
+    cone, on a 640-pixel square."""
+    region = solution.region
+    anchors: list[Vec2] = list(norm.vertices) + list(points) + list(region.vertices)
     min_x = min(p.x for p in anchors)
     max_x = max(p.x for p in anchors)
     min_y = min(p.y for p in anchors)
@@ -54,22 +54,20 @@ def render_svg(norm: PolygonalNorm, points, solution: FTSolution | None = None,
         body.append(
             f'<path class="cone" d="{d}" fill="none" stroke="#2a7" '
             f'stroke-width="{_fmt(stroke)}" stroke-dasharray="{_fmt(4 * stroke)}"/>')
-    if solution is not None:
-        region = solution.region
-        if region.kind == "point":
-            p = region.vertices[0]
-            body.append(
-                f'<circle class="region" cx="{_fmt(p.x)}" cy="{_fmt(p.y)}" '
-                f'r="{_fmt(marker)}" fill="#d33"/>')
-        elif region.kind == "segment":
-            body.append(
-                f'<path class="region" d="{_path(list(region.vertices), False)}" '
-                f'fill="none" stroke="#d33" stroke-width="{_fmt(2 * stroke)}"/>')
-        elif region.kind == "polygon":
-            body.append(
-                f'<path class="region" d="{_path(list(region.vertices), True)}" '
-                f'fill="#d33" fill-opacity="0.25" stroke="#d33" '
-                f'stroke-width="{_fmt(stroke)}"/>')
+    if region.kind == "point":
+        p = region.vertices[0]
+        body.append(
+            f'<circle class="region" cx="{_fmt(p.x)}" cy="{_fmt(p.y)}" '
+            f'r="{_fmt(marker)}" fill="#d33"/>')
+    elif region.kind == "segment":
+        body.append(
+            f'<path class="region" d="{_path(list(region.vertices), False)}" '
+            f'fill="none" stroke="#d33" stroke-width="{_fmt(2 * stroke)}"/>')
+    elif region.kind == "polygon":
+        body.append(
+            f'<path class="region" d="{_path(list(region.vertices), True)}" '
+            f'fill="#d33" fill-opacity="0.25" stroke="#d33" '
+            f'stroke-width="{_fmt(stroke)}"/>')
     for q in points:
         body.append(
             f'<circle class="terminal" cx="{_fmt(q.x)}" cy="{_fmt(q.y)}" '
@@ -78,8 +76,8 @@ def render_svg(norm: PolygonalNorm, points, solution: FTSolution | None = None,
     inner = "\n    ".join(body)
     # Flip y so the figure reads in math orientation.
     return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-        f'height="{size}" viewBox="{_fmt(min_x)} {_fmt(-max_y)} '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="640" '
+        f'height="640" viewBox="{_fmt(min_x)} {_fmt(-max_y)} '
         f'{_fmt(width)} {_fmt(height)}">\n'
         f'  <g transform="scale(1,-1)">\n    {inner}\n  </g>\n</svg>\n'
     )

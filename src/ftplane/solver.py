@@ -42,6 +42,7 @@ from .geometry import (
     HalfPlane,
     Region,
     Vec2,
+    check_eps,
     clip_polygon,
     finite_spans,
     orient,
@@ -426,11 +427,11 @@ def _solve_selections(sets, target: Vec2,
 
 
 def enumerate_selections(norm: PolygonalNorm, points, p: Vec2,
-                         eps: float = DEFAULT_EPS,
-                         limit: int = 8) -> list[tuple[Functional, ...]]:
-    """Up to ``limit`` distinct valid selections at p, deterministic order."""
+                         eps: float = DEFAULT_EPS) -> list[tuple[Functional, ...]]:
+    """Every distinct valid selection the peels of ``_solve_selections`` find
+    at p (at most six), deterministic order."""
     sets = [norming_set(norm, q - p, eps) for q in points]
-    return [tuple(s) for s in _solve_selections(sets, Vec2(0.0, 0.0), limit)]
+    return [tuple(s) for s in _solve_selections(sets, Vec2(0.0, 0.0), 6)]
 
 
 def verify_ft_point(norm: PolygonalNorm, points, p: Vec2,
@@ -539,13 +540,6 @@ def build_cones(norm: PolygonalNorm, points, phis, eps: float = DEFAULT_EPS,
     return tuple(cones)
 
 
-def build_cone(norm: PolygonalNorm, x: Vec2, phi: Functional,
-               eps: float = DEFAULT_EPS) -> Cone:
-    """Cone of points from which phi keeps norming the displacement to x
-    (``build_cones`` for one terminal)."""
-    return build_cones(norm, (x,), (phi,), eps)[0]
-
-
 def _cone_halfplanes(cone: Cone, eps: float) -> list[HalfPlane]:
     v = cone.vertex
     if isinstance(cone.shape, AngleShape):
@@ -646,6 +640,7 @@ def ft_solve(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...],
     the certificate's cones, and every vertex of it must attain the optimal
     value.
     """
+    check_eps(eps)
     if not points:
         raise InputError("need at least one terminal")
     pts = tuple(points)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificateError
-from .geometry import DEFAULT_EPS, Region, Vec2, segment_interior_contains
+from .geometry import DEFAULT_EPS, Region, Vec2, check_eps, segment_interior_contains
 from .norms import (
     EdgeElement,
     Functional,
@@ -87,6 +87,7 @@ class _DualSetup:
 
     @classmethod
     def build(cls, norm: PolygonalNorm, eps: float) -> "_DualSetup":
+        check_eps(eps)
         duals = dual_vertices(norm)
         m = norm.m
         px, py = norm._dual_array[:, 0], norm._dual_array[:, 1]

@@ -8,7 +8,7 @@ import pytest
 
 from ftplane import (
     Vec2,
-    build_cone,
+    build_cones,
     check_condition1,
     check_condition2,
     check_condition3,
@@ -158,8 +158,8 @@ def test_criterion_6_choice_independence(corpus200):
         p = sol.certificate.base
         radius = cone_radius(norm, sol.objective)
         regions = []
-        for sel in enumerate_selections(norm, pts, p, limit=6):
-            cones = [build_cone(norm, q, f) for q, f in zip(pts, sel)]
+        for sel in enumerate_selections(norm, pts, p):
+            cones = build_cones(norm, pts, sel)
             regions.append(intersect_cones(cones, radius))
         if len(regions) >= 2:
             multi_selection += 1
@@ -176,7 +176,7 @@ def test_criterion_6_choice_independence(corpus200):
                 if any((alt - q).norm() <= 1e-9 for q in pts):
                     continue
                 sel = verify_ft_point(norm, pts, alt).functionals
-                cones = [build_cone(norm, q, f) for q, f in zip(pts, sel)]
+                cones = build_cones(norm, pts, sel)
                 regions.append(intersect_cones(cones, radius))
             multi_base += 1
         for r in regions[1:]:

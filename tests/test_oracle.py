@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ftplane import (
-    GridSpec,
+    InputError,
     Region,
     Vec2,
     ft_solve,
@@ -67,9 +67,10 @@ def test_objective_grid_matches_reference():
                               reference_objective_grid(norm, pts, *np.meshgrid(xs, ys)))
 
 
-def test_gridspec_validation():
-    with pytest.raises(ValueError):
-        GridSpec(resolution=4)
+def test_oracle_needs_a_terminal(diamond):
+    for call in (auto_bbox, final_cell_diameter, grid_minimize):
+        with pytest.raises(InputError, match="need at least one terminal"):
+            call(diamond, [])
 
 
 def test_probe_clean_on_solution(hexagon, unit_triangle):

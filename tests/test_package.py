@@ -1,3 +1,4 @@
+import functools
 import math
 import types
 
@@ -18,8 +19,10 @@ def test_all_is_importable_and_holds_no_module():
 def test_public_calls_raise_one_of_two_error_classes(diamond, square, unit_triangle):
     from ftplane import (
         AngleShape, CertificateError, Cone, Functional, InputError, PlaneError, RayShape,
-        Vec2, build_cone, classify_direction, ft_solve, intersect_cones,
-        lambda_triangle_solution, make_lambda_norm, make_polygonal_norm, norming_set)
+        Vec2, build_cones, check_condition1, check_condition2, check_condition3,
+        classify_direction, classify_lambda, ft_solve, intersect_cones,
+        lambda_triangle_solution, make_lambda_norm, make_polygonal_norm, norming_set,
+        torricelli_point, uniqueness_verdict)
 
     assert issubclass(InputError, (PlaneError, ValueError))
     assert issubclass(CertificateError, PlaneError)
@@ -37,12 +40,34 @@ def test_public_calls_raise_one_of_two_error_classes(diamond, square, unit_trian
          "angle cone must sweep counterclockwise below pi"),
         (lambda: classify_direction(diamond, Vec2(math.nan, 1)), "non-finite"),
         (lambda: norming_set(diamond, Vec2(math.nan, 1)), "non-finite"),
+        (lambda: intersect_cones([Cone(Vec2(0, 0), RayShape(Vec2(1e-10, 0)))], 10.0),
+         "half-plane normal is too short"),
+        (lambda: intersect_cones([Cone(Vec2(0, 0), AngleShape(Vec2(1e-10, 0), Vec2(0, 1e-10)))],
+                                 10.0), "half-plane normal is too short"),
     ]
+    # every entry point that takes a tolerance checks it as the command line does
+    hexagon_plane = make_lambda_norm(3).norm
+    asymmetric = [(1, 0), (0, 1), (-2, 0), (0, -1)]
+    obtuse = (Vec2(0, 0), Vec2(1, 0), Vec2(0.5, 0.05))  # a 169-degree angle
+    with_tolerance = [
+        lambda eps: make_polygonal_norm(asymmetric, eps),
+        lambda eps: ft_solve(diamond, unit_triangle, eps),
+        lambda eps: uniqueness_verdict(hexagon_plane, eps),
+        lambda eps: classify_lambda(3, eps),
+        lambda eps: check_condition1(hexagon_plane, eps),
+        lambda eps: check_condition2(hexagon_plane, eps),
+        lambda eps: check_condition3(hexagon_plane, eps),
+        lambda eps: torricelli_point(*obtuse, eps),
+        lambda eps: lambda_triangle_solution(3, *unit_triangle, eps),
+    ]
+    bad_input += [(functools.partial(call, eps), "tolerance must lie in")
+                  for call in with_tolerance for eps in (math.nan, -1.0, 0.0, 1e-3)]
     for call, message in bad_input:
         with pytest.raises(InputError, match=message):
             call()
     self_check = [
-        (lambda: build_cone(square, Vec2(0, 0), Functional(math.inf, 0.0)), "dual norm is inf"),
+        (lambda: build_cones(square, (Vec2(0, 0),), (Functional(math.inf, 0.0),)),
+         "dual norm is inf"),
         (lambda: intersect_cones([Cone(Vec2(0, 0), RayShape(Vec2(1, 0))),
                                   Cone(Vec2(0, 1), RayShape(Vec2(1, 0)))], 10.0),
          "cone intersection is empty"),

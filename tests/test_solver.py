@@ -16,7 +16,7 @@ from ftplane import (
     InputError,
     RayShape,
     Vec2,
-    build_cone,
+    build_cones,
     candidate_minimize,
     check_certificate,
     collinear_median,
@@ -445,22 +445,22 @@ def test_verify_ft_point_single_point_infeasible(diamond):
 
 
 def test_build_cone_diamond(diamond):
-    cone = build_cone(diamond, Vec2(3, 3), Functional(1, 1))
+    cone = build_cones(diamond, (Vec2(3, 3),), (Functional(1, 1),))[0]
     assert isinstance(cone.shape, AngleShape)
     assert cone.vertex == Vec2(3, 3)
     assert (cone.shape.d1.x, cone.shape.d1.y) == (-1, 0)
     assert (cone.shape.d2.x, cone.shape.d2.y) == (0, -1)
 
-    cone = build_cone(diamond, Vec2(2, 0), Functional(1, 0.5))
+    cone = build_cones(diamond, (Vec2(2, 0),), (Functional(1, 0.5),))[0]
     assert isinstance(cone.shape, RayShape)
     assert (cone.shape.direction.x, cone.shape.direction.y) == (-1, 0)
 
     with pytest.raises(CertificateError, match="dual norm is 2.0, expected 1"):
-        build_cone(diamond, Vec2(0, 0), Functional(2, 0))
+        build_cones(diamond, (Vec2(0, 0),), (Functional(2, 0),))
 
 
 def test_build_cone_hexagon(hexagon):
-    cone = build_cone(hexagon, Vec2(0.5, SQRT3 / 2), Functional(0, 2 / SQRT3))
+    cone = build_cones(hexagon, (Vec2(0.5, SQRT3 / 2),), (Functional(0, 2 / SQRT3),))[0]
     assert isinstance(cone.shape, AngleShape)
     assert (cone.shape.d1 - Vec2(-0.5, -SQRT3 / 2)).norm() <= 1e-12
     assert (cone.shape.d2 - Vec2(0.5, -SQRT3 / 2)).norm() <= 1e-12
@@ -476,7 +476,8 @@ def scalar_contacts(norm, phi, eps=DEFAULT_EPS):
 
 
 def scalar_cone(norm, x, phi, eps=DEFAULT_EPS):
-    """build_cone as a loop over the vertices: a Cone, or the error message."""
+    """build_cones for one terminal as a loop over the vertices: a Cone, or
+    the error message."""
     top, contact = scalar_contacts(norm, phi, eps)
     scale = max(1.0, phi.norm())
     if not (math.isfinite(scale) and abs(top - 1.0) <= 100 * eps * scale):
@@ -525,7 +526,7 @@ def test_vertex_table_matches_scalar_loop():
         assert contacts == [c for _, c in want]
         for phi in funcs:
             try:
-                got = build_cone(norm, Vec2(1, 2), phi)
+                got = build_cones(norm, (Vec2(1, 2),), (phi,))[0]
             except CertificateError as exc:
                 got = str(exc)
             assert got == scalar_cone(norm, Vec2(1, 2), phi)
@@ -543,16 +544,16 @@ def test_non_finite_certificates_and_functionals_are_rejected(diamond, square):
                           Certificate(Vec2(0, 0), funcs))
     assert math.isnan(dual_norm(diamond, Functional(nan, nan)))
     with pytest.raises(CertificateError, match="dual norm is nan"):
-        build_cone(diamond, Vec2(0, 0), Functional(nan, nan))
+        build_cones(diamond, (Vec2(0, 0),), (Functional(nan, nan),))
     # inf * 0 at the vertices on the y axis is NaN, as in Python floats,
     # and raises no RuntimeWarning
     with pytest.raises(CertificateError, match="dual norm is nan"):
-        build_cone(diamond, Vec2(0, 0), Functional(math.inf, 0.0))
+        build_cones(diamond, (Vec2(0, 0),), (Functional(math.inf, 0.0),))
     # on the square the dual norm is inf with no NaN, and the unit test's
     # tolerance 100 eps |phi| would be inf too
     for phi in (Functional(math.inf, 0.0), Functional(0.0, -math.inf)):
         with pytest.raises(CertificateError, match="dual norm is inf"):
-            build_cone(square, Vec2(0, 0), phi)
+            build_cones(square, (Vec2(0, 0),), (phi,))
 
 
 def test_non_finite_terminals_are_input_errors(diamond):
@@ -581,7 +582,7 @@ def test_intersect_cones_rays(diamond):
 def test_intersect_cones_hexagon_triangle(hexagon, unit_triangle):
     p = Vec2(0.5, SQRT3 / 6)
     phis = verify_ft_point(hexagon, unit_triangle, p).functionals
-    cones = [build_cone(hexagon, q, f) for q, f in zip(unit_triangle, phis)]
+    cones = build_cones(hexagon, unit_triangle, phis)
     radius = cone_radius(hexagon, objective(hexagon, unit_triangle, p))
     region = intersect_cones(cones, radius)
     assert region.kind == "polygon"
@@ -693,11 +694,11 @@ def test_ft_solve_pair_metric_rectangle(diamond):
 def test_choice_independence_on_flat_pair(diamond):
     pts = [Vec2(0, 0), Vec2(1, 0)]
     sol = ft_solve(diamond, pts)
-    sels = enumerate_selections(diamond, pts, sol.certificate.base, limit=8)
+    sels = enumerate_selections(diamond, pts, sol.certificate.base)
     assert len(sels) >= 2
     regions = []
     for sel in sels:
-        cones = [build_cone(diamond, q, f) for q, f in zip(pts, sel)]
+        cones = build_cones(diamond, pts, sel)
         regions.append(intersect_cones(cones, cone_radius(diamond, sol.objective)))
     for r in regions[1:]:
         assert regions_match(regions[0], r, tol=1e-9)
@@ -861,13 +862,13 @@ def test_plus_shape_enumerates_equivalent_selections(diamond):
     centre = Vec2(0.3, -0.7)
     pts = plus_shape(centre, (2, 1, 2, 1), seed=4)
     value = objective(diamond, pts, centre)
-    sels = enumerate_selections(diamond, pts, centre, limit=6)
+    sels = enumerate_selections(diamond, pts, centre)
     assert len(sels) >= 2
     assert len(set(sels)) == len(sels)
     regions = []
     for sel in sels:
         check_certificate(diamond, pts, Certificate(centre, sel))
-        cones = [build_cone(diamond, q, f) for q, f in zip(pts, sel)]
+        cones = build_cones(diamond, pts, sel)
         regions.append(intersect_cones(cones, cone_radius(diamond, value)))
     assert regions[0].kind == "point"
     for r in regions[1:]:
