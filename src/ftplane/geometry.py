@@ -126,6 +126,7 @@ class Region:
 
 def convex_hull(points: list[Vec2] | tuple[Vec2, ...], eps: float = DEFAULT_EPS) -> Region:
     """Convex hull, collapsed to a segment or point when degenerate."""
+    check_eps(eps)
     if not points:
         raise InputError("convex hull needs at least one point")
     pts = sorted(points, key=Vec2.key)

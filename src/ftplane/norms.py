@@ -77,14 +77,8 @@ class PolygonalNorm:
 
     @cached_property
     def _duals(self) -> tuple[Functional, ...]:
-        out = []
-        verts = self.vertices
-        m = len(verts)
-        for k in range(m):
-            p, q = verts[k], verts[(k + 1) % m]
-            det = p.x * q.y - p.y * q.x  # positive: CCW with origin inside
-            out.append(Vec2((q.y - p.y) / det, (p.x - q.x) / det))
-        return tuple(out)
+        xs, ys = self._dual_array.T.tolist()
+        return tuple(map(Vec2, xs, ys))
 
     @cached_property
     def _base_angle(self) -> float:
@@ -103,7 +97,14 @@ class PolygonalNorm:
 
     @cached_property
     def _dual_array(self) -> np.ndarray:
-        return np.array([[f.x, f.y] for f in self._duals], dtype=float)
+        """m x 2, C order: d_k = (q.y - p.y, p.x - q.x) / (p x q), p, q = v_k, v_{k+1}."""
+        p = self._vertex_array
+        q = np.concatenate([p[1:], p[:1]])
+        det = p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]
+        out = np.empty((len(p), 2))
+        out[:, 0] = (q[:, 1] - p[:, 1]) / det
+        out[:, 1] = (p[:, 0] - q[:, 0]) / det
+        return out
 
     @cached_property
     def _vertex_array(self) -> np.ndarray:
@@ -239,6 +240,7 @@ def classify_direction(norm: PolygonalNorm, v: Vec2,
     A direction within eps (angularly) of a vertex snaps to that vertex, so
     behavior at the boundary is deterministic.
     """
+    check_eps(eps)
     if v.x == 0.0 and v.y == 0.0:
         raise InputError("cannot classify the zero vector")
     if not v.is_finite():

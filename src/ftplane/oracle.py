@@ -14,7 +14,7 @@ from random import Random
 import numpy as np
 
 from .errors import InputError, PlaneError
-from .geometry import DEFAULT_EPS, Region, Vec2, convex_hull
+from .geometry import Region, Vec2, convex_hull
 from .norms import PolygonalNorm, make_polygonal_norm
 
 
@@ -174,7 +174,7 @@ def probe_solution_set(norm: PolygonalNorm, points, region: Region,
 
 # --- random instances --------------------------------------------------------
 
-def random_symmetric_norm(rng: Random, eps: float = DEFAULT_EPS) -> PolygonalNorm:
+def random_symmetric_norm(rng: Random) -> PolygonalNorm:
     """Random centrally symmetric polygon norm with 4..20 vertices.
 
     Samples 2..10 angles and radii in [0.5, 1.5], mirrors through the origin
@@ -195,11 +195,11 @@ def random_symmetric_norm(rng: Random, eps: float = DEFAULT_EPS) -> PolygonalNor
         pts = [Vec2(r * math.cos(a), r * math.sin(a))
                for a, r in zip(angles, radii)]
         pts += [-p for p in pts]
-        hull = convex_hull(pts, eps)
+        hull = convex_hull(pts)
         if hull.kind != "polygon" or len(hull.vertices) < 4:
             continue
         try:
-            norm = make_polygonal_norm(list(hull.vertices), eps)
+            norm = make_polygonal_norm(list(hull.vertices))
         except PlaneError:
             continue
         if max(f.norm() for f in norm._duals) > 2.0:

@@ -249,6 +249,7 @@ def candidate_minimize(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...
     (_live_lines; a parallel cut keeps or drops a line whole). Below the
     guard, where one broadcast call gauges every crossing, all are live.
     """
+    check_eps(eps)
     if not points:
         raise InputError("need at least one terminal")
     pts = list(points)
@@ -292,6 +293,7 @@ def _dedup(cands: list[Vec2], eps: float) -> list[Vec2]:
 def collinear_median(points: list[Vec2] | tuple[Vec2, ...],
                      eps: float = DEFAULT_EPS) -> Vec2 | None:
     """Middle point of an odd collinear set (sorted along the line), else None."""
+    check_eps(eps)
     pts = list(points)
     if not pts or len(pts) % 2 == 0:
         return None
@@ -426,11 +428,10 @@ def _solve_selections(sets, target: Vec2,
     return sels
 
 
-def enumerate_selections(norm: PolygonalNorm, points, p: Vec2,
-                         eps: float = DEFAULT_EPS) -> list[tuple[Functional, ...]]:
+def enumerate_selections(norm: PolygonalNorm, points, p: Vec2) -> list[tuple[Functional, ...]]:
     """Every distinct valid selection the peels of ``_solve_selections`` find
     at p (at most six), deterministic order."""
-    sets = [norming_set(norm, q - p, eps) for q in points]
+    sets = [norming_set(norm, q - p) for q in points]
     return [tuple(s) for s in _solve_selections(sets, Vec2(0.0, 0.0), 6)]
 
 
@@ -443,6 +444,7 @@ def verify_ft_point(norm: PolygonalNorm, points, p: Vec2,
     others need only sum to some psi of dual norm at most d, and each of the
     d relaxed entries is -psi / d, so the certificate still sums to zero.
     """
+    check_eps(eps)
     pts = list(points)
     omitted = tuple(i for i, q in enumerate(pts) if (q - p).norm() <= eps)
     sets = [norming_set(norm, q - p, eps) for i, q in enumerate(pts) if i not in omitted]
@@ -516,6 +518,7 @@ def build_cones(norm: PolygonalNorm, points, phis, eps: float = DEFAULT_EPS,
     an edge (angle cone); the touching set is negated and translated to x.
     ``table`` is ``dual_norms(norm, phis)``, if the caller has it.
     """
+    check_eps(eps)
     if table is None:
         table = dual_norms(norm, phis)
     m = norm.m
@@ -568,6 +571,7 @@ def intersect_cones(cones: list[Cone] | tuple[Cone, ...], radius: float,
     every mixed case. The square has half-width ``radius`` and is centred on
     the first cone's apex; it must contain the whole intersection.
     """
+    check_eps(eps)
     if not cones:
         raise InputError("need at least one cone")
     hps: list[HalfPlane] = []
@@ -595,6 +599,7 @@ def check_certificate(norm: PolygonalNorm, points, cert: Certificate,
     entries only need dual norm at most one. Returns the functionals'
     ``dual_norms`` (vertex table and dual norms), for the cones.
     """
+    check_eps(eps)
     pts = list(points)
     if len(cert.functionals) != len(pts):
         raise CertificateError("certificate length mismatch")

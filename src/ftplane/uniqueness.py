@@ -9,24 +9,18 @@ points whose solution set is a polygon or segment. A norm admits non-unique
 three-point instances exactly when one of the conditions fires, and the
 firing triple itself is the witness.
 
-A verdict builds the norm's dual set-up once (the dual polygon, whose
-vertices are the edge functionals, their lengths, the zero tolerance and
-the window table) and
-shares it between the conditions. Conditions 1 and 2 are decided together
-in one pass over the edge pairs i < j that locates -(d_i + d_j) on the dual
-polygon once per pair; condition 3 tests each edge functional against each
-dual edge. Both are numpy array passes over blocks of bounded size that
-repeat the scalar predicates' floating-point operations, so they return the
-same triples as pair-by-pair loops in O(m) memory. Where a pass screens
-cheaply first, the screen's survivors meet the scalar float tests as
-gathered arrays; scalar code only judges the cells left after those and
-builds the firing triple.
+A verdict builds the dual set-up once for all three conditions: one
+search finds, in every row of cells (an edge functional and a half turn),
+the cell where a screened value changes sign. Only the cells around it meet
+the exact tests, as arrays with the scalar predicates' floats, so the
+triples are those of pair-by-pair loops, in O(m log m) time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,193 +56,197 @@ class Verdict:
     region: Region | None = None  # the witness's solution set, as validated
 
 
-# Edge pairs (conditions 1 and 2) or (j, k) cells (condition 3) per block of
-# the array passes; fixes their working memory.
-_BLOCK = 2048
+# Cells one search round probes over its rows; one round covers m <= 90 whole.
+_CELLS = 4096
+
+
+def _runs(value, n: int, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and offsets of the cells inside each row's final span lo < hi.
+
+    Each of n rows holds cells x = 1 .. length - 1; ``value(r, x)``, for open
+    rows r, ascending, gives v and b: a cell is above where v > b and below
+    where v < -b, as offsets 0 and length count. A round probes F = max(3,
+    _CELLS // rows) cells of each open span; for n probes above and n' below
+    lo moves to the n-th probe and hi to the n'-th from the end, which loses
+    no hit if v does not increase but by less than b's margin over any hit.
+    A span probed whole, empty or unchanged is final."""
+    rows, lo, hi, final = np.arange(n), np.zeros(n, dtype=np.intp), np.full(n, length), []
+    while True:
+        gap = hi - lo - 1
+        f = min(max(3, _CELLS // rows.size), int(gap.max()))
+        probes = lo[:, None] + 1 + np.arange(f) * gap[:, None] // f  # all, if gap <= f
+        xs = np.concatenate([lo[:, None], probes, hi[:, None]], axis=1)
+        v, b = value(rows, xs[:, 1:-1])
+        t = np.arange(rows.size)  # a NaN is neither above nor below
+        lo, hi = xs[t, (v > b).sum(axis=1)], xs[t, f + 1 - (v < -b).sum(axis=1)]
+        end = gap <= f
+        if not end.all():
+            left = hi - lo - 1
+            end |= (left == 0) | (left == gap)
+        if end.all():
+            final.append((rows, lo, hi))
+            break
+        final.append((rows[end], lo[end], hi[end]))
+        rows, lo, hi = rows[~end], lo[~end], hi[~end]
+    rows, lo, hi = final[0] if len(final) == 1 else map(np.concatenate, zip(*final))
+    r, c = (np.arange((count := hi - lo - 1).max()) < count[:, None]).nonzero()
+    return rows[r], lo[r] + 1 + c
 
 
 @dataclass(frozen=True)
 class _DualSetup:
-    """What the three conditions read of one norm's dual, built once per verdict."""
+    """What the three conditions read of one norm's dual, built once per verdict.
+
+    ``build`` keeps the cells of one ``_runs`` search. Row i < m/2 holds j =
+    i + 1 .. i + m/2: psi = -(d_i + d_j) runs round P* - d_i (P* the dual
+    polygon) from -2 d_i to 0 and g = |psi|* - 1 from 1 to -1, not increasing
+    for a symmetric P* (the monotonicity lemma of normed planes). Row m/2 + j
+    takes c(k) = d_j x (d_k - d_{k-1}) over k = j + 1 .. j + m/2; the edge
+    directions turn once. As d_{k+m/2} = -d_k up to an asymmetry a, row
+    i + m/2 repeats row i, and c the next half turn, negated; bounds allow a.
+    """
 
     eps: float
-    dual_polygon: PolygonalNorm  # vertex k is the edge functional d_k
-    px: np.ndarray  # dual vertex coordinates
-    py: np.ndarray
-    ex: np.ndarray  # dual edge k, d_k - d_{k-1}
-    ey: np.ndarray
+    norm: PolygonalNorm
+    ez: np.ndarray  # dual edge k, d_k - d_{k-1}, as complex
     mags: list[float]  # |d_k|, with math.hypot
-    tol: float  # condition 1's zero test
-    # column s: the window of sector s, dual indices k = s - 1 .. s + 2 mod m
-    windows: np.ndarray
-    # column s, row by row: x of d_{s-2} .. d_{s+2}, y of d_{s-2} .. d_{s+2},
-    # then x and y of the dual edges k = s - 1 .. s + 2
-    window_table: np.ndarray
+    cells: tuple[np.ndarray, np.ndarray]  # the search's rows and offsets
 
     @classmethod
     def build(cls, norm: PolygonalNorm, eps: float) -> "_DualSetup":
         check_eps(eps)
-        duals = dual_vertices(norm)
-        m = norm.m
-        px, py = norm._dual_array[:, 0], norm._dual_array[:, 1]
-        mags = [d.norm() for d in duals]
-        w = (np.arange(-2, 3)[:, None] + np.arange(m)) % m
-        ex, ey = px - px[w[1]], py - py[w[1]]
-        return cls(
-            eps=eps, dual_polygon=PolygonalNorm(duals),
-            px=px, py=py, ex=ex, ey=ey, mags=mags,
-            # functional magnitudes grow as the polygon thins, so scale the zero test
-            tol=eps * max(1.0, max(mags)),
-            windows=w[1:], window_table=np.concatenate([px[w], py[w], ex[w[1:]], ey[w[1:]]]),
-        )
+        m, half = norm.m, norm.m // 2
+        dz = norm._dual_array.view(np.complex128)[:, 0]  # complex sums are the float ones
+        ez = dz - dz[np.arange(-1, m - 1)]
+        mags = list(map(math.hypot, *norm._dual_array.T.tolist()))  # Vec2.norm
+        big, tol = max(mags), eps * max(1.0, max(mags))  # tol: condition 1's zero test
+        # -conj(v_{k+1}); vertex k + 1 is P*'s functional on its edge k
+        wz = (norm._vertex_array[np.arange(1 - m, 1)] * [-1.0, 1.0j]).sum(axis=1)
+        lip, u_len = max(np.abs(wz).tolist()), np.abs(ez)
+        u_min, asym = min(u_len.tolist()), max(np.abs(dz[:half] + dz[half:]).tolist())
+        # The bound on g. A hit puts psi within delta of P*'s boundary: sqrt(2)
+        # tol of d_k, or by orient's |u x (d_{k-1} - psi)| <= eps scale 2 eps of
+        # the edge when |u| >= 4 eps (scale <= |u| + dist) and 3 M eps / |u|
+        # always (scale <= 3 M), 2^-46 M for rounding. |.|* is L-Lipschitz (L =
+        # max |v_k|); the float g adds 2^-45 kappa L M (kappa = L M^2 / u_min >=
+        # |d_s||d_{s+1}| / d_s x d_{s+1}), the asymmetry a = max |d_k + d_{k+m/2}|
+        # 12 L a (its bend of g's monotony, and the mirrored rows' g).
+        rnd = 2.0 ** -46 * big
+        delta = max(1.5 * tol, 2.0 * (eps + rnd) if u_min >= 4.0 * eps
+                    else 3.0 * big * (eps + rnd) / u_min)
+        g_cut = lip * (delta + 12.0 * asym) + 2.0 ** -45 * lip * lip * big ** 3 / u_min
+        # The bound on the sine c / (|d_j| |u_k|): eps, 2^-49 for rounding and
+        # 8 a M / (min |d| u_min) for a. Past a right angle from the sign change
+        # it exceeds its value at the half turn's ends, a dual edge line's
+        # distance from the origin over |d_j|: 1 / (L M) - 2 a / min |d| or more.
+        sin_cut = eps + 2.0 ** -49 + 8.0 * asym * big / (min(mags) * u_min)
+        if (sin_cut + 2.0 * asym / min(mags)) * lip * big >= 0.5:
+            sin_cut = math.inf  # keep every cell
+        # psi = -(d_i + d_j) meets edge s where d_i + d_j lies between -d_s and -d_{s+1}
+        order = (angle := np.angle(-dz)).argsort()
+        angle, order = angle[order], np.concatenate([order[-1:], order])
+        pz2 = np.concatenate([dz, dz])
+        unit_d = dz.conj() * (g_cut / sin_cut / np.abs(dz))  # one bound for all rows
+        row_d, unit_u = np.concatenate([unit_d[half:], unit_d[:half]]), ez / u_len
+        unit_u2 = np.concatenate([unit_u[half:], unit_u])  # k = row - m/2 + x
+
+        def value(r, x):
+            split = r.searchsorted(half)
+            p, c = r[:split, None], r[split:, None]
+            qz = dz[p] + pz2[p + x[:split]]
+            s = order[angle.searchsorted(np.arctan2(qz.imag, qz.real), side="right")]
+            return np.concatenate([(wz[s] * qz).real - 1.0,
+                                   (row_d[c] * unit_u2[c + x[split:]]).imag]), g_cut
+
+        return cls(eps=eps, norm=norm, ez=ez, mags=mags, cells=_runs(value, m, half + 1))
+
+    @cached_property
+    def window(self) -> tuple[np.ndarray, ...] | None:
+        """Pairs i < j, k = s - 1 .. s + 2 around psi's sector s on P*, psi, d_k - psi."""
+        m, (r, x), dz = len(self.mags), self.cells, self.norm._dual_array.view(np.complex128)
+        pair = r < m // 2
+        if not pair.any():
+            return None
+        i, j = r[pair], r[pair] + x[pair]
+        i, j = np.sort([np.concatenate([i, i + m // 2]), np.concatenate([j, j + m // 2]) % m], 0)
+        qz = -(dz[i, 0] + dz[j, 0])  # complex sums and differences are the float ones
+        k = (PolygonalNorm(dual_vertices(self.norm)).sector_batch(qz.real, qz.imag)
+             + np.arange(-1, 3)[:, None]) % m
+        bz = dz[k, 0] - qz  # d_k - psi is (d_i + d_j) + d_k bit for bit
+        return i, j, k, qz.real, qz.imag, bz.real, bz.imag
 
 
-def _hits(mask: np.ndarray, k: np.ndarray) -> list[tuple[int, int]]:
-    """A block's hits, window rows by pair columns, as (pair, dual index k) in
-    pair order, then ascending k; the window ascends in k except where it
-    wraps past m - 1."""
-    return sorted(zip(np.nonzero(mask)[1].tolist(), k[mask].tolist()))
+def _condition1(setup: _DualSetup) -> ConsistentTriple | None:
+    """The scalar zero test on the window, as arrays with its floats."""
+    if setup.window is None:
+        return None
+    duals, m, (i, j, k, _, _, bx, by) = dual_vertices(setup.norm), len(setup.mags), setup.window
+    tol = setup.eps * max(1.0, max(setup.mags))  # functional magnitudes grow as P thins
+    near = (k > j) & (np.abs(bx) <= tol) & (np.abs(by) <= tol)
+    if not near.any():
+        return None
+    i, j, k = map(int, np.unravel_index(((i * m + j) * m + k)[near].min(), (m, m, m)))
+    return ConsistentTriple((EdgeElement(i, 0.5), EdgeElement(j, 0.5), EdgeElement(k, 0.5)),
+                            (duals[i], duals[j], duals[k]), condition=1)
 
 
-def _pair_pass(setup: _DualSetup,
-               cond1: bool = True) -> tuple[ConsistentTriple | None, ConsistentTriple | None]:
-    """First condition-1 and first condition-2 triple, in edge-pair order i < j, then ascending k.
-
-    One pass decides both conditions. The pairs are numbered row by row and
-    taken in blocks of ``_BLOCK``; psi = -(d_i + d_j) is located once per
-    pair with ``PolygonalNorm.sector_batch``. Only the dual vertices and
-    edges of its sector s and of s - 1, s + 1 and s + 2 can lie within eps
-    of psi, and the window stays wide enough when the array route puts psi
-    one sector off. The pass ends at the block holding the first condition-1
-    triple, so the condition-2 triple it returns with one comes from an
-    earlier block or is None; once condition 2 has fired, only condition 1
-    is tested. ``cond1=False`` scans past condition-1 hits until condition 2
-    fires.
-
-    Condition 1 repeats the scalar zero test. Condition 2 compares orient's
-    cross product with eps times 4 max_k |d_k|, a bound on orient's scale
-    (every coordinate of psi is at most 2 max_k |d_k|, so every difference
-    orient takes is at most 3 max_k |d_k| after rounding); its survivors are
-    a superset of the pairs whose orient test passes. They are gathered and
-    meet orient's zero test and the interior test 0 < (psi - d_{k-1}) . u <
-    u . u of ``segment_interior_contains`` as arrays, with the same float
-    operations, so only pairs that pass both reach the scalar predicate,
-    which still judges the endpoints (its ``math.hypot`` is not numpy's).
-    It takes them in order, and the triples are the ones a pair-by-pair
-    loop finds.
-    """
-    duals, eps, tol = setup.dual_polygon.vertices, setup.eps, setup.tol
-    m, px, py = len(duals), setup.px, setup.py
-    cut = eps * 4.0 * max(setup.mags)
-    rows = np.arange(m)
-    row_start = rows * m - rows * (rows + 1) // 2
-    n_pairs = m * (m - 1) // 2
-    hit2 = None
-    for start in range(0, n_pairs, _BLOCK):
-        stop = min(start + _BLOCK, n_pairs)
-        pair = np.arange(start, stop)
-        r0, r1 = row_start.searchsorted((start, stop - 1), side="right") - 1
-        i = row_start[r0 + 1:r1 + 1].searchsorted(pair, side="right") + r0
-        j = pair - row_start[i] + i + 1
-        qx, qy = -(px[i] + px[j]), -(py[i] + py[j])
-        s = setup.dual_polygon.sector_batch(qx, qy)
-        table = setup.window_table.take(s, axis=1)
-        # d_w - psi is (d_i + d_j) + d_w bit for bit
-        dx, dy = table[0:5] - qx, table[5:10] - qy
-        if cond1:
-            near = np.abs(dx[1:]) <= tol
-            if near.any():
-                k = setup.windows.take(s, axis=1)
-                near &= (np.abs(dy[1:]) <= tol) & (k > j)
-                hits = _hits(near, k)
-                if hits:
-                    col, k_ = hits[0]
-                    i_, j_ = int(i[col]), int(j[col])
-                    return ConsistentTriple(
-                        (EdgeElement(i_, 0.5), EdgeElement(j_, 0.5), EdgeElement(k_, 0.5)),
-                        (duals[i_], duals[j_], duals[k_]), condition=1), hit2
-        if hit2 is not None:
-            continue
-        # |orient(d_{k-1}, d_k, psi)|'s cross product, bit for bit
-        cross = np.abs(table[10:14] * dy[:-1] - table[14:18] * dx[:-1])
-        close = cross <= cut
-        if not close.any():
-            continue
-        # the survivors meet orient's zero test and the interior test of
-        # segment_interior_contains as arrays, with its float operations
-        w, col = np.nonzero(close)
-        ux, uy = table[10 + w, col], table[14 + w, col]
-        ax, ay = dx[w, col], dy[w, col]  # d_{k-1} - psi
-        bx, by = dx[w + 1, col], dy[w + 1, col]  # d_k - psi
-        scale = np.maximum.reduce([np.abs(v) for v in (ux, uy, ax, ay, bx, by)])
-        t = -(ax * ux + ay * uy)  # (psi - d_{k-1}) . u, bit for bit
-        close[w, col] = (cross[w, col] <= eps * scale) & (0.0 < t) & (t < ux * ux + uy * uy)
-        for col, k_ in _hits(close, setup.windows.take(s, axis=1)):
-            i_, j_ = int(i[col]), int(j[col])
-            psi = -(duals[i_] + duals[j_])
-            if segment_interior_contains(duals[k_ - 1], duals[k_], psi, eps):
-                hit2 = ConsistentTriple((EdgeElement(i_, 0.5), EdgeElement(j_, 0.5),
-                                         VertexElement(k_)),
-                                        (duals[i_], duals[j_], psi),
-                                        condition=2)
-                break
-        if hit2 is not None and not cond1:
-            break
-    return None, hit2
+def _condition2(setup: _DualSetup) -> ConsistentTriple | None:
+    """``segment_interior_contains`` on the window as arrays with its floats,
+    then itself on the cells that pass, in order (math.hypot is not numpy's)."""
+    if setup.window is None:
+        return None
+    duals, eps, m = dual_vertices(setup.norm), setup.eps, len(setup.mags)
+    (px, py), (i, j, k, qx, qy, bx, by) = setup.norm._dual_array.T, setup.window
+    ux, uy = setup.ez.real[k], setup.ez.imag[k]
+    ax, ay = px[k - 1] - qx, py[k - 1] - qy  # d_{k-1} - psi
+    cross = np.abs(ux * ay - uy * ax)
+    scale = np.maximum.reduce([np.abs(v) for v in (ux, uy, ax, ay, bx, by)])
+    t = -(ax * ux + ay * uy)  # (psi - d_{k-1}) . u
+    close = (cross <= eps * scale) & (0.0 < t) & (t < ux * ux + uy * uy)
+    end = eps * (1.0 - 2.0 ** -50)  # np.hypot may differ from math.hypot in the last bit
+    close &= (np.hypot(ax, ay) > end) & (np.hypot(bx, by) > end)
+    for cell in np.sort(((i * m + j) * m + k)[close]):
+        i, j, k = map(int, np.unravel_index(cell, (m, m, m)))
+        psi = -(duals[i] + duals[j])
+        if segment_interior_contains(duals[k - 1], duals[k], psi, eps):
+            return ConsistentTriple((EdgeElement(i, 0.5), EdgeElement(j, 0.5), VertexElement(k)),
+                                    (duals[i], duals[j], psi), condition=2)
+    return None
 
 
 def _condition3(setup: _DualSetup) -> ConsistentTriple | None:
-    """``check_condition3`` on a built set-up.
-
-    The parallel test runs as arrays over blocks of rows j. Its survivors
-    are gathered before any further arithmetic and meet the |t| margins as
-    arrays, with the scalar float operations and ``math.hypot`` lengths, so
-    the extra work grows with the survivors only; the first cell to pass,
-    in (j, k) order, builds its triple with scalar ``Vec2`` arithmetic.
-    """
-    duals, eps = setup.dual_polygon.vertices, setup.eps
-    m = len(duals)
+    """The parallel test and the |t| margins on the search's cells, as
+    arrays with the scalar floats and ``math.hypot`` lengths; the first cell
+    to pass, in (j, k) order, builds its triple with ``Vec2`` arithmetic."""
+    eps, m, (r, x) = setup.eps, len(setup.mags), setup.cells
     half = m // 2
-    ua, ub = setup.ex, setup.ey
-    u_len = np.array([math.hypot(a, b) for a, b in zip(ua.tolist(), ub.tolist())])
-    # per dual edge: |u|^2 and the |t| margins 2 eps / |u| and 1 - 2 eps / |u|
-    u_sq, lo = u_len * u_len, 2 * (eps / u_len)
-    hi = 1.0 - lo
-    bound = eps * np.array(setup.mags)
-    pa, pb = setup.px[:, None], setup.py[:, None]
-    per_block = max(1, _BLOCK // m)
-    for start in range(0, m, per_block):
-        rows = slice(start, start + per_block)
-        parallel = ~(np.abs(pa[rows] * ub - pb[rows] * ua) > bound[rows, None] * u_len)
-        j, k = np.nonzero(parallel)
-        if not j.size:
-            continue
-        # the |t| margins on the survivors only, with the scalar float operations
-        j += start
-        t = np.abs((setup.px[j] * ua[k] + setup.py[j] * ub[k]) / u_sq[k])
-        fits = np.flatnonzero((lo[k] < t) & (t < hi[k]))
-        if fits.size:
-            j, k = int(j[fits[0]]), int(k[fits[0]])
-            phi, a = duals[j], duals[k - 1]
-            u = duals[k] - a
-            um = u.norm()
-            t = phi.dot(u) / (um * um)
-            s, r = (1.0 - t) / 2.0, (1.0 + t) / 2.0
-            psi1 = a + u * s
-            psi2 = -(a + u * r)
-            return ConsistentTriple(
-                (EdgeElement(j, 0.5), VertexElement(k),
-                 VertexElement((k + half) % m)),
-                (phi, psi1, psi2),
-                condition=3,
-            )
-    return None
+    three = r >= half
+    if not three.any():
+        return None
+    (px, py), ua, ub = setup.norm._dual_array.T, setup.ez.real, setup.ez.imag
+    j, k = r[three] - half, r[three] - half + x[three]  # and both moved by m/2
+    j, k = np.concatenate([j, j, j + half, j + half]), np.concatenate([k, k + half] * 2) % m
+    u_len = np.array(list(map(math.hypot, ua.tolist(), ub.tolist())))
+    lo = 2 * (eps / u_len)  # the |t| margins 2 eps / |u| and 1 - 2 eps / |u|
+    parallel = ~(np.abs(px[j] * ub[k] - py[j] * ua[k]) > eps * np.array(setup.mags)[j] * u_len[k])
+    t = np.abs((px[j] * ua[k] + py[j] * ub[k]) / (u_len * u_len)[k])
+    fits = parallel & (lo[k] < t) & (t < 1.0 - lo[k])
+    if not fits.any():
+        return None
+    j, k = divmod(int((j * m + k)[fits].min()), m)
+    duals = dual_vertices(setup.norm)
+    phi, a = duals[j], duals[k - 1]
+    u = duals[k] - a
+    t = phi.dot(u) / (u.norm() * u.norm())
+    return ConsistentTriple((EdgeElement(j, 0.5), VertexElement(k), VertexElement((k + half) % m)),
+                            (phi, a + u * ((1.0 - t) / 2.0), -(a + u * ((1.0 + t) / 2.0))),
+                            condition=3)
 
 
 def check_condition1(norm: PolygonalNorm,
                      eps: float = DEFAULT_EPS) -> ConsistentTriple | None:
     """First edge triple (i < j < k) whose functionals sum to zero."""
-    return _pair_pass(_DualSetup.build(norm, eps))[0]
+    return _condition1(_DualSetup.build(norm, eps))
 
 
 def check_condition2(norm: PolygonalNorm,
@@ -257,11 +255,10 @@ def check_condition2(norm: PolygonalNorm,
 
     The landing functional supports the circle at the paired vertex only,
     giving a triple of two edge-interior elements and one vertex. Landing on
-    a dual-edge endpoint is excluded: that would be an edge functional and
-    condition 1 territory. The first such pair is found whether or not
-    condition 1 fires.
+    a dual-edge endpoint, an edge functional, is condition 1's; the first
+    cell in (i, j, k) order is found whether or not condition 1 fires.
     """
-    return _pair_pass(_DualSetup.build(norm, eps), cond1=False)[1]
+    return _condition2(_DualSetup.build(norm, eps))
 
 
 def check_condition3(norm: PolygonalNorm,
@@ -271,8 +268,7 @@ def check_condition3(norm: PolygonalNorm,
     Writing the edge functional as t times the dual-edge direction with
     0 < |t| < 1 lets the two vertex functionals sit strictly inside the dual
     edges at an origin-symmetric vertex pair while all three sum to zero.
-    The parallel test and the |t| margins run as arrays; the first cell
-    to pass both, in (j, k) order, gives the triple.
+    The first such cell in (j, k) order gives the triple.
     """
     return _condition3(_DualSetup.build(norm, eps))
 
@@ -286,8 +282,7 @@ def uniqueness_verdict(norm: PolygonalNorm,
     condition 2 must solve to something other than a point.
     """
     setup = _DualSetup.build(norm, eps)
-    hit1, hit2 = _pair_pass(setup)
-    triple = hit1 or hit2 or _condition3(setup)
+    triple = _condition1(setup) or _condition2(setup) or _condition3(setup)
     if triple is None:
         return Verdict(True)
     cond = triple.condition

@@ -19,10 +19,11 @@ def test_all_is_importable_and_holds_no_module():
 def test_public_calls_raise_one_of_two_error_classes(diamond, square, unit_triangle):
     from ftplane import (
         AngleShape, CertificateError, Cone, Functional, InputError, PlaneError, RayShape,
-        Vec2, build_cones, check_condition1, check_condition2, check_condition3,
-        classify_direction, classify_lambda, ft_solve, intersect_cones,
-        lambda_triangle_solution, make_lambda_norm, make_polygonal_norm, norming_set,
-        torricelli_point, uniqueness_verdict)
+        Vec2, build_cones, candidate_minimize, check_certificate, check_condition1,
+        check_condition2, check_condition3, classify_direction, classify_lambda,
+        collinear_median, convex_hull, ft_solve, intersect_cones, lambda_triangle_solution,
+        make_lambda_norm, make_polygonal_norm, norming_set, torricelli_point,
+        uniqueness_verdict, verify_ft_point)
 
     assert issubclass(InputError, (PlaneError, ValueError))
     assert issubclass(CertificateError, PlaneError)
@@ -49,6 +50,8 @@ def test_public_calls_raise_one_of_two_error_classes(diamond, square, unit_trian
     hexagon_plane = make_lambda_norm(3).norm
     asymmetric = [(1, 0), (0, 1), (-2, 0), (0, -1)]
     obtuse = (Vec2(0, 0), Vec2(1, 0), Vec2(0.5, 0.05))  # a 169-degree angle
+    corner = [Vec2(0, 0), Vec2(2, 0), Vec2(0, 2)]
+    cert = ft_solve(diamond, unit_triangle).certificate
     with_tolerance = [
         lambda eps: make_polygonal_norm(asymmetric, eps),
         lambda eps: ft_solve(diamond, unit_triangle, eps),
@@ -59,6 +62,15 @@ def test_public_calls_raise_one_of_two_error_classes(diamond, square, unit_trian
         lambda eps: check_condition3(hexagon_plane, eps),
         lambda eps: torricelli_point(*obtuse, eps),
         lambda eps: lambda_triangle_solution(3, *unit_triangle, eps),
+        lambda eps: candidate_minimize(diamond, corner, eps),
+        lambda eps: collinear_median([Vec2(0, 0), Vec2(1, 0), Vec2(2, 0)], eps),
+        lambda eps: classify_direction(diamond, Vec2(1, 1), eps),
+        lambda eps: norming_set(diamond, Vec2(1, 1), eps),
+        lambda eps: convex_hull(corner, eps),
+        lambda eps: verify_ft_point(diamond, corner, Vec2(0, 0), eps),
+        lambda eps: build_cones(square, (Vec2(0, 0),), (Functional(1.0, 0.0),), eps),
+        lambda eps: intersect_cones([Cone(Vec2(0, 0), RayShape(Vec2(1, 0)))], 10.0, eps),
+        lambda eps: check_certificate(diamond, unit_triangle, cert, eps),
     ]
     bad_input += [(functools.partial(call, eps), "tolerance must lie in")
                   for call in with_tolerance for eps in (math.nan, -1.0, 0.0, 1e-3)]

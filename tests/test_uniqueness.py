@@ -28,7 +28,6 @@ from ftplane.lambda_planes import make_lambda_norm
 from ftplane.norms import Functional, PolygonalNorm
 from ftplane.oracle import random_symmetric_norm
 from ftplane import uniqueness
-from ftplane.uniqueness import _BLOCK
 
 from conftest import COND2_OCTAGON, COND3_HEXAGON, SQRT3, rotations
 
@@ -255,22 +254,38 @@ def test_condition1_memory_is_linear():
     assert peak < 2_000_000
 
 
+def probed_cells(monkeypatch):
+    """Record the cells each round of the sign-change search probes: one
+    (rows, offsets) pair of arrays per round."""
+    rounds = []
+    runs = uniqueness._runs
+
+    def recording(value, *rows):
+        def probed(r, x):
+            rounds.append((r, x))
+            return value(r, x)
+        return runs(probed, *rows)
+
+    monkeypatch.setattr(uniqueness, "_runs", recording)
+    return rounds
+
+
 def test_verdict_locates_each_pair_once(monkeypatch):
-    # m = 100 and neither condition fires, so the pass runs in full over
-    # 4,950 pairs in three blocks: one sector location per pair for both
-    # conditions, not one per condition
-    located = []
-    sector_batch = PolygonalNorm.sector_batch
-
-    def counting(self, dx, dy):
-        located.append(len(dx))
-        return sector_batch(self, dx, dy)
-
-    monkeypatch.setattr(PolygonalNorm, "sector_batch", counting)
+    # m = 100 and neither condition fires: one search serves both
+    # conditions, and the psi of no non-antipodal pair is located in two
+    # rounds or twice in one
+    rounds = probed_cells(monkeypatch)
     norm = make_lambda_norm(50).norm
     assert uniqueness_verdict(norm).unique
-    n_pairs = norm.m * (norm.m - 1) // 2
-    assert sum(located) == n_pairs and len(located) == -(-n_pairs // _BLOCK) == 3
+    m = norm.m
+    located = []
+    for r, x in rounds:
+        cells = {(row, offset) for row, xs in zip(r.tolist(), x.tolist())
+                 for offset in xs if row < m // 2}
+        located += [frozenset((i, (i + offset) % m)) for i, offset in cells]
+    non_antipodal = [pair for pair in located if (max(pair) - min(pair)) != m // 2]
+    assert len(non_antipodal) == len(set(non_antipodal))
+    assert len(rounds) >= 2 and len(located) < m * (m - 1) // 2
 
 
 def scalar_pair_hits(norm, eps=DEFAULT_EPS):
@@ -340,7 +355,8 @@ def norm_from_dual_angles(degrees):
 
 
 def late_hit_norms():
-    """Norms over 100 edges whose first hit of conditions 1, 2 and 3 lies past the first block."""
+    """Norms over 130 edges or more, on which the search takes several rounds,
+    with hits of conditions 1, 2 and 3 away from the first row."""
     rng = Random(0)
 
     def spread(lo, hi, n):
@@ -361,8 +377,8 @@ def late_hit_norms():
 
 
 def cond2_before_cond1():
-    """A norm over 94 edges whose first condition-2 pair, (0, 45), lies in the
-    first block and whose first condition-1 pair, (41, 46), in a later one."""
+    """A norm over 94 edges whose first condition-2 pair, (0, 45), comes
+    before its first condition-1 pair, (41, 46)."""
     rng = Random(1)
     a = math.degrees(math.acos(math.cos(math.radians(20)) / 2))
     # d at 270 - a and 270 + a sum to minus the middle of the dual edge from
@@ -371,8 +387,21 @@ def cond2_before_cond1():
                                  + [rng.uniform(28.5, 54.5) for _ in range(40)])
 
 
+def search_cell(norm, triple):
+    """Row and offset of the triple's cell in the sign-change search: row i
+    < m/2 holds the pairs (i, i + x) and row m/2 + j condition 3's cells
+    (j, j + x), x = 1 .. m/2; each also stands for its cells moved by m/2."""
+    m, half = norm.m, norm.m // 2
+    if triple.condition == 3:
+        j, k = triple.elements[0].edge, triple.elements[1].index
+        return half + j % half, (k - j - 1) % half + 1
+    i, j = triple.elements[0].edge, triple.elements[1].edge
+    base, x = (i, j - i) if j - i <= half else (j, m - (j - i))
+    return base % half, x
+
+
 def pair_index(norm, triple):
-    """Position of the triple's edge pair i < j in the pass's row-by-row numbering."""
+    """Position of the triple's edge pair i < j in row-by-row order."""
     m, i, j = norm.m, triple.elements[0].edge, triple.elements[1].edge
     return i * m - i * (i + 1) // 2 + j - i - 1
 
@@ -391,7 +420,7 @@ def near_tolerance(vertices):
     return norms
 
 
-def test_conditions_match_scalar_reference():
+def test_conditions_match_scalar_reference(monkeypatch):
     norms = [random_symmetric_norm(rng) for rng in map(Random, range(5)) for _ in range(200)]
     # odd planes up to m = 202, whose condition-3 survivors fall in every block of rows
     norms += [make_lambda_norm(lam).norm for lam in [*range(2, 61), 61, 97, 101]]
@@ -427,17 +456,21 @@ def test_conditions_match_scalar_reference():
             continue
         assert repr(verdict.triple) == repr(first)
     assert min(fired) >= 30, fired
-    # the first hit of each condition lies outside the first block
+    # the search takes two rounds or more from m = 92 on, on the late-hit
+    # norms and the lambda-planes up to m = 202, and one below
+    rounds = probed_cells(monkeypatch)
+    for norm in late + [make_lambda_norm(lam).norm for lam in (24, 45, 46, 50, 101)]:
+        rounds.clear()
+        uniqueness_verdict(norm)
+        assert (len(rounds) >= 2) == (norm.m >= 92), (norm.m, len(rounds))
+    # and the late hits lie in rows that the second round still searches
     for norm, check in zip(late, (check_condition1, check_condition2, check_condition3)):
-        m, triple = norm.m, check(norm)
-        if check is check_condition3:
-            assert triple.elements[0].edge >= _BLOCK // m
-        else:
-            assert m * (m - 1) // 2 > _BLOCK
-            assert pair_index(norm, triple) >= _BLOCK
-    # condition 2 fires a block before condition 1, and the verdict scans on
+        rounds.clear()
+        row, offset = search_cell(norm, check(norm))
+        assert row in rounds[1][0] and 1 <= offset <= norm.m // 2
+    # condition 2's pair comes first, and the verdict still takes condition 1
     t1, t2 = check_condition1(both), check_condition2(both)
-    assert pair_index(both, t2) < _BLOCK <= pair_index(both, t1)
+    assert pair_index(both, t2) < pair_index(both, t1)
     assert uniqueness_verdict(both).triple == t1
 
 
@@ -470,6 +503,19 @@ def test_verdict_memory_is_bounded_across_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 4_000_000
+
+
+def test_verdict_at_scale():
+    # the 20,002-gon is unique, so the search covers every row of all three
+    # conditions; a pair-by-pair pass would take about half a minute here
+    norm = make_lambda_norm(10001).norm
+    tracemalloc.start()
+    try:
+        assert uniqueness_verdict(norm).unique
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000_000
 
 
 def non_point_triple(norm, rng, tries):
