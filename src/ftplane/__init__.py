@@ -39,7 +39,6 @@ from .solver import (
     candidate_minimize,
     check_certificate,
     collinear_median,
-    enumerate_selections,
     ft_solve,
     intersect_cones,
     objective,
@@ -80,7 +79,7 @@ __all__ = [
 
     "AngleShape", "Certificate", "Cone", "FTSolution", "RayShape",
     "build_cones", "candidate_minimize", "check_certificate",
-    "collinear_median", "enumerate_selections", "ft_solve", "intersect_cones",
+    "collinear_median", "ft_solve", "intersect_cones",
     "objective", "verify_ft_point",
 
     "ConsistentTriple", "Verdict", "check_condition1", "check_condition2",

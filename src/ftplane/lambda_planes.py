@@ -10,11 +10,12 @@ Euclidean 120-degree point meet the unit circle.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
 from .errors import CertificateError, InputError
-from .geometry import DEFAULT_EPS, Vec2, check_eps, orient
+from .geometry import DEFAULT_EPS, Vec2, check_eps, finite_spans, orient
 from .norms import PolygonalNorm, VertexElement, classify_direction
 from .solver import FTSolution, ft_solve
 from .uniqueness import Verdict, uniqueness_verdict
@@ -30,6 +31,8 @@ class LambdaPlane:
 
 def make_lambda_norm(lam: int) -> LambdaPlane:
     """Regular 2*lam-gon of circumradius 1, vertex k at angle k*pi/lam."""
+    if not isinstance(lam, numbers.Integral):
+        raise InputError(f"parameter must be an integer, got {lam!r}")
     if lam < 2:
         raise InputError(f"parameter must be >= 2, got {lam}")
 
@@ -70,9 +73,11 @@ def torricelli_point(x1: Vec2, x2: Vec2, x3: Vec2,
     120 degrees; built by crossing two lines to outer equilateral apexes.
     """
     check_eps(eps)
+    pts = (x1, x2, x3)
+    if not finite_spans(pts):
+        raise InputError("coordinates and their spans must be finite")
     if orient(x1, x2, x3, eps) == 0:
         return None
-    pts = (x1, x2, x3)
     for i in range(3):
         if _angle_at(pts[i], pts[(i + 1) % 3], pts[(i + 2) % 3]) >= _THIRD - eps:
             return None

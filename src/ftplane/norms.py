@@ -143,6 +143,13 @@ class PolygonalNorm:
         return np.searchsorted(self._rel_array, ang, side="right") - 1
 
 
+def _vertex(k: int, v) -> Vec2:
+    try:
+        return v if isinstance(v, Vec2) else Vec2(*map(float, v))
+    except (TypeError, ValueError):
+        raise InputError(f"vertex {k} must be a pair of numbers, got {v!r}") from None
+
+
 def make_polygonal_norm(vertices: list[Vec2] | list[tuple[float, float]],
                         eps: float = DEFAULT_EPS) -> PolygonalNorm:
     """Validate a raw vertex list and build a norm.
@@ -151,8 +158,7 @@ def make_polygonal_norm(vertices: list[Vec2] | list[tuple[float, float]],
     callers control the edge indexing.
     """
     check_eps(eps)
-    verts = [v if isinstance(v, Vec2) else Vec2(float(v[0]), float(v[1]))
-             for v in vertices]
+    verts = [_vertex(k, v) for k, v in enumerate(vertices)]
     if any(not v.is_finite() for v in verts):
         raise InputError("vertices must be finite")
     m = len(verts)
@@ -222,7 +228,7 @@ def gauge(norm: PolygonalNorm, v: Vec2) -> float:
     if v.x == 0.0 and v.y == 0.0:
         return 0.0
     val = norm._duals[norm.sector(v)].dot(v)
-    return val if val > 0.0 else 0.0
+    return val if not val <= 0.0 else 0.0  # NaN stays NaN, as in gauge_batch
 
 
 def gauge_batch(norm: PolygonalNorm, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:

@@ -21,10 +21,11 @@ and cone contacts come from one functional-by-vertex table (``dual_norms``),
 with the floats of a loop over the vertices.
 
 Each terminal's norming functionals form a point or a segment, so the sums
-of one pick per terminal form a zonogon. A selection peels it: each segment
-parameter is fixed once, at the midpoint of the interval that keeps the rest
-of the target reachable by the segments still free, in O(k^2) for k
-segments (terminals in a vertex direction from p).
+of one pick per terminal form a zonogon. One peel decides a selection: each
+segment parameter is fixed once, in index order, at the midpoint of the
+interval that keeps the rest of the target reachable by the segments still
+free, in O(k^2) for k segments (terminals in a vertex direction from p).
+It succeeds exactly when the target lies in the zonogon.
 """
 
 from __future__ import annotations
@@ -253,6 +254,8 @@ def candidate_minimize(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...
     if not points:
         raise InputError("need at least one terminal")
     pts = list(points)
+    if not finite_spans(pts):
+        raise InputError("coordinates and their spans must be finite")
     qx = np.array([q.x for q in pts], dtype=float)
     qy = np.array([q.y for q in pts], dtype=float)
     _, _, dx, dy, dn = norm._breaklines
@@ -353,25 +356,25 @@ def _zonogon_normals(gens: list[Vec2]) -> list[Vec2]:
     return out
 
 
-def _peel(gens: list[Vec2], target: Vec2, order: list[int],
-          end: float) -> list[float]:
+def _peel(gens: list[Vec2], target: Vec2) -> list[float]:
     """Box parameters t in [0, 1] with sum t_j g_j = target, if reachable.
 
-    The generators are fixed one at a time in ``order``. Step j picks t_j in
-    the interval that keeps ``target - sum t g`` inside the zonogon of the
-    generators not yet fixed, at fraction ``end`` of that interval; the
-    midpoint (0.5) keeps the remainder off that zonogon's boundary. The
-    products n.g are tabulated once and each step updates every normal's
-    support and level in O(1), so the peel costs O(k^2).
+    The generators are fixed one at a time in index order. Step j takes t_j
+    at the midpoint of the interval that keeps ``target - sum t g`` inside
+    the zonogon of the generators not yet fixed; in exact arithmetic that
+    interval is exactly the t_j that keep the rest reachable, so the peel
+    succeeds exactly when the target lies in the zonogon. The products n.g
+    are tabulated once and each step updates every normal's support and
+    level in O(1), so the peel costs O(k^2).
     """
     normals = _zonogon_normals(gens)
     dots = [[n.dot(g) for g in gens] for n in normals]
     support = [sum(max(0.0, ng) for ng in row) for row in dots]  # of the free gens
     levels = [n.dot(target) for n in normals]  # n . (target - sum t g)
-    ts = [0.0] * len(gens)
-    for j in order:
+    ts: list[float] = []
+    for j, g in enumerate(gens):
         lo, hi = 0.0, 1.0
-        tiny = 1e-12 * gens[j].norm()
+        tiny = 1e-12 * g.norm()
         for i, row in enumerate(dots):
             ng = row[j]
             support[i] -= max(0.0, ng)
@@ -382,57 +385,34 @@ def _peel(gens: list[Vec2], target: Vec2, order: list[int],
                 lo = max(lo, bound)
             else:
                 hi = min(hi, bound)
-        t = min(max(lo + end * (hi - lo), 0.0), 1.0)
-        ts[j] = t
+        t = min(max(lo + 0.5 * (hi - lo), 0.0), 1.0)
+        ts.append(t)
         levels = [level - t * row[j] for row, level in zip(dots, levels)]
     return ts
 
 
-def _solve_selections(sets, target: Vec2,
-                      limit: int = 1) -> list[list[Functional]]:
-    """Pick one functional per set so the picks sum to ``target``.
+def _select(sets, target: Vec2) -> list[Functional] | None:
+    """One functional per set, the picks summing to ``target``, or None.
 
     With segment sets parameterized by t in [0, 1], the reachable sums form
     a zonogon: the base plus one generator per segment. The zonogon peel
     (``_peel``) decomposes ``target`` into box parameters in O(k^2) for k
-    segments; a decomposition counts only if its residual is within a
-    tolerance relative to the functionals' size. Further selections come
-    from peeling in other orders and at interval ends. Returns up to
-    ``limit`` distinct solutions, in a fixed order.
+    segments; the decomposition counts only if its residual is within a
+    tolerance relative to the functionals' size.
     """
     base, idxs, gens = _zonogon(sets)
     t_target = target - base
     scale = max([1.0] + [f.norm() for s in sets for f in _set_bounds(s)])
     rtol = 2e-9 * scale * max(1, len(sets))
-    order = list(range(len(gens)))
-
-    found: list[list[float]] = []
-    # midpoints first; an interval end leaves the remainder on the boundary
-    # of the next zonogon and may miss, so ends only add alternatives
-    for end, steps in [(e, o) for e in (0.5, 0.0, 1.0) for o in (order, order[::-1])]:
-        ts = _peel(gens, t_target, steps, end)
-        sx = sum(t * g.x for t, g in zip(ts, gens))
-        sy = sum(t * g.y for t, g in zip(ts, gens))
-        if math.hypot(sx - t_target.x, sy - t_target.y) > rtol:
-            continue
-        if any(all(abs(u - w) <= 1e-9 for u, w in zip(prev, ts)) for prev in found):
-            continue
-        found.append(ts)
-        if len(found) >= limit:
-            break
-
-    sels = [[_set_bounds(s)[0] for s in sets] for _ in found]
-    for sel, ts in zip(sels, found):
-        for t, idx in zip(ts, idxs):
-            sel[idx] = sets[idx].at(t)
-    return sels
-
-
-def enumerate_selections(norm: PolygonalNorm, points, p: Vec2) -> list[tuple[Functional, ...]]:
-    """Every distinct valid selection the peels of ``_solve_selections`` find
-    at p (at most six), deterministic order."""
-    sets = [norming_set(norm, q - p) for q in points]
-    return [tuple(s) for s in _solve_selections(sets, Vec2(0.0, 0.0), 6)]
+    ts = _peel(gens, t_target)
+    sx = sum(t * g.x for t, g in zip(ts, gens))
+    sy = sum(t * g.y for t, g in zip(ts, gens))
+    if math.hypot(sx - t_target.x, sy - t_target.y) > rtol:
+        return None
+    sel = [_set_bounds(s)[0] for s in sets]
+    for t, idx in zip(ts, idxs):
+        sel[idx] = sets[idx].at(t)
+    return sel
 
 
 def verify_ft_point(norm: PolygonalNorm, points, p: Vec2,
@@ -443,19 +423,20 @@ def verify_ft_point(norm: PolygonalNorm, points, p: Vec2,
     none do and d terminals coincide with p, the condition relaxes: the
     others need only sum to some psi of dual norm at most d, and each of the
     d relaxed entries is -psi / d, so the certificate still sums to zero.
+    One midpoint peel of the norming sets' zonogon decides each target.
     """
     check_eps(eps)
     pts = list(points)
     omitted = tuple(i for i, q in enumerate(pts) if (q - p).norm() <= eps)
     sets = [norming_set(norm, q - p, eps) for i, q in enumerate(pts) if i not in omitted]
     psi = Vec2(0.0, 0.0)
-    sols = _solve_selections(sets, psi)
-    if not sols and omitted:
+    funcs = _select(sets, psi)
+    if funcs is None and omitted:
         psi = _relaxed_target(norm, sets, len(omitted), eps)
-        sols = [] if psi is None else _solve_selections(sets, psi)
-    if not sols:
+        funcs = None if psi is None else _select(sets, psi)
+    if funcs is None:
         return None
-    funcs, d = sols[0], len(omitted)
+    d = len(omitted)
     for i in omitted:  # ascending, so each lands at its own index
         funcs.insert(i, Vec2(-psi.x / d, -psi.y / d))
     return Certificate(p, tuple(funcs), omitted)
@@ -519,6 +500,8 @@ def build_cones(norm: PolygonalNorm, points, phis, eps: float = DEFAULT_EPS,
     ``table`` is ``dual_norms(norm, phis)``, if the caller has it.
     """
     check_eps(eps)
+    if len(points) != len(phis):
+        raise InputError(f"{len(points)} terminals but {len(phis)} functionals")
     if table is None:
         table = dual_norms(norm, phis)
     m = norm.m
@@ -574,6 +557,8 @@ def intersect_cones(cones: list[Cone] | tuple[Cone, ...], radius: float,
     check_eps(eps)
     if not cones:
         raise InputError("need at least one cone")
+    if not radius >= 0.0:
+        raise InputError(f"radius must be >= 0, got {radius}")
     hps: list[HalfPlane] = []
     for cone in cones:
         hps.extend(_cone_halfplanes(cone, eps))
@@ -634,16 +619,16 @@ def ft_solve(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...],
 
     A point p of the solution set comes first: the middle point of an odd
     collinear set, else the single minimizing candidate, else the centroid
-    of the minimizing candidates (or the first of them off the terminals,
-    if the centroid lands on one). On a nearly flat objective that centroid
-    can miss the optimum; when it does not certify, the lowest-valued
-    candidate (the first on ties) takes its place. One certify step follows
-    on every path: ``verify_ft_point`` finds the certificate and
-    ``check_certificate`` checks it. A relaxed certificate means p is a
-    terminal; only the first two sources may give one, and there p is the
-    whole solution set. Otherwise the solution set is the intersection of
-    the certificate's cones, and every vertex of it must attain the optimal
-    value.
+    of the minimizing candidates. On a nearly flat objective that centroid
+    can miss the optimum; when it gives no certificate, or a relaxed one,
+    the lowest-valued candidate (the first on ties) takes its place. One
+    certify step follows on every path: ``verify_ft_point`` finds the
+    certificate and ``check_certificate`` checks it. A relaxed certificate
+    means p is a terminal and the whole solution set; with several
+    minimizing candidates it contradicts them and raises CertificateError
+    ("no norming selection sums to zero at p"). Otherwise the solution set
+    is the intersection of the certificate's cones, and every vertex of it
+    must attain the optimal value.
     """
     check_eps(eps)
     if not points:
@@ -651,9 +636,6 @@ def ft_solve(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...],
     pts = tuple(points)
     if not finite_spans(pts):
         raise InputError("coordinates and their spans must be finite")
-
-    def near_terminal(c: Vec2) -> bool:
-        return any((c - q).norm() <= eps for q in pts)
 
     p, cands = collinear_median(pts, eps), []
     if p is not None:
@@ -664,14 +646,9 @@ def ft_solve(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...],
         if len(cands) > 1:
             p = Vec2(sum(c.x for c in cands) / len(cands),
                      sum(c.y for c in cands) / len(cands))
-            if near_terminal(p):
-                nonterm = [c for c in cands if not near_terminal(c)]
-                if not nonterm:
-                    raise CertificateError("argmin average unexpectedly hit a terminal")
-                p = nonterm[0]
 
     cert = verify_ft_point(norm, pts, p, eps)
-    if cert is None and len(cands) > 1:
+    if (cert is None or cert.relaxed) and len(cands) > 1:
         p = min(cands, key=lambda c: objective(norm, pts, c))
         cert = verify_ft_point(norm, pts, p, eps)
     # several candidates mean more than one optimum, which a relaxed
@@ -691,7 +668,7 @@ def ft_solve(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...],
     vtol = 100 * eps * max(1.0, abs(value))
     for v in region.vertices:
         got = objective(norm, pts, v)
-        if abs(got - value) > vtol:
+        if not abs(got - value) <= vtol:  # a NaN fails it
             raise CertificateError(
                 f"region vertex {v} attains {got}, optimum is {value}")
     return FTSolution(region, value, cert)

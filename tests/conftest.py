@@ -1,9 +1,10 @@
 import math
+from itertools import chain, combinations
 from random import Random
 
 import pytest
 
-from ftplane import Vec2, make_polygonal_norm
+from ftplane import FunctionalSegment, Vec2, make_polygonal_norm, norming_set
 
 SQRT3 = math.sqrt(3.0)
 
@@ -90,3 +91,72 @@ def regions_match(r1, r2, tol=1e-9) -> bool:
     if not r1.vertices:
         return True
     return hausdorff(r1.vertices, r2.vertices) <= tol
+
+
+def fibre_vertices(gens, r, tol=0):
+    """Parameter tuples t of the vertices of the fibre
+    {t in [0, 1]^k : sum_j t_j g_j = r}, generated lazily and possibly twice.
+
+    A vertex has at most two parameters inside (0, 1), on independent
+    generators; every other one sits at 0 or 1. So each vertex solves the
+    1x1 or 2x2 system of its free parameters once the others are fixed.
+    ``gens`` and ``r`` are (x, y) pairs. The tests are division-free, so
+    with ints and tol = 0 they are exact; with floats a residual or a box
+    excess up to tol is allowed and the parameters are clamped to [0, 1].
+    """
+    k = len(gens)
+    sums = [(0, 0)] * (1 << k)  # the sum of each subset of the generators
+    for mask in range(1, 1 << k):
+        j = (mask & -mask).bit_length() - 1
+        sx, sy = sums[mask & (mask - 1)]
+        sums[mask] = (sx + gens[j][0], sy + gens[j][1])
+    for free in chain([()], combinations(range(k), 1), combinations(range(k), 2)):
+        rest = (1 << k) - 1 - sum(1 << j for j in free)
+        ones = rest
+        while True:  # every subset of the fixed parameters set to 1
+            ex, ey = r[0] - sums[ones][0], r[1] - sums[ones][1]
+            ts = [float(ones >> j & 1) for j in range(k)]
+            if not free and abs(ex) <= tol and abs(ey) <= tol:
+                yield tuple(ts)
+            elif len(free) == 1:
+                gx, gy = gens[free[0]]
+                gg, dot, cross = gx * gx + gy * gy, ex * gx + ey * gy, ex * gy - ey * gx
+                if gg and cross * cross <= tol * tol * gg and -tol * gg <= dot <= (1 + tol) * gg:
+                    ts[free[0]] = min(max(dot / gg, 0.0), 1.0)
+                    yield tuple(ts)
+            elif free:
+                (ax, ay), (bx, by) = gens[free[0]], gens[free[1]]
+                det, na, nb = ax * by - ay * bx, ex * by - ey * bx, ax * ey - ay * ex
+                if det < 0:
+                    det, na, nb = -det, -na, -nb
+                if det > tol * math.hypot(ax, ay) * math.hypot(bx, by) and all(
+                        -tol * det <= n <= (1 + tol) * det for n in (na, nb)):
+                    ts[free[0]] = min(max(na / det, 0.0), 1.0)
+                    ts[free[1]] = min(max(nb / det, 0.0), 1.0)
+                    yield tuple(ts)
+            if ones == 0:
+                break
+            ones = (ones - 1) & rest
+
+
+def fibre_selections(norm, points, p, tol=1e-9):
+    """The distinct zero-sum selections of norming functionals at p at the
+    vertices of the fibre, then at the vertices' centroid (inside the fibre),
+    in a fixed order: a route through fibre_vertices, independent of the
+    solver's peel."""
+    sets = [norming_set(norm, q - p) for q in points]
+    segs = [j for j, s in enumerate(sets) if isinstance(s, FunctionalSegment)]
+    lows = [s.lo if isinstance(s, FunctionalSegment) else s for s in sets]
+    gens = [(sets[j].hi.x - sets[j].lo.x, sets[j].hi.y - sets[j].lo.y) for j in segs]
+    r = (-sum(f.x for f in lows), -sum(f.y for f in lows))
+    verts = list(dict.fromkeys(fibre_vertices(gens, r, tol * max(1, len(sets)))))
+    if verts:
+        verts.append(tuple(sum(ts) / len(verts) for ts in zip(*verts)))
+    out = []
+    for ts in verts:
+        sel = list(lows)
+        for j, t in zip(segs, ts):
+            sel[j] = sets[j].at(t)
+        if all(any((a - b).norm() > tol for a, b in zip(sel, prev)) for prev in out):
+            out.append(tuple(sel))
+    return out

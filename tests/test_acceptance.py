@@ -15,7 +15,6 @@ from ftplane import (
     classify_lambda,
     dual_norm,
     element_point,
-    enumerate_selections,
     ft_solve,
     gauge,
     grid_minimize,
@@ -31,7 +30,7 @@ from ftplane import (
 from ftplane.norms import Functional
 from ftplane.oracle import final_cell_diameter, random_instance, random_symmetric_norm
 
-from conftest import SQRT3, cone_radius, hausdorff, regions_match
+from conftest import SQRT3, cone_radius, fibre_selections, hausdorff, regions_match
 
 SEED = 7
 
@@ -158,7 +157,7 @@ def test_criterion_6_choice_independence(corpus200):
         p = sol.certificate.base
         radius = cone_radius(norm, sol.objective)
         regions = []
-        for sel in enumerate_selections(norm, pts, p):
+        for sel in fibre_selections(norm, pts, p):
             cones = build_cones(norm, pts, sel)
             regions.append(intersect_cones(cones, radius))
         if len(regions) >= 2:

@@ -1,6 +1,7 @@
 import math
 from random import Random
 
+import numpy as np
 import pytest
 
 from ftplane import (
@@ -16,8 +17,9 @@ from ftplane import (
     gauge,
     make_polygonal_norm,
     norming_set,
+    objective,
 )
-from ftplane.norms import Functional
+from ftplane.norms import Functional, gauge_batch
 from ftplane.oracle import random_symmetric_norm
 
 from conftest import SQRT3
@@ -73,6 +75,15 @@ def test_gauge_properties(diamond, hexagon):
             assert gauge(norm, u * t) == pytest.approx(t * gu, abs=1e-9 * max(1, t))
             assert gauge(norm, -u) == pytest.approx(gu, abs=1e-9)
             assert gauge(norm, u + w) <= gauge(norm, u) + gauge(norm, w) + 1e-9
+
+
+def test_gauge_keeps_nan_as_gauge_batch_does(diamond, hexagon):
+    for norm in (diamond, hexagon):
+        for v in (Vec2(math.nan, 0), Vec2(0, math.nan), Vec2(math.nan, math.nan)):
+            batch = gauge_batch(norm, np.array([v.x]), np.array([v.y]))[0]
+            assert math.isnan(gauge(norm, v)) and math.isnan(batch)
+    assert math.isnan(objective(diamond, [Vec2(0, 0)], Vec2(math.nan, 0)))
+    assert gauge(diamond, Vec2(-0.0, 0.0)) == 0.0 and gauge(diamond, Vec2(3, -4)) == 7.0
 
 
 def test_dual_vertices_diamond(diamond):

@@ -45,6 +45,22 @@ def test_public_calls_raise_one_of_two_error_classes(diamond, square, unit_trian
          "half-plane normal is too short"),
         (lambda: intersect_cones([Cone(Vec2(0, 0), AngleShape(Vec2(1e-10, 0), Vec2(0, 1e-10)))],
                                  10.0), "half-plane normal is too short"),
+        (lambda: candidate_minimize(diamond, [Vec2(math.nan, 0), Vec2(1, 0), Vec2(0, 1)]),
+         "coordinates and their spans must be finite"),
+        (lambda: torricelli_point(Vec2(math.nan, 0), Vec2(1, 0), Vec2(0, 1)),
+         "coordinates and their spans must be finite"),
+        (lambda: make_polygonal_norm([("a", 0), (0, 1), (-1, 0), (0, -1)]),
+         "vertex 0 must be a pair of numbers"),
+        (lambda: make_polygonal_norm([(1, 0), (1,), (-1, 0), (0, -1)]),
+         "vertex 1 must be a pair of numbers"),
+        (lambda: make_lambda_norm(3.5), "parameter must be an integer"),
+        (lambda: make_lambda_norm("3"), "parameter must be an integer"),
+        (lambda: intersect_cones([Cone(Vec2(0, 0), RayShape(Vec2(1, 0)))], -1.0),
+         "radius must be >= 0"),
+        (lambda: intersect_cones([Cone(Vec2(0, 0), RayShape(Vec2(1, 0)))], math.nan),
+         "radius must be >= 0"),
+        (lambda: build_cones(diamond, (Vec2(0, 0), Vec2(1, 0)), (Functional(1.0, 0.0),)),
+         "2 terminals but 1 functionals"),
     ]
     # every entry point that takes a tolerance checks it as the command line does
     hexagon_plane = make_lambda_norm(3).norm
@@ -77,6 +93,8 @@ def test_public_calls_raise_one_of_two_error_classes(diamond, square, unit_trian
     for call, message in bad_input:
         with pytest.raises(InputError, match=message):
             call()
+    # a radius of 0 stays legal: the square is the apex
+    assert intersect_cones([Cone(Vec2(0, 0), RayShape(Vec2(1, 0)))], 0.0).kind == "point"
     self_check = [
         (lambda: build_cones(square, (Vec2(0, 0),), (Functional(math.inf, 0.0),)),
          "dual norm is inf"),

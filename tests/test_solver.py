@@ -22,7 +22,6 @@ from ftplane import (
     collinear_median,
     dual_norm,
     dual_vertices,
-    enumerate_selections,
     ft_solve,
     gauge,
     intersect_cones,
@@ -33,7 +32,7 @@ from ftplane import (
 from ftplane import solver
 from ftplane.geometry import DEFAULT_EPS
 from ftplane.lambda_planes import make_lambda_norm
-from ftplane.norms import Functional, dual_norms, gauge_batch, norming_set
+from ftplane.norms import Functional, FunctionalSegment, dual_norms, gauge_batch, norming_set
 from ftplane.oracle import random_instance, random_symmetric_norm
 from ftplane.uniqueness import uniqueness_verdict
 
@@ -42,6 +41,8 @@ from conftest import (
     COND3_HEXAGON,
     SQRT3,
     cone_radius,
+    fibre_selections,
+    fibre_vertices,
     random_terminals,
     regions_match,
 )
@@ -694,7 +695,7 @@ def test_ft_solve_pair_metric_rectangle(diamond):
 def test_choice_independence_on_flat_pair(diamond):
     pts = [Vec2(0, 0), Vec2(1, 0)]
     sol = ft_solve(diamond, pts)
-    sels = enumerate_selections(diamond, pts, sol.certificate.base)
+    sels = fibre_selections(diamond, pts, sol.certificate.base)
     assert len(sels) >= 2
     regions = []
     for sel in sels:
@@ -862,7 +863,7 @@ def test_plus_shape_enumerates_equivalent_selections(diamond):
     centre = Vec2(0.3, -0.7)
     pts = plus_shape(centre, (2, 1, 2, 1), seed=4)
     value = objective(diamond, pts, centre)
-    sels = enumerate_selections(diamond, pts, centre)
+    sels = fibre_selections(diamond, pts, centre)
     assert len(sels) >= 2
     assert len(set(sels)) == len(sels)
     regions = []
@@ -907,7 +908,7 @@ def test_zonogon_normals_drop_only_bit_identical_duplicates(monkeypatch, diamond
         out = []
         for p, pts in cases:
             sets = [norming_set(diamond, q - p) for q in pts if q != p]
-            out.append(repr(solver._solve_selections(sets, Vec2(0.0, 0.0), limit=8)))
+            out.append(repr(solver._select(sets, Vec2(0.0, 0.0))))
             out.append(repr(verify_ft_point(diamond, pts, p)))
         return out
 
@@ -915,3 +916,73 @@ def test_zonogon_normals_drop_only_bit_identical_duplicates(monkeypatch, diamond
     monkeypatch.setattr(solver, "_zonogon_normals", zonogon_normals_with_duplicates)
     assert answers() == deduped
     assert sum("relaxed=()" not in a for a in deduped[1::2] if a != "None") >= 10
+
+
+def on_boundary(gens, r):
+    """Whether the lattice point r lies on the boundary of the zonogon of the
+    lattice generators (exact; each facet normal is the perp of a generator,
+    and the end caps count when all generators are parallel)."""
+    gens = [g for g in gens if g != (0, 0)]
+    normals = [(s * gy, -s * gx) for gx, gy in gens for s in (1, -1)]
+    if all(gx * hy == gy * hx for gx, gy in gens for hx, hy in gens):
+        normals += [(s * gx, s * gy) for gx, gy in gens[:1] for s in (1, -1)]
+    return any(nx * r[0] + ny * r[1] == sum(max(0, nx * gx + ny * gy) for gx, gy in gens)
+               for nx, ny in normals)
+
+
+def test_single_peel_decides_reachability_on_lattice_zonogons():
+    # one midpoint peel finds a selection exactly when the exact fibre
+    # {t in [0, 1]^k : sum t_j g_j = target - base} is non-empty, on integer
+    # segment sets and targets and on their copies scaled by 0.1 and 1/3
+    rng = Random(18)
+    reachable = boundary = 0
+    for _ in range(4000):
+        ends = [tuple(rng.randint(-2, 2) for _ in range(4)) for _ in range(rng.randint(1, 7))]
+        target = (rng.randint(-5, 5), rng.randint(-5, 5))
+        gens = [(c - a, d - b) for a, b, c, d in ends]
+        r = (target[0] - sum(e[0] for e in ends), target[1] - sum(e[1] for e in ends))
+        exact = next(fibre_vertices(gens, r), None) is not None
+        reachable += exact
+        boundary += exact and on_boundary(gens, r)
+        for scale in (1.0, 0.1, 1 / 3):
+            sets = [Vec2(a * scale, b * scale) if (a, b) == (c, d) else
+                    FunctionalSegment(Vec2(a * scale, b * scale), Vec2(c * scale, d * scale))
+                    for a, b, c, d in ends]
+            goal = Vec2(target[0] * scale, target[1] * scale)
+            sel = solver._select(sets, goal)
+            assert (sel is not None) == exact, (ends, target, scale)
+            if sel is not None:
+                total = Vec2(sum(f.x for f in sel), sum(f.y for f in sel))
+                assert (total - goal).norm() <= 1e-8
+    assert reachable >= 400 and boundary >= 100, (reachable, boundary)
+
+
+def test_relaxed_centroid_hands_over_to_the_lowest_candidate(monkeypatch, diamond):
+    # a faked argmin of two candidates averages onto the terminal at the
+    # origin, where the certificate is relaxed: one optimum against two
+    pair = [Vec2(0, 0), Vec2(2, 0)]
+    expected = ft_solve(diamond, pair).region
+    calls = []
+    verify = solver.verify_ft_point
+
+    def recording_verify(norm, pts, p, eps):
+        cert = verify(norm, pts, p, eps)
+        calls.append((p, None if cert is None else cert.relaxed))
+        return cert
+
+    monkeypatch.setattr(solver, "verify_ft_point", recording_verify)
+    # the lowest candidate (1, 0) is an optimum and certifies the segment
+    monkeypatch.setattr(solver, "candidate_minimize",
+                        lambda norm, pts, eps: ([Vec2(1, 0), Vec2(-1, 0)], 2.0))
+    sol = ft_solve(diamond, pair)
+    assert calls == [(Vec2(0.0, 0.0), (0,)), (Vec2(1, 0), ())]
+    assert sol.certificate.base == Vec2(1, 0) and regions_match(sol.region, expected)
+    assert expected.kind == "segment"
+    # no candidate certifies: the documented error
+    calls.clear()
+    star = [Vec2(0, 0), Vec2(1, 0), Vec2(-1, 0), Vec2(0, 1), Vec2(0, -1)]
+    monkeypatch.setattr(solver, "candidate_minimize",
+                        lambda norm, pts, eps: ([Vec2(0.5, 0), Vec2(-0.5, 0)], 4.0))
+    with pytest.raises(CertificateError, match="no norming selection sums to zero at p"):
+        ft_solve(diamond, star)
+    assert calls == [(Vec2(0.0, 0.0), (0,)), (Vec2(0.5, 0), None)]
