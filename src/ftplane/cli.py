@@ -110,7 +110,7 @@ def _verdict_doc(verdict: Verdict) -> dict:
         "verdict": "nonunique",
         "condition": verdict.triple.condition,
         "witness": [[w.x, w.y] for w in verdict.witness],
-        "region_kind": verdict.observed_kind,
+        "region_kind": verdict.region.kind,
     }
 
 
@@ -226,8 +226,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        if hasattr(args, "tol"):
-            check_eps(args.tol)
+        check_eps(args.tol)
         return args.func(args)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

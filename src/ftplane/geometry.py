@@ -129,6 +129,8 @@ def convex_hull(points: list[Vec2] | tuple[Vec2, ...], eps: float = DEFAULT_EPS)
     check_eps(eps)
     if not points:
         raise InputError("convex hull needs at least one point")
+    if not finite_spans(points):
+        raise InputError("coordinates and their spans must be finite")
     pts = sorted(points, key=Vec2.key)
     spread = max(pts[-1].x - pts[0].x,
                  max(p.y for p in pts) - min(p.y for p in pts))

@@ -111,15 +111,11 @@ def lambda_triangle_solution(lam: int, x1: Vec2, x2: Vec2, x3: Vec2,
     check_eps(eps)
     if lam % 3 != 0:
         raise InputError(f"parameter {lam} is not a multiple of 3")
-    if orient(x1, x2, x3, eps) == 0:
-        raise InputError("triangle is degenerate")
-    pts = (x1, x2, x3)
-    for i in range(3):
-        if _angle_at(pts[i], pts[(i + 1) % 3], pts[(i + 2) % 3]) >= _THIRD - eps:
-            raise InputError("triangle has an angle of 120 degrees or more")
-    plane = make_lambda_norm(lam)
     p = torricelli_point(x1, x2, x3, eps)
-    assert p is not None
+    if p is None:
+        raise InputError("triangle is degenerate or has an angle of 120 degrees or more")
+    plane = make_lambda_norm(lam)
+    pts = (x1, x2, x3)
     hits = sum(isinstance(classify_direction(plane.norm, q - p, eps), VertexElement)
                for q in pts)
     if hits not in (0, 3):

@@ -41,7 +41,8 @@ class VertexElement:
 
 @dataclass(frozen=True)
 class EdgeElement:
-    """A point strictly inside edge ``edge`` at parameter ``t`` in (0, 1)."""
+    """A point of edge ``edge`` at parameter ``t`` in [0, 1]; at an end only
+    where ``classify_direction`` clamps a rounded t."""
 
     edge: int
     t: float
@@ -282,8 +283,12 @@ def norming_set(norm: PolygonalNorm, v: Vec2,
 
 def element_point(norm: PolygonalNorm, element: UnitCircleElement) -> Vec2:
     """Coordinates of a unit-circle element."""
+    k = element.index if isinstance(element, VertexElement) else element.edge
+    if not (isinstance(k, (int, np.integer)) and 0 <= k < norm.m):
+        raise InputError(f"{element}: index is not an integer in 0..{norm.m - 1}")
     if isinstance(element, VertexElement):
-        return norm.vertices[element.index]
-    a = norm.vertices[element.edge]
-    b = norm.vertices[(element.edge + 1) % norm.m]
+        return norm.vertices[k]
+    if not 0.0 <= element.t <= 1.0:
+        raise InputError(f"{element}: t is not in [0, 1]")
+    a, b = norm.vertices[k], norm.vertices[(k + 1) % norm.m]
     return a + (b - a) * element.t

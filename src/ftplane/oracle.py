@@ -14,7 +14,7 @@ from random import Random
 import numpy as np
 
 from .errors import InputError, PlaneError
-from .geometry import Region, Vec2, convex_hull
+from .geometry import Region, Vec2, convex_hull, finite_spans
 from .norms import PolygonalNorm, make_polygonal_norm
 
 
@@ -67,6 +67,8 @@ def auto_bbox(norm: PolygonalNorm, points) -> tuple[Vec2, Vec2]:
     """Terminal bounding box inflated by one norm unit on every side."""
     if not points:
         raise InputError("need at least one terminal")
+    if not finite_spans(points):
+        raise InputError("coordinates and their spans must be finite")
     r = max(v.norm() for v in norm.vertices)
     xs = [q.x for q in points]
     ys = [q.y for q in points]

@@ -112,25 +112,20 @@ def objective(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...],
     return sum(gauge(norm, x - q) for q in points)
 
 
-# Breakline pairs per block of candidate_minimize; fixes its working memory.
+# Breakline pairs per row block of candidate_minimize, unless one row is longer.
 _PAIR_BLOCK = 1 << 15
 # Terminal-candidate cells per broadcast call of _objective_batch: a group of
 # terminals shares one call.
 _CELL_BLOCK = 1 << 13
 
 
-def _terminal_groups(qx: np.ndarray, qy: np.ndarray, n_cands: int):
-    """Column slices of the terminal coordinates, one per broadcast call."""
-    rows = max(1, _CELL_BLOCK // max(1, n_cands))
-    for lo in range(0, len(qx), rows):
-        yield qx[lo:lo + rows, None], qy[lo:lo + rows, None]
-
-
 def _objective_batch(norm: PolygonalNorm, qx: np.ndarray, qy: np.ndarray,
                      xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Objective at each (xs, ys); the terminals' gauges are added in order."""
     total = np.zeros(len(xs))
-    for gx, gy in _terminal_groups(qx, qy, len(xs)):
+    rows = max(1, _CELL_BLOCK // max(1, len(xs)))  # terminals per broadcast call
+    for lo in range(0, len(qx), rows):
+        gx, gy = qx[lo:lo + rows, None], qy[lo:lo + rows, None]
         for row in gauge_batch(norm, xs - gx, ys - gy):
             total += row
     return total
@@ -204,28 +199,24 @@ def _live_lines(norm: PolygonalNorm, qx: np.ndarray, qy: np.ndarray,
 def _crossing_blocks(qx: np.ndarray, qy: np.ndarray, dx: np.ndarray,
                      dy: np.ndarray, dn: np.ndarray, live: np.ndarray):
     """The terminals, then the crossings of live lines x_i + d_k t and x_j + d_l s
-    (i < j) in the order (i, k, j, l), at most _PAIR_BLOCK line pairs a block:
+    (i < j) in the order (i, k, j, l), in blocks of rows paired with all later
+    lines, at most _PAIR_BLOCK pairs but for a longer row alone:
     t = ((x_j - x_i) x d_l) / (d_k x d_l), unless |d_k x d_l| <= 1e-12 |d_k| |d_l|."""
     li, lk = np.nonzero(live.reshape(len(qx), len(dx)))
     lx, ly, ldx, ldy, ldn = qx[li], qy[li], dx[lk], dy[lk], dn[lk]
-    head = (qx, qy)
     rows = max(1, _PAIR_BLOCK // max(1, len(li)))
-    for a0 in range(0, len(li), rows):
-        a = slice(a0, a0 + rows)
-        for c0 in range(a0 + 1, len(li), _PAIR_BLOCK):
-            b = slice(c0, c0 + _PAIR_BLOCK)
-            den = ldx[a, None] * ldy[b] - ldy[a, None] * ldx[b]
-            ra, rb = np.nonzero((li[a, None] < li[b])
-                                & (np.abs(den) > 1e-12 * ldn[a, None] * ldn[b]))
-            den, ra, rb = den[ra, rb], ra + a0, rb + c0
-            t = ((lx[rb] - lx[ra]) * ldy[rb] - (ly[rb] - ly[ra]) * ldx[rb]) / den
-            xs, ys = lx[ra] + ldx[ra] * t, ly[ra] + ldy[ra] * t
-            if head is not None:
-                xs, ys, head = np.concatenate([qx, xs]), np.concatenate([qy, ys]), None
-            if len(xs):
-                yield xs, ys
-    if head is not None:  # no crossing
-        yield head
+    for a0 in range(0, max(1, len(li)), rows):  # at least once, for the terminals
+        a, b = slice(a0, a0 + rows), slice(a0 + 1, None)
+        den = ldx[a, None] * ldy[b] - ldy[a, None] * ldx[b]
+        ra, rb = np.nonzero((li[a, None] < li[b])
+                            & (np.abs(den) > 1e-12 * ldn[a, None] * ldn[b]))
+        den, ra, rb = den[ra, rb], ra + a0, rb + a0 + 1
+        t = ((lx[rb] - lx[ra]) * ldy[rb] - (ly[rb] - ly[ra]) * ldx[rb]) / den
+        xs, ys = lx[ra] + ldx[ra] * t, ly[ra] + ldy[ra] * t
+        if a0 == 0:
+            xs, ys = np.concatenate([qx, xs]), np.concatenate([qy, ys])
+        if len(xs):
+            yield xs, ys
 
 
 def candidate_minimize(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...],
@@ -242,7 +233,7 @@ def candidate_minimize(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...
     through one terminal cross at it (t = +-0); it heads the first block, so
     the stable key sort and the dedup would drop that copy, which is not
     formed. Every crossing formed gets the gauge, and those within tolerance
-    of their block's least value are kept for the final filter.
+    of the least value so far are kept for the final filter.
 
     Only crossings of two live lines are formed: a candidate within
     tolerance of the optimum lies in the sublevel set {f <= T} of the
@@ -261,24 +252,20 @@ def candidate_minimize(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...
     _, _, dx, dy, dn = norm._breaklines
     live = _live_lines(norm, qx, qy, eps)
 
-    blocks, mins = [], []
-    for b, (xs, ys) in enumerate(_crossing_blocks(qx, qy, dx, dy, dn, live)):
-        term = np.full(len(xs), -1)  # index of the terminal a candidate is
-        if b == 0:
-            term[:len(pts)] = np.arange(len(pts))
+    kept, best, start = [], np.inf, 0
+    for xs, ys in _crossing_blocks(qx, qy, dx, dy, dn, live):
         vals = _objective_batch(norm, qx, qy, xs, ys)
-        low = vals.min()
-        near = vals <= low + eps * max(1.0, low)
-        blocks.append((xs[near], ys[near], term[near], vals[near]))
-        mins.append(low)
+        best = np.minimum(best, vals.min())  # a NaN sticks, as in np.min
+        near = np.flatnonzero(vals <= best + eps * max(1.0, best))
+        kept.append((xs[near], ys[near], vals[near], near + start))
+        start += len(xs)
 
-    best = float(np.min(mins))
-    xs, ys, term, vals = (np.concatenate(a) for a in zip(*blocks))
+    xs, ys, vals, at = (np.concatenate(a) for a in zip(*kept))
     near = vals <= best + eps * max(1.0, abs(best))
-    # a terminal is returned as the caller's own object (its coordinates may be ints)
-    arg = [pts[k] if k >= 0 else Vec2(x, y) for x, y, k in
-           zip(xs[near].tolist(), ys[near].tolist(), term[near].tolist())]
-    return _dedup(arg, eps), best
+    # the first len(pts) are the terminals, returned as the caller's objects (ints stay)
+    arg = [pts[k] if k < len(pts) else Vec2(x, y) for x, y, k in
+           zip(xs[near].tolist(), ys[near].tolist(), at[near].tolist())]
+    return _dedup(arg, eps), float(best)
 
 
 def _dedup(cands: list[Vec2], eps: float) -> list[Vec2]:
@@ -298,6 +285,8 @@ def collinear_median(points: list[Vec2] | tuple[Vec2, ...],
     """Middle point of an odd collinear set (sorted along the line), else None."""
     check_eps(eps)
     pts = list(points)
+    if pts and not finite_spans(pts):
+        raise InputError("coordinates and their spans must be finite")
     if not pts or len(pts) % 2 == 0:
         return None
     a = min(pts, key=Vec2.key)
@@ -634,10 +623,8 @@ def ft_solve(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...],
     if not points:
         raise InputError("need at least one terminal")
     pts = tuple(points)
-    if not finite_spans(pts):
-        raise InputError("coordinates and their spans must be finite")
 
-    p, cands = collinear_median(pts, eps), []
+    p, cands = collinear_median(pts, eps), []  # it rejects non-finite coordinates
     if p is not None:
         value = objective(norm, pts, p)
     else:

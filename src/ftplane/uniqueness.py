@@ -52,8 +52,12 @@ class Verdict:
     unique: bool
     triple: ConsistentTriple | None = None
     witness: tuple[Vec2, Vec2, Vec2] | None = None
-    observed_kind: str | None = None
     region: Region | None = None  # the witness's solution set, as validated
+
+    @property
+    def observed_kind(self) -> str | None:
+        """The witness's region kind; None for a unique norm."""
+        return None if self.region is None else self.region.kind
 
 
 # Cells one search round probes over its rows; one round covers m <= 90 whole.
@@ -91,6 +95,14 @@ def _runs(value, n: int, length: int) -> tuple[np.ndarray, np.ndarray]:
     rows, lo, hi = final[0] if len(final) == 1 else map(np.concatenate, zip(*final))
     r, c = (np.arange((count := hi - lo - 1).max()) < count[:, None]).nonzero()
     return rows[r], lo[r] + 1 + c
+
+
+def _sector_of_sum(dz: np.ndarray):
+    """Lookup of psi = -(d_i + d_j) on P*, given the sums d_i + d_j as complex:
+    the edge s of P* it meets, where d_i + d_j lies between -d_s and -d_{s+1}."""
+    order = (angle := np.angle(-dz)).argsort()
+    angle, order = angle[order], np.concatenate([order[-1:], order])
+    return lambda qz: order[angle.searchsorted(np.arctan2(qz.imag, qz.real), side="right")]
 
 
 @dataclass(frozen=True)
@@ -142,9 +154,7 @@ class _DualSetup:
         sin_cut = eps + 2.0 ** -49 + 8.0 * asym * big / (min(mags) * u_min)
         if (sin_cut + 2.0 * asym / min(mags)) * lip * big >= 0.5:
             sin_cut = math.inf  # keep every cell
-        # psi = -(d_i + d_j) meets edge s where d_i + d_j lies between -d_s and -d_{s+1}
-        order = (angle := np.angle(-dz)).argsort()
-        angle, order = angle[order], np.concatenate([order[-1:], order])
+        sector = _sector_of_sum(dz)
         pz2 = np.concatenate([dz, dz])
         unit_d = dz.conj() * (g_cut / sin_cut / np.abs(dz))  # one bound for all rows
         row_d, unit_u = np.concatenate([unit_d[half:], unit_d[:half]]), ez / u_len
@@ -154,7 +164,7 @@ class _DualSetup:
             split = r.searchsorted(half)
             p, c = r[:split, None], r[split:, None]
             qz = dz[p] + pz2[p + x[:split]]
-            s = order[angle.searchsorted(np.arctan2(qz.imag, qz.real), side="right")]
+            s = sector(qz)
             return np.concatenate([(wz[s] * qz).real - 1.0,
                                    (row_d[c] * unit_u2[c + x[split:]]).imag]), g_cut
 
@@ -170,8 +180,7 @@ class _DualSetup:
         i, j = r[pair], r[pair] + x[pair]
         i, j = np.sort([np.concatenate([i, i + m // 2]), np.concatenate([j, j + m // 2]) % m], 0)
         qz = -(dz[i, 0] + dz[j, 0])  # complex sums and differences are the float ones
-        k = (PolygonalNorm(dual_vertices(self.norm)).sector_batch(qz.real, qz.imag)
-             + np.arange(-1, 3)[:, None]) % m
+        k = (_sector_of_sum(dz[:, 0])(-qz) + np.arange(-1, 3)[:, None]) % m
         bz = dz[k, 0] - qz  # d_k - psi is (d_i + d_j) + d_k bit for bit
         return i, j, k, qz.real, qz.imag, bz.real, bz.imag
 
@@ -294,4 +303,4 @@ def uniqueness_verdict(norm: PolygonalNorm,
     if not ok:
         raise CertificateError(
             f"condition {cond} witness solved to {observed}, expected {expected}")
-    return Verdict(False, triple, witness, observed, region)
+    return Verdict(False, triple, witness, region)

@@ -247,6 +247,23 @@ def test_malformed_documents_are_validation_errors(tmp_path, capsys, flag, doc,
     assert err.startswith("error: ") and str(path) in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"type": "lambda",', "not valid JSON"),
+    (None, "a norm is required: pass --norm FILE or --lambda K"),
+    ('{"lambda": 3}', "expected an object with a 'type' key"),
+    ('{"type": "circle"}', "unknown norm type 'circle'"),
+])
+def test_norm_document_errors(tmp_path, capsys, triangle_points_file, text, message):
+    argv = ["solve", "--points", triangle_points_file]
+    if text is not None:
+        path = tmp_path / "norm.json"
+        path.write_text(text)
+        argv += ["--norm", str(path)]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_self_intersecting_unit_ball_is_validation_error(tmp_path, capsys):
     # a star whose vertex triples all turn left; solving on it once gave a
     # certificate that does not verify (exit 2)

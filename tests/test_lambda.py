@@ -101,6 +101,10 @@ def test_triangle_solution_preconditions(unit_triangle):
         lambda_triangle_solution(3, *wide)
     with pytest.raises(InputError, match="parameter 4 is not a multiple of 3"):
         lambda_triangle_solution(4, *unit_triangle)
+    # a repeated vertex makes every angle 0, so only the degeneracy test sees it
+    for flat in ([Vec2(0, 0), Vec2(0, 0), Vec2(1, 0)], [Vec2(0, 0), Vec2(1, 0), Vec2(3, 0)]):
+        with pytest.raises(InputError, match="triangle is degenerate"):
+            lambda_triangle_solution(3, *flat)
     # wide triangles still go through the generic solver
     sol = ft_solve(make_lambda_norm(3).norm, wide)
     assert sol.region.kind in ("point", "segment", "polygon")

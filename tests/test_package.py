@@ -1,6 +1,7 @@
 import functools
 import math
 import types
+from pathlib import Path
 
 import pytest
 
@@ -16,14 +17,31 @@ def test_all_is_importable_and_holds_no_module():
             if isinstance(obj, types.ModuleType)] == []
 
 
+def test_readme_example_gives_its_commented_results():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    code = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    shown = []  # (repr of each bare expression, first word of its comment)
+    for line in code.splitlines():
+        stmt, _, comment = line.partition("#")
+        try:
+            expr = compile(stmt, "README.md", "eval")
+        except SyntaxError:
+            exec(stmt, namespace)
+            continue
+        shown.append((repr(eval(expr, namespace)), comment.split()[0]))
+    assert shown == [(want, want) for want in ("'polygon'", "2.0", "False")]
+
+
 def test_public_calls_raise_one_of_two_error_classes(diamond, square, unit_triangle):
     from ftplane import (
-        AngleShape, CertificateError, Cone, Functional, InputError, PlaneError, RayShape,
-        Vec2, build_cones, candidate_minimize, check_certificate, check_condition1,
-        check_condition2, check_condition3, classify_direction, classify_lambda,
-        collinear_median, convex_hull, ft_solve, intersect_cones, lambda_triangle_solution,
-        make_lambda_norm, make_polygonal_norm, norming_set, torricelli_point,
-        uniqueness_verdict, verify_ft_point)
+        AngleShape, CertificateError, Cone, EdgeElement, Functional, InputError, PlaneError,
+        RayShape, Vec2, VertexElement, build_cones, candidate_minimize, check_certificate,
+        check_condition1, check_condition2, check_condition3, classify_direction,
+        classify_lambda, collinear_median, convex_hull, element_point, ft_solve,
+        intersect_cones, lambda_triangle_solution, make_lambda_norm, make_polygonal_norm,
+        norming_set, objective, torricelli_point, uniqueness_verdict, verify_ft_point)
+    from ftplane.oracle import final_cell_diameter, grid_minimize
 
     assert issubclass(InputError, (PlaneError, ValueError))
     assert issubclass(CertificateError, PlaneError)
@@ -61,7 +79,23 @@ def test_public_calls_raise_one_of_two_error_classes(diamond, square, unit_trian
          "radius must be >= 0"),
         (lambda: build_cones(diamond, (Vec2(0, 0), Vec2(1, 0)), (Functional(1.0, 0.0),)),
          "2 terminals but 1 functionals"),
+        (lambda: objective(diamond, [], Vec2(0, 0)), "objective needs at least one terminal"),
+        (lambda: candidate_minimize(diamond, []), "need at least one terminal"),
+        (lambda: intersect_cones([], 1.0), "need at least one cone"),
+        (lambda: element_point(diamond, VertexElement(9)),
+         r"VertexElement\(index=9\): index is not an integer in 0\.\.3"),
+        (lambda: element_point(diamond, VertexElement(-1)), r"index=-1\): index is not"),
+        (lambda: element_point(diamond, EdgeElement(9, 0.5)), r"edge=9, t=0.5\): index is not"),
+        (lambda: element_point(diamond, EdgeElement(1, 7.0)), r"t=7.0\): t is not in \[0, 1\]"),
+        (lambda: element_point(diamond, EdgeElement(1, math.nan)), r"t=nan\): t is not in"),
     ]
+    # every call that takes points checks them as ft_solve does
+    for pts in ([Vec2(math.nan, 0), Vec2(1, 0), Vec2(0, 1)],
+                [Vec2(math.inf, 0), Vec2(1, 0), Vec2(0, 1)]):
+        bad_input += [(functools.partial(call, pts), "coordinates and their spans must be finite")
+                      for call in (functools.partial(grid_minimize, diamond),
+                                   functools.partial(final_cell_diameter, diamond),
+                                   convex_hull, collinear_median)]
     # every entry point that takes a tolerance checks it as the command line does
     hexagon_plane = make_lambda_norm(3).norm
     asymmetric = [(1, 0), (0, 1), (-2, 0), (0, -1)]
@@ -93,6 +127,9 @@ def test_public_calls_raise_one_of_two_error_classes(diamond, square, unit_trian
     for call, message in bad_input:
         with pytest.raises(InputError, match=message):
             call()
+    # both ends of an edge stay legal, as classify_direction clamps t into [0, 1]
+    assert [element_point(diamond, EdgeElement(1, t)) for t in (0.0, 1.0)] == \
+        [Vec2(0, 1), Vec2(-1, 0)]
     # a radius of 0 stays legal: the square is the apex
     assert intersect_cones([Cone(Vec2(0, 0), RayShape(Vec2(1, 0)))], 0.0).kind == "point"
     self_check = [

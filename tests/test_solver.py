@@ -30,7 +30,7 @@ from ftplane import (
     verify_ft_point,
 )
 from ftplane import solver
-from ftplane.geometry import DEFAULT_EPS
+from ftplane.geometry import DEFAULT_EPS, Region
 from ftplane.lambda_planes import make_lambda_norm
 from ftplane.norms import Functional, FunctionalSegment, dual_norms, gauge_batch, norming_set
 from ftplane.oracle import random_instance, random_symmetric_norm
@@ -260,13 +260,14 @@ MIRROR_48GON = [Vec2(-0.0, -0.0), Vec2(-0.0, 0.5), Vec2(2.0, 0.0), Vec2(1.0, 1.0
                 Vec2(2.0, 0.5)]
 
 
-@pytest.mark.parametrize("block, count", [(5, 1822), (720, 24)])
+@pytest.mark.parametrize("block, count", [(5, 120), (720, 24)])
 def test_candidate_minimize_block_shapes_match_loop_reference(
         monkeypatch, live_masks, diamond, hexagon, unit_triangle, block, count):
     # with all 144 lines of six terminals live, block 5 takes one row at a
-    # time and splits its later lines into chunks of five; block 720 takes
-    # five rows at a time, across terminals. Chunks that hold only lines of
-    # the row's own terminal or parallel ones yield no block.
+    # time (longer than the block) with all its later lines; block 720 takes
+    # five rows at a time, across terminals. A row block whose later lines
+    # are all of its own terminal or parallel yields nothing: the last
+    # terminal's rows fill 24 of the 144 row blocks at block 5, 5 of 29 at 720.
     monkeypatch.setattr(solver, "_PAIR_BLOCK", block)
     gon48 = make_lambda_norm(24).norm
     rng = Random(5)
@@ -555,6 +556,41 @@ def test_non_finite_certificates_and_functionals_are_rejected(diamond, square):
     for phi in (Functional(math.inf, 0.0), Functional(0.0, -math.inf)):
         with pytest.raises(CertificateError, match="dual norm is inf"):
             build_cones(square, (Vec2(0, 0),), (phi,))
+
+
+ON_AXIS = [Vec2(-1, 0), Vec2(1, 0)]
+
+
+@pytest.mark.parametrize("pts, funcs, relaxed, message", [
+    ([Vec2(0, 0), Vec2(2, 0), Vec2(3, 0)], [(1, 0), (-1, 0)], (),
+     "certificate length mismatch"),
+    ([Vec2(0, 0), Vec2(2, 0), Vec2(3, 0)], [(-2, 0), (1, 0), (1, 0)], (0,),
+     "relaxed entry 0 has dual norm 2.0"),
+    (ON_AXIS, [(-0.5, 0), (0.5, 0)], (), "entry 0 has dual norm 0.5, expected 1"),
+    (ON_AXIS, [(1, 0), (-1, 0)], (), "entry 0 does not norm its displacement"),
+])
+def test_check_certificate_rejects_a_bad_entry(diamond, pts, funcs, relaxed, message):
+    # each certificate sums to zero and fails only the named check
+    cert = Certificate(Vec2(0, 0), tuple(Functional(*f) for f in funcs), relaxed)
+    with pytest.raises(CertificateError, match=message):
+        check_certificate(diamond, pts, cert)
+
+
+def test_build_cones_rejects_a_support_line_on_several_edges():
+    # at eps 5e-4 the contact tolerance takes in more than two of the
+    # 200-gon's vertices under an edge functional
+    norm = make_lambda_norm(100).norm
+    with pytest.raises(CertificateError, match="support line touches more than one edge"):
+        build_cones(norm, (Vec2(0, 0),), (dual_vertices(norm)[3],), 5e-4)
+
+
+def test_ft_solve_rejects_a_region_vertex_off_the_optimum(monkeypatch, hexagon,
+                                                          unit_triangle):
+    v = ft_solve(hexagon, unit_triangle).region.vertices[0]
+    square = Region.polygon([v, v + Vec2(1, 0), v + Vec2(1, 1), v + Vec2(0, 1)])
+    monkeypatch.setattr(solver, "intersect_cones", lambda *args: square)
+    with pytest.raises(CertificateError, match=r"region vertex .* attains .*, optimum is"):
+        ft_solve(hexagon, unit_triangle)
 
 
 def test_non_finite_terminals_are_input_errors(diamond):

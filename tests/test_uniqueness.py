@@ -128,14 +128,14 @@ def test_condition3_witness_solves_to_segment(cond3_hexagon):
 
 def test_verdict_diamond_unique(diamond):
     verdict = uniqueness_verdict(diamond)
-    assert verdict.unique
+    assert verdict.unique and verdict.observed_kind is None
 
 
 def test_verdict_hexagon(hexagon):
     verdict = uniqueness_verdict(hexagon)
     assert not verdict.unique
     assert verdict.triple.condition == 1
-    assert verdict.observed_kind == "polygon"
+    assert verdict.region.kind == verdict.observed_kind == "polygon"
     # witness points are alternating edge midpoints on the unit circle
     sol = ft_solve(hexagon, list(verdict.witness))
     assert sol.region.kind == "polygon"
@@ -150,7 +150,7 @@ def test_verdict_on_a_large_non_unique_lambda_plane():
     # 9,000 breaklines, must solve to a polygon
     verdict = uniqueness_verdict(make_lambda_norm(3000).norm)
     assert not verdict.unique and verdict.triple.condition == 1
-    assert verdict.observed_kind == "polygon"
+    assert verdict.region.kind == "polygon"
 
 
 def test_verdict_on_the_19998_gon():
@@ -159,7 +159,7 @@ def test_verdict_on_the_19998_gon():
     norm = make_lambda_norm(9999).norm
     verdict = uniqueness_verdict(norm)
     assert not verdict.unique and verdict.triple.condition == 1
-    assert verdict.observed_kind == verdict.region.kind == "polygon"
+    assert verdict.region.kind == "polygon"
     sol = ft_solve(norm, verdict.witness)
     check_certificate(norm, verdict.witness, sol.certificate)
     assert sol.region == verdict.region
@@ -169,7 +169,7 @@ def test_verdict_cond2_octagon(cond2_octagon):
     verdict = uniqueness_verdict(cond2_octagon)
     assert not verdict.unique
     assert verdict.triple.condition == 2
-    assert verdict.observed_kind != "point"
+    assert verdict.region.kind != "point"
 
 
 def test_verdict_kind_stable_under_vertex_rotation(cond2_octagon, hexagon):
@@ -188,7 +188,7 @@ def test_random_norms_verdicts_run_clean():
         norm = random_symmetric_norm(rng)
         verdict = uniqueness_verdict(norm)
         if not verdict.unique:
-            assert verdict.observed_kind in ("segment", "polygon")
+            assert verdict.region.kind in ("segment", "polygon")
 
 
 def reference_condition1(norm, eps=DEFAULT_EPS):
