@@ -217,9 +217,12 @@ def _boundary_intersection(h1: HalfPlane, h2: HalfPlane,
 
 def _clip(poly: list[tuple[Vec2, HalfPlane]], h: HalfPlane,
           eps: float) -> list[tuple[Vec2, HalfPlane]]:
-    """One Sutherland-Hodgman pass keeping the side h.side <= eps."""
+    """One Sutherland-Hodgman pass keeping the side h.side <= eps; ``poly``
+    itself when every vertex is kept, as the pass would copy it edge by edge."""
     n = len(poly)
     sides = [h.side(v) for v, _ in poly]
+    if all(s <= eps for s in sides):  # not max(sides): a NaN side drops its vertex
+        return poly
     out: list[tuple[Vec2, HalfPlane]] = []
     for i in range(n):
         a, edge_hp = poly[i]

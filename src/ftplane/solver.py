@@ -269,14 +269,19 @@ def candidate_minimize(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...
 
 
 def _dedup(cands: list[Vec2], eps: float) -> list[Vec2]:
-    """``cands`` stably sorted by Vec2.key, less each one within eps of one kept."""
+    """``cands`` stably sorted by Vec2.key, less each one within eps of one kept.
+    A copy (==, never for a NaN) of the one before it goes unscanned, as it
+    lies within eps of the same kept point."""
     out: list[Vec2] = []
+    prev = Vec2(math.nan, math.nan)
     for c in sorted(cands, key=Vec2.key):
         # x never decreases along out, and |c - q| >= c.x - q.x: only kept
         # points at most eps left of c can lie within eps of it
-        if all((c - q).norm() > eps for q in
-               takewhile(lambda q: not c.x - q.x > eps, reversed(out))):
+        if not (c.x == prev.x and c.y == prev.y) and all(
+                (c - q).norm() > eps
+                for q in takewhile(lambda q: not c.x - q.x > eps, reversed(out))):
             out.append(c)
+        prev = c
     return out
 
 
@@ -333,9 +338,10 @@ def _zonogon_normals(gens: list[Vec2]) -> list[Vec2]:
     These are +-perp(g) for every generator g: they hold every facet normal
     of every such zonogon, and the perps of two independent directions also
     pin the ends of a segment and the point of the empty sum. Only when all
-    generators are parallel are the end caps +-g/|g| added. A normal equal in
-    every bit to an earlier one (+0.0 and -0.0 differ) repeats its bound.
-    """
+    generators are parallel are the end caps +-g/|g| added. Only copies equal
+    in every bit (+0.0 and -0.0 differ) are dropped: the peel bounds each value
+    once, but a second clip of the relaxed target by an equal line is a no-op
+    only up to rounding."""
     perps = [g.perp() * (1.0 / g.norm()) for g in gens]
     out = list({(v.x.hex(), v.y.hex()): v for n in perps for v in (n, -n)}.values())
     if gens and all(abs(g.cross(gens[0])) <= 1e-12 * g.norm() * gens[0].norm()
@@ -354,9 +360,10 @@ def _peel(gens: list[Vec2], target: Vec2) -> list[float]:
     interval is exactly the t_j that keep the rest reachable, so the peel
     succeeds exactly when the target lies in the zonogon. The products n.g
     are tabulated once and each step updates every normal's support and
-    level in O(1), so the peel costs O(k^2).
+    level in O(1), so the peel costs O(k^2). Normals equal in value give equal
+    bounds, which max and min (first of equals) ignore, so each value counts once.
     """
-    normals = _zonogon_normals(gens)
+    normals = [Vec2(*k) for k in dict.fromkeys((n.x, n.y) for n in _zonogon_normals(gens))]
     dots = [[n.dot(g) for g in gens] for n in normals]
     support = [sum(max(0.0, ng) for ng in row) for row in dots]  # of the free gens
     levels = [n.dot(target) for n in normals]  # n . (target - sum t g)
@@ -541,13 +548,16 @@ def intersect_cones(cones: list[Cone] | tuple[Cone, ...], radius: float,
     Each angle contributes its two sides as half-planes and each ray its
     carrier line plus the cut at the apex, so one clip of a square covers
     every mixed case. The square has half-width ``radius`` and is centred on
-    the first cone's apex; it must contain the whole intersection.
+    the first cone's apex; it must contain the whole intersection. The radius
+    and the apexes must be finite.
     """
     check_eps(eps)
     if not cones:
         raise InputError("need at least one cone")
-    if not radius >= 0.0:
-        raise InputError(f"radius must be >= 0, got {radius}")
+    if not 0.0 <= radius < math.inf:
+        raise InputError(f"radius must be >= 0 and finite, got {radius}")
+    if not all(cone.vertex.is_finite() for cone in cones):
+        raise InputError("cone apexes must be finite")
     hps: list[HalfPlane] = []
     for cone in cones:
         hps.extend(_cone_halfplanes(cone, eps))
@@ -651,6 +661,8 @@ def ft_solve(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...],
     # sides off the solution set; cones that reach them (a wrong certificate)
     # leave a vertex of objective >= 2 * value, which the check below rejects.
     radius = 2.0 * value * norm._breaklines[0]
+    if not math.isfinite(radius):
+        raise InputError(f"the cone radius 2 * {value} * {norm._breaklines[0]} overflows")
     region = intersect_cones(cones, radius, eps)
     vtol = 100 * eps * max(1.0, abs(value))
     for v in region.vertices:

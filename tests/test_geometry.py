@@ -12,6 +12,7 @@ from ftplane import (
     orient,
     segment_interior_contains,
 )
+from ftplane import geometry
 from ftplane.geometry import check_eps, clip_polygon
 
 
@@ -127,6 +128,61 @@ def test_halfplanes_result_contained_in_every_input():
 def test_halfplane_normal_too_short():
     with pytest.raises(ValueError):
         clip_square([HalfPlane(Vec2(0, 0), 1)])
+
+
+def clip_pass(poly, h, eps):
+    """The full Sutherland-Hodgman pass that _clip skips when no vertex leaves."""
+    n = len(poly)
+    sides = [h.side(v) for v, _ in poly]
+    out = []
+    for i in range(n):
+        a, edge_hp = poly[i]
+        b, _ = poly[(i + 1) % n]
+        sa, sb = sides[i], sides[(i + 1) % n]
+        a_in, b_in = sa <= eps, sb <= eps
+        if a_in:
+            out.append((a, edge_hp))
+        if a_in != b_in:
+            x = geometry._boundary_intersection(edge_hp, h, a, b, sa, sb)
+            out.append((x, h) if a_in else ((x, edge_hp)))
+    return out
+
+
+def test_clip_matches_the_full_pass():
+    # convex polygons on a 2^-10 grid, so that axis half-planes can put a
+    # side exactly at eps = 2^-20; half-planes that keep, cut, touch or miss
+    # the polygon, NaN normals and offsets, and a vertex whose side is NaN
+    rng = Random(12)
+    eps = 2.0 ** -20
+    at_eps = nan_side = kept = 0  # sides at eps, NaN sides max() would skip, no-op clips
+    for _ in range(3000):
+        r = rng.uniform(0.5, 4.0)
+        hull = convex_hull([Vec2(*(math.ldexp(round(math.ldexp(r * f(a), 10)), -10)
+                                   for f in (math.cos, math.sin)))
+                            for a in (rng.uniform(0.0, 2 * math.pi)
+                                      for _ in range(rng.randint(3, 8)))])
+        if hull.kind != "polygon":
+            continue
+        verts = list(hull.vertices)
+        if rng.random() < 0.3:  # not the first: max(sides) would skip its NaN
+            verts[rng.randrange(1, len(verts))] = Vec2(rng.choice((math.nan, math.inf)), 0.5)
+        poly = [(a, HalfPlane(Vec2(b.y - a.y, a.x - b.x), b.y * a.x - b.x * a.y))
+                for a, b in zip(verts, verts[1:] + verts[:1])]
+        normal = rng.choice([Vec2(1.0, 0.0), Vec2(0.0, 1.0), Vec2(-1.0, 0.0),
+                             Vec2(math.nan, 1.0), Vec2(*(f(rng.uniform(0.0, 7.0))
+                                                         for f in (math.cos, math.sin)))])
+        reach = max(normal.dot(v) for v in hull.vertices)
+        offset = rng.choice([reach - eps, reach, reach + 1.0, rng.uniform(-r, r), math.nan,
+                             normal.dot(rng.choice(hull.vertices)) - eps])
+        h = HalfPlane(normal, offset)
+        sides = [h.side(v) for v, _ in poly]
+        at_eps += eps in sides
+        nan_side += (any(map(math.isnan, sides[1:])) and not math.isnan(sides[0])
+                     and all(s <= eps for s in sides if not math.isnan(s)))
+        got = geometry._clip(poly, h, eps)
+        kept += got is poly
+        assert repr(got) == repr(clip_pass(poly, h, eps))
+    assert at_eps >= 300 and nan_side >= 100 and kept >= 500, (at_eps, nan_side, kept)
 
 
 def test_segment_interior():

@@ -3,6 +3,7 @@ import math
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ftplane
@@ -43,6 +44,11 @@ def test_public_calls_raise_one_of_two_error_classes(diamond, square, unit_trian
         norming_set, objective, torricelli_point, uniqueness_verdict, verify_ft_point)
     from ftplane.oracle import final_cell_diameter, grid_minimize
 
+    def overflowing_radius():
+        # finite coordinates and spans; the candidate stage overflows on the way
+        with np.errstate(over="ignore"):
+            ft_solve(make_lambda_norm(3).norm, [Vec2(0, 0), Vec2(6e307, 0), Vec2(3e307, 5e307)])
+
     assert issubclass(InputError, (PlaneError, ValueError))
     assert issubclass(CertificateError, PlaneError)
     assert not issubclass(CertificateError, ValueError)
@@ -77,6 +83,16 @@ def test_public_calls_raise_one_of_two_error_classes(diamond, square, unit_trian
          "radius must be >= 0"),
         (lambda: intersect_cones([Cone(Vec2(0, 0), RayShape(Vec2(1, 0)))], math.nan),
          "radius must be >= 0"),
+        (lambda: intersect_cones([Cone(Vec2(0, 0), RayShape(Vec2(1, 0)))], math.inf),
+         "radius must be >= 0 and finite, got inf"),
+        (lambda: intersect_cones(build_cones(diamond, [Vec2(math.inf, 0), Vec2(2, 1), Vec2(1, 3)],
+                                             [Functional(1.0, 0.0), Functional(-1.0, 0.0),
+                                              Functional(0.0, 1.0)]), 10.0),
+         "cone apexes must be finite"),
+        (lambda: intersect_cones([Cone(Vec2(0, 0), RayShape(Vec2(1, 0))),
+                                  Cone(Vec2(1, math.nan), RayShape(Vec2(1, 0)))], 10.0),
+         "cone apexes must be finite"),
+        (overflowing_radius, r"the cone radius 2 \* 1\.17\d*e\+308 \* 1\.0 overflows"),
         (lambda: build_cones(diamond, (Vec2(0, 0), Vec2(1, 0)), (Functional(1.0, 0.0),)),
          "2 terminals but 1 functionals"),
         (lambda: objective(diamond, [], Vec2(0, 0)), "objective needs at least one terminal"),

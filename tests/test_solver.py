@@ -362,7 +362,8 @@ def greedy_dedup(cands, eps):
 
 def test_dedup_matches_greedy_loop():
     # clouds on lattices with spacings near eps, jittered below eps, with
-    # repeated points and shared x coordinates
+    # repeated points, copies at other identities (the dedup skips a copy of
+    # the candidate before it unscanned), +-0.0 coordinates and shared x
     rng = Random(3)
     eps = DEFAULT_EPS
     for _ in range(3000):
@@ -371,8 +372,18 @@ def test_dedup_matches_greedy_loop():
         cloud = [Vec2(x0 + sx * rng.randint(0, 9) + eps * rng.uniform(-0.2, 0.2),
                       y0 + sy * rng.randint(0, 9)) for _ in range(rng.randint(1, 40))]
         cloud += rng.sample(cloud, len(cloud) // 4)
+        cloud += [Vec2(c.x, c.y) for c in rng.sample(cloud, len(cloud) // 4)]
+        cloud += [Vec2(rng.choice((0.0, -0.0)), rng.choice((0.0, -0.0, sy)))
+                  for _ in range(rng.randint(0, 3))]
+        rng.shuffle(cloud)
         assert [id(c) for c in solver._dedup(cloud, eps)] == \
             [id(c) for c in greedy_dedup(cloud, eps)]
+    cluster = [Vec2(0.5, -0.25) for _ in range(40)]  # 40 identities, one point
+    cluster += [Vec2(-0.0, 0.0), Vec2(0.0, -0.0), Vec2(-0.0, -0.0)]
+    for cands in (cluster, cluster[::-1]):
+        kept = solver._dedup(cands, eps)
+        assert [id(c) for c in kept] == [id(c) for c in greedy_dedup(cands, eps)]
+        assert kept == [Vec2(0.0, 0.0), Vec2(0.5, -0.25)]
 
 
 def test_candidate_minimize_memory_on_a_large_lambda_plane():
@@ -952,6 +963,60 @@ def test_zonogon_normals_drop_only_bit_identical_duplicates(monkeypatch, diamond
     monkeypatch.setattr(solver, "_zonogon_normals", zonogon_normals_with_duplicates)
     assert answers() == deduped
     assert sum("relaxed=()" not in a for a in deduped[1::2] if a != "None") >= 10
+
+
+def peel_bounding_every_normal(gens, target):
+    """_peel as it was before it bounded each normal value once."""
+    normals = solver._zonogon_normals(gens)
+    dots = [[n.dot(g) for g in gens] for n in normals]
+    support = [sum(max(0.0, ng) for ng in row) for row in dots]
+    levels = [n.dot(target) for n in normals]
+    ts = []
+    for j, g in enumerate(gens):
+        lo, hi = 0.0, 1.0
+        tiny = 1e-12 * g.norm()
+        for i, row in enumerate(dots):
+            ng = row[j]
+            support[i] -= max(0.0, ng)
+            if abs(ng) <= tiny:
+                continue
+            bound = (levels[i] - support[i]) / ng
+            if ng > 0:
+                lo = max(lo, bound)
+            else:
+                hi = min(hi, bound)
+        t = min(max(lo + 0.5 * (hi - lo), 0.0), 1.0)
+        ts.append(t)
+        levels = [level - t * row[j] for row, level in zip(dots, levels)]
+    return ts
+
+
+def test_peel_bounds_each_normal_value_once():
+    # the same t to the bit as a peel that bounds every bit-distinct normal,
+    # on generators with +-0.0 components (their normals differ only in the
+    # sign of a zero), parallel families and scaled copies
+    rng = Random(20)
+    merged = 0
+    comps = (0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 2.0, -3.0)
+    for _ in range(1000):
+        if rng.random() < 0.3:
+            d = rng.choice([(0.0, 1.0), (1.0, -0.0), (1.0, 2.0), (-3.0, 1.0)])
+            raw = [(c * d[0], c * d[1]) for c in rng.choices((1.0, -1.0, 2.0, -0.5), k=4)]
+        else:
+            raw = [(rng.choice(comps), rng.choice(comps)) for _ in range(rng.randint(1, 6))]
+        raw = [g for g in raw if g != (0.0, 0.0)] or [(1.0, -0.0)]
+        ts = [rng.choice((0.0, 1.0, rng.random())) for _ in raw]
+        aim = (sum(t * x for t, (x, _) in zip(ts, raw)), sum(t * y for t, (_, y) in zip(ts, raw)))
+        if rng.random() < 0.3:
+            aim = (aim[0] + rng.choice((0.0, -0.0, 0.5)), aim[1] + rng.choice((0.0, -0.0, -2.0)))
+        for scale in (1.0, 0.1, 1 / 3, -1.0, 2.0 ** -30, 1e6):
+            gens = [Vec2(x * scale, y * scale) for x, y in raw]
+            target = Vec2(aim[0] * scale, aim[1] * scale)
+            assert [t.hex() for t in solver._peel(gens, target)] == \
+                [t.hex() for t in peel_bounding_every_normal(gens, target)], (gens, target)
+            normals = solver._zonogon_normals(gens)
+            merged += len({(n.x, n.y) for n in normals}) < len(normals)
+    assert merged >= 1000, merged
 
 
 def on_boundary(gens, r):
