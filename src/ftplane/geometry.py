@@ -199,44 +199,55 @@ class HalfPlane:
         return HalfPlane(Vec2(self.normal.x / n, self.normal.y / n), self.offset / n)
 
 
-def _boundary_intersection(h1: HalfPlane, h2: HalfPlane,
-                           a: Vec2, b: Vec2, sa: float, sb: float) -> Vec2:
-    """Intersection of the boundary lines of h1 and h2.
-
-    Falls back to interpolating along segment a-b (with side values sa, sb
-    against h2) when the lines are nearly parallel.
-    """
-    det = h1.normal.x * h2.normal.y - h1.normal.y * h2.normal.x
-    if abs(det) > 1e-14:
-        x = (h1.offset * h2.normal.y - h2.offset * h1.normal.y) / det
-        y = (h1.normal.x * h2.offset - h2.normal.x * h1.offset) / det
-        return Vec2(x, y)
-    t = sa / (sa - sb)
-    return Vec2(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
-
-
-def _clip(poly: list[tuple[Vec2, HalfPlane]], h: HalfPlane,
-          eps: float) -> list[tuple[Vec2, HalfPlane]]:
-    """One Sutherland-Hodgman pass keeping the side h.side <= eps; ``poly``
-    itself when every vertex is kept, as the pass would copy it edge by edge."""
-    n = len(poly)
-    sides = [h.side(v) for v, _ in poly]
+def _clip(poly: list[tuple[float, float, tuple[float, float, float]]],
+          h: tuple[float, float, float], eps: float) -> list:
+    """One Sutherland-Hodgman pass keeping n . v - offset <= eps for the unit
+    h = (nx, ny, offset), on vertices (x, y, edge), the edge leaving each one a
+    unit triple too; ``poly`` itself when every vertex is kept, as the pass
+    would copy it edge by edge."""
+    hx, hy, ho = h
+    sides = [hx * x + hy * y - ho for x, y, _ in poly]
     if all(s <= eps for s in sides):  # not max(sides): a NaN side drops its vertex
         return poly
-    out: list[tuple[Vec2, HalfPlane]] = []
+    n = len(poly)
+    out = []
     for i in range(n):
-        a, edge_hp = poly[i]
-        b, _ = poly[(i + 1) % n]
+        a = ax, ay, edge = poly[i]
         sa, sb = sides[i], sides[(i + 1) % n]
-        a_in, b_in = sa <= eps, sb <= eps
+        a_in = sa <= eps
         if a_in:
-            out.append((a, edge_hp))
-        if a_in != b_in:
-            x = _boundary_intersection(edge_hp, h, a, b, sa, sb)
+            out.append(a)
+        if a_in != (sb <= eps):
+            ex, ey, eo = edge
+            det = ex * hy - ey * hx
+            if abs(det) > 1e-14:
+                x, y = (eo * hy - ho * ey) / det, (ex * ho - hx * eo) / det
+            else:  # nearly parallel: interpolate the sides along the edge a-b
+                bx, by, _ = poly[(i + 1) % n]
+                t = sa / (sa - sb)
+                x, y = ax + t * (bx - ax), ay + t * (by - ay)
             # Leaving: the new edge runs along h. Entering: it continues
             # along the edge we were clipping.
-            out.append((x, h) if a_in else ((x, edge_hp)))
+            out.append((x, y, h if a_in else edge))
     return out
+
+
+def _unit(nx: float, ny: float, offset: float) -> tuple[float, float, float]:
+    n = math.hypot(nx, ny)
+    return nx / n, ny / n, offset / n
+
+
+def _clip_floats(vertices: list[tuple[float, float]], edges: list[tuple[float, float, float]],
+                 halfplanes: list[tuple[float, float, float]], eps: float) -> Region:
+    """``clip_polygon`` on (x, y) vertices and (nx, ny, offset) half-planes."""
+    if any(math.hypot(nx, ny) <= eps for nx, ny, _ in halfplanes):
+        raise InputError("half-plane normal is too short")
+    poly = [(x, y, _unit(*e)) for (x, y), e in zip(vertices, edges)]
+    for h in halfplanes:
+        poly = _clip(poly, _unit(*h), eps)
+        if not poly:
+            return Region.empty()
+    return convex_hull([Vec2(x, y) for x, y, _ in poly], eps)
 
 
 def clip_polygon(vertices: list[Vec2], edge_halfplanes: list[HalfPlane],
@@ -248,15 +259,9 @@ def clip_polygon(vertices: list[Vec2], edge_halfplanes: list[HalfPlane],
     that bound its edges, which keeps coordinates accurate even for slivers.
     Raises InputError for a half-plane normal no longer than ``eps``.
     """
-    for hp in halfplanes:
-        if hp.normal.norm() <= eps:
-            raise InputError("half-plane normal is too short")
-    poly = list(zip(vertices, (hp.unit() for hp in edge_halfplanes)))
-    for hp in halfplanes:
-        poly = _clip(poly, hp.unit(), eps)
-        if not poly:
-            return Region.empty()
-    return convex_hull([v for v, _ in poly], eps)
+    return _clip_floats([(v.x, v.y) for v in vertices],
+                        [(h.normal.x, h.normal.y, h.offset) for h in edge_halfplanes],
+                        [(h.normal.x, h.normal.y, h.offset) for h in halfplanes], eps)
 
 
 def segment_interior_contains(a: Vec2, b: Vec2, q: Vec2,

@@ -131,16 +131,21 @@ class PolygonalNorm:
 
     def sector(self, v: Vec2) -> int:
         """Index k of the edge whose angular sector contains direction v."""
-        a = (math.atan2(v.y, v.x) - self._base_angle) % _TWO_PI
+        return self._sector(v.x, v.y)
+
+    def _sector(self, x: float, y: float) -> int:
+        a = (math.atan2(y, x) - self._base_angle) % _TWO_PI
         return bisect_right(self._rel_angles, a) - 1
 
     def sector_batch(self, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
         """``sector`` of each direction (dx, dy), located with numpy arrays.
 
         np.arctan2 may differ from math.atan2 in the last bit, so a direction
-        on a sector boundary can land in the neighbouring sector.
+        on a sector boundary can land in the neighbouring sector. The angle from
+        vertex 0, in [-2pi, 2pi], folds to np.mod's float but for a zero's sign.
         """
-        ang = np.mod(np.arctan2(dy, dx) - self._base_angle, _TWO_PI)
+        a = np.arctan2(dy, dx) - self._base_angle
+        ang = np.where(a < 0.0, a + _TWO_PI, np.where(a < _TWO_PI, a, a - _TWO_PI))
         return np.searchsorted(self._rel_array, ang, side="right") - 1
 
 
@@ -226,9 +231,14 @@ def gauge(norm: PolygonalNorm, v: Vec2) -> float:
     Located by binary search over the angular sectors of the edges; the
     value is the located edge functional applied to v.
     """
-    if v.x == 0.0 and v.y == 0.0:
+    return _gauge(norm, v.x, v.y)
+
+
+def _gauge(norm: PolygonalNorm, x: float, y: float) -> float:
+    if x == 0.0 and y == 0.0:
         return 0.0
-    val = norm._duals[norm.sector(v)].dot(v)
+    f = norm._duals[norm._sector(x, y)]
+    val = f.x * x + f.y * y
     return val if not val <= 0.0 else 0.0  # NaN stays NaN, as in gauge_batch
 
 

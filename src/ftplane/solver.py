@@ -26,6 +26,9 @@ segment parameter is fixed once, in index order, at the midpoint of the
 interval that keeps the rest of the target reachable by the segments still
 free, in O(k^2) for k segments (terminals in a vertex direction from p).
 It succeeds exactly when the target lies in the zonogon.
+
+The clip, peel, cone and check stages compute on plain floats, in the
+operation order of the Vec2 arithmetic, and build Vec2 only for results.
 """
 
 from __future__ import annotations
@@ -40,11 +43,10 @@ import numpy as np
 from .errors import CertificateError, InputError
 from .geometry import (
     DEFAULT_EPS,
-    HalfPlane,
     Region,
     Vec2,
+    _clip_floats,
     check_eps,
-    clip_polygon,
     finite_spans,
     orient,
 )
@@ -52,9 +54,9 @@ from .norms import (
     Functional,
     FunctionalSegment,
     PolygonalNorm,
+    _gauge,
     dual_norm,
     dual_norms,
-    gauge,
     gauge_batch,
     norming_set,
 )
@@ -109,7 +111,7 @@ def objective(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...],
     """Sum of gauge distances from x to the terminals."""
     if not points:
         raise InputError("objective needs at least one terminal")
-    return sum(gauge(norm, x - q) for q in points)
+    return sum(_gauge(norm, x.x - q.x, x.y - q.y) for q in points)
 
 
 # Breakline pairs per row block of candidate_minimize, unless one row is longer.
@@ -295,7 +297,7 @@ def collinear_median(points: list[Vec2] | tuple[Vec2, ...],
     if not pts or len(pts) % 2 == 0:
         return None
     a = min(pts, key=Vec2.key)
-    b = max(pts, key=lambda q: (q - a).norm())  # farthest: a true line extreme
+    b = max(pts, key=lambda q: math.hypot(q.x - a.x, q.y - a.y))  # farthest: a true line extreme
     if (b - a).norm() <= eps:
         return sorted(pts, key=Vec2.key)[len(pts) // 2]
     if any(orient(a, b, q, eps) != 0 for q in pts):
@@ -313,26 +315,26 @@ def _set_bounds(fset) -> tuple[Functional, Functional]:
     return fset, fset
 
 
-def _zonogon(sets) -> tuple[Vec2, list[int], list[Vec2]]:
-    """Base and generators of the reachable sums of one pick per set.
+def _zonogon(sets) -> tuple[tuple[float, float], list[int], list[tuple[float, float]]]:
+    """Base and generators, as (x, y) pairs, of the sums of one pick per set.
 
     The base is the sum of the low ends; each segment set contributes the
     generator ``hi - lo``. Also returns the index of each generator's set.
     """
-    base = Vec2(0.0, 0.0)
+    bx = by = 0.0
     idxs: list[int] = []
-    gens: list[Vec2] = []
+    gens: list[tuple[float, float]] = []
     for idx, s in enumerate(sets):
         lo, hi = _set_bounds(s)
-        base = base + lo
-        g = hi - lo
-        if g.norm() > 1e-12:
+        bx, by = bx + lo.x, by + lo.y
+        gx, gy = hi.x - lo.x, hi.y - lo.y
+        if math.hypot(gx, gy) > 1e-12:
             idxs.append(idx)
-            gens.append(g)
-    return base, idxs, gens
+            gens.append((gx, gy))
+    return (bx, by), idxs, gens
 
 
-def _zonogon_normals(gens: list[Vec2]) -> list[Vec2]:
+def _zonogon_normals(gens: list[tuple[float, float]]) -> list[tuple[float, float]]:
     """Unit normals that cut out the zonogon of any subset of ``gens``.
 
     These are +-perp(g) for every generator g: they hold every facet normal
@@ -342,16 +344,18 @@ def _zonogon_normals(gens: list[Vec2]) -> list[Vec2]:
     in every bit (+0.0 and -0.0 differ) are dropped: the peel bounds each value
     once, but a second clip of the relaxed target by an equal line is a no-op
     only up to rounding."""
-    perps = [g.perp() * (1.0 / g.norm()) for g in gens]
-    out = list({(v.x.hex(), v.y.hex()): v for n in perps for v in (n, -n)}.values())
-    if gens and all(abs(g.cross(gens[0])) <= 1e-12 * g.norm() * gens[0].norm()
-                    for g in gens):
-        u = gens[0] * (1.0 / gens[0].norm())
-        out += [u, -u]
+    perps = [(-gy * s, gx * s) for gx, gy in gens for s in (1.0 / math.hypot(gx, gy),)]
+    out = list({(x.hex(), y.hex()): (x, y) for nx, ny in perps
+                for x, y in ((nx, ny), (-nx, -ny))}.values())
+    if gens:
+        (g0x, g0y), g0n = gens[0], math.hypot(*gens[0])
+        if all(abs(gx * g0y - gy * g0x) <= 1e-12 * math.hypot(gx, gy) * g0n for gx, gy in gens):
+            ux, uy = g0x * (1.0 / g0n), g0y * (1.0 / g0n)
+            out += [(ux, uy), (-ux, -uy)]
     return out
 
 
-def _peel(gens: list[Vec2], target: Vec2) -> list[float]:
+def _peel(gens: list[tuple[float, float]], target: tuple[float, float]) -> list[float]:
     """Box parameters t in [0, 1] with sum t_j g_j = target, if reachable.
 
     The generators are fixed one at a time in index order. Step j takes t_j
@@ -363,14 +367,14 @@ def _peel(gens: list[Vec2], target: Vec2) -> list[float]:
     level in O(1), so the peel costs O(k^2). Normals equal in value give equal
     bounds, which max and min (first of equals) ignore, so each value counts once.
     """
-    normals = [Vec2(*k) for k in dict.fromkeys((n.x, n.y) for n in _zonogon_normals(gens))]
-    dots = [[n.dot(g) for g in gens] for n in normals]
+    normals = dict.fromkeys(_zonogon_normals(gens))
+    dots = [[nx * gx + ny * gy for gx, gy in gens] for nx, ny in normals]
     support = [sum(max(0.0, ng) for ng in row) for row in dots]  # of the free gens
-    levels = [n.dot(target) for n in normals]  # n . (target - sum t g)
+    levels = [nx * target[0] + ny * target[1] for nx, ny in normals]  # n . (target - sum t g)
     ts: list[float] = []
     for j, g in enumerate(gens):
         lo, hi = 0.0, 1.0
-        tiny = 1e-12 * g.norm()
+        tiny = 1e-12 * math.hypot(*g)
         for i, row in enumerate(dots):
             ng = row[j]
             support[i] -= max(0.0, ng)
@@ -396,14 +400,14 @@ def _select(sets, target: Vec2) -> list[Functional] | None:
     segments; the decomposition counts only if its residual is within a
     tolerance relative to the functionals' size.
     """
-    base, idxs, gens = _zonogon(sets)
-    t_target = target - base
+    (bx, by), idxs, gens = _zonogon(sets)
+    tx, ty = target.x - bx, target.y - by
     scale = max([1.0] + [f.norm() for s in sets for f in _set_bounds(s)])
     rtol = 2e-9 * scale * max(1, len(sets))
-    ts = _peel(gens, t_target)
-    sx = sum(t * g.x for t, g in zip(ts, gens))
-    sy = sum(t * g.y for t, g in zip(ts, gens))
-    if math.hypot(sx - t_target.x, sy - t_target.y) > rtol:
+    ts = _peel(gens, (tx, ty))
+    sx = sum(t * gx for t, (gx, _) in zip(ts, gens))
+    sy = sum(t * gy for t, (_, gy) in zip(ts, gens))
+    if math.hypot(sx - tx, sy - ty) > rtol:
         return None
     sel = [_set_bounds(s)[0] for s in sets]
     for t, idx in zip(ts, idxs):
@@ -423,7 +427,7 @@ def verify_ft_point(norm: PolygonalNorm, points, p: Vec2,
     """
     check_eps(eps)
     pts = list(points)
-    omitted = tuple(i for i, q in enumerate(pts) if (q - p).norm() <= eps)
+    omitted = tuple(i for i, q in enumerate(pts) if math.hypot(q.x - p.x, q.y - p.y) <= eps)
     sets = [norming_set(norm, q - p, eps) for i, q in enumerate(pts) if i not in omitted]
     psi = Vec2(0.0, 0.0)
     funcs = _select(sets, psi)
@@ -447,21 +451,22 @@ def _relaxed_target(norm: PolygonalNorm, sets, ball_scale: int,
     taking the centroid gives a concrete target that the peel can then
     decompose.
     """
-    base, _, gens = _zonogon(sets)
+    (bx, by), _, gens = _zonogon(sets)
     if not gens:
+        base = Vec2(bx, by)
         if dual_norm(norm, base) <= ball_scale + 10 * eps:
             return base
         return None
     # the support of the zonogon in a unit direction n is n.base plus the
     # positive parts of n.g
-    hps = [HalfPlane(n, n.dot(base) + sum(max(0.0, n.dot(g)) for g in gens))
-           for n in _zonogon_normals(gens)]
-    m, scale = norm.m, float(ball_scale)
-    ball_verts = [f * scale for f in norm._duals]
+    hps = [(nx, ny, nx * bx + ny * by + sum(max(0.0, nx * gx + ny * gy) for gx, gy in gens))
+           for nx, ny in _zonogon_normals(gens)]
+    scale = float(ball_scale)
+    ball_verts = [(f.x * scale, f.y * scale) for f in norm._duals]
     # the edge from dual vertex k to k+1 lies on the support line of primal
     # vertex k+1
-    ball_edges = [HalfPlane(norm.vertices[(k + 1) % m], scale) for k in range(m)]
-    region = clip_polygon(ball_verts, ball_edges, hps, eps)
+    ball_edges = [(v.x, v.y, scale) for v in norm.vertices[1:] + norm.vertices[:1]]
+    region = _clip_floats(ball_verts, ball_edges, hps, eps)
     if region.kind == "empty":
         return None
     sx = sum(v.x for v in region.vertices) / len(region.vertices)
@@ -522,23 +527,22 @@ def build_cones(norm: PolygonalNorm, points, phis, eps: float = DEFAULT_EPS,
     return tuple(cones)
 
 
-def _cone_halfplanes(cone: Cone, eps: float) -> list[HalfPlane]:
-    v = cone.vertex
+def _cone_halfplanes(cone: Cone, eps: float) -> list[tuple[float, float, float]]:
+    """An angle's sides, or a ray's carrier line and apex cut, as (nx, ny, offset)."""
+    vx, vy = cone.vertex.x, cone.vertex.y
     if isinstance(cone.shape, AngleShape):
         d1, d2 = cone.shape.d1, cone.shape.d2
         if d1.cross(d2) <= eps * d1.norm() * d2.norm():
             raise InputError("angle cone must sweep counterclockwise below pi")
-        n1 = Vec2(d1.y, -d1.x)
-        n2 = Vec2(-d2.y, d2.x)
-        return [HalfPlane(n1, n1.dot(v)), HalfPlane(n2, n2.dot(v))]
-    d = cone.shape.direction
-    if d.x == 0.0 and d.y == 0.0:
+        n1x, n1y, n2x, n2y = d1.y, -d1.x, -d2.y, d2.x
+        return [(n1x, n1y, n1x * vx + n1y * vy), (n2x, n2y, n2x * vx + n2y * vy)]
+    dx, dy = cone.shape.direction.x, cone.shape.direction.y
+    if dx == 0.0 and dy == 0.0:
         raise InputError("ray cone needs a nonzero direction")
-    n = Vec2(d.y, -d.x)
-    back = -d * (1.0 / d.norm())
-    return [HalfPlane(n, n.dot(v)),
-            HalfPlane(-n, -n.dot(v)),
-            HalfPlane(back, back.dot(v))]
+    s = 1.0 / math.hypot(dx, dy)
+    bx, by = -dx * s, -dy * s
+    offset = dy * vx + -dx * vy  # the offset of -n is -(n . v), not (-n) . v
+    return [(dy, -dx, offset), (-dy, dx, -offset), (bx, by, bx * vx + by * vy)]
 
 
 def intersect_cones(cones: list[Cone] | tuple[Cone, ...], radius: float,
@@ -558,15 +562,11 @@ def intersect_cones(cones: list[Cone] | tuple[Cone, ...], radius: float,
         raise InputError(f"radius must be >= 0 and finite, got {radius}")
     if not all(cone.vertex.is_finite() for cone in cones):
         raise InputError("cone apexes must be finite")
-    hps: list[HalfPlane] = []
-    for cone in cones:
-        hps.extend(_cone_halfplanes(cone, eps))
+    hps = [h for cone in cones for h in _cone_halfplanes(cone, eps)]
     c, r = cones[0].vertex, radius
-    square = [Vec2(c.x - r, c.y - r), Vec2(c.x + r, c.y - r),
-              Vec2(c.x + r, c.y + r), Vec2(c.x - r, c.y + r)]
-    sides = [HalfPlane(Vec2(0.0, -1.0), r - c.y), HalfPlane(Vec2(1.0, 0.0), c.x + r),
-             HalfPlane(Vec2(0.0, 1.0), c.y + r), HalfPlane(Vec2(-1.0, 0.0), r - c.x)]
-    region = clip_polygon(square, sides, hps, eps)
+    square = [(c.x - r, c.y - r), (c.x + r, c.y - r), (c.x + r, c.y + r), (c.x - r, c.y + r)]
+    sides = [(0.0, -1.0, r - c.y), (1.0, 0.0, c.x + r), (0.0, 1.0, c.y + r), (-1.0, 0.0, r - c.x)]
+    region = _clip_floats(square, sides, hps, eps)
     if region.kind == "empty":
         raise CertificateError("cone intersection is empty")
     return region
@@ -591,12 +591,12 @@ def check_certificate(norm: PolygonalNorm, points, cert: Certificate,
     if scale == math.inf:  # tol would be inf, and every test below would pass
         raise CertificateError("certificate holds an infinite functional")
     tol = 20 * eps * scale * max(1, len(pts))
-    total = Vec2(0.0, 0.0)
+    tx = ty = 0.0
     for f in cert.functionals:
-        total = total + f
+        tx, ty = tx + f.x, ty + f.y
     # each test is written so that a NaN fails it
-    if not total.norm() <= tol:
-        raise CertificateError(f"functionals sum to {total}, not zero")
+    if not math.hypot(tx, ty) <= tol:
+        raise CertificateError(f"functionals sum to {Vec2(tx, ty)}, not zero")
     relaxed = set(cert.relaxed)
     table = dual_norms(norm, cert.functionals)
     for i, (q, f, dn) in enumerate(zip(pts, cert.functionals, table[1].tolist())):
@@ -606,8 +606,9 @@ def check_certificate(norm: PolygonalNorm, points, cert: Certificate,
             continue
         if not abs(dn - 1.0) <= tol:
             raise CertificateError(f"entry {i} has dual norm {dn}, expected 1")
-        g = gauge(norm, q - cert.base)
-        if not abs(f.dot(q - cert.base) - g) <= tol * max(1.0, g):
+        dx, dy = q.x - cert.base.x, q.y - cert.base.y
+        g = _gauge(norm, dx, dy)
+        if not abs(f.x * dx + f.y * dy - g) <= tol * max(1.0, g):
             raise CertificateError(f"entry {i} does not norm its displacement")
     return table
 

@@ -130,8 +130,21 @@ def test_halfplane_normal_too_short():
         clip_square([HalfPlane(Vec2(0, 0), 1)])
 
 
+def boundary_intersection(h1, h2, a, b, sa, sb):
+    """The crossing of the boundary lines of h1 and h2, or the interpolation
+    along a-b by the side values sa and sb when they are nearly parallel."""
+    det = h1.normal.x * h2.normal.y - h1.normal.y * h2.normal.x
+    if abs(det) > 1e-14:
+        x = (h1.offset * h2.normal.y - h2.offset * h1.normal.y) / det
+        y = (h1.normal.x * h2.offset - h2.normal.x * h1.offset) / det
+        return Vec2(x, y)
+    t = sa / (sa - sb)
+    return Vec2(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+
+
 def clip_pass(poly, h, eps):
-    """The full Sutherland-Hodgman pass that _clip skips when no vertex leaves."""
+    """The full Sutherland-Hodgman pass on (Vec2, HalfPlane) pairs, which _clip
+    runs on floats and skips when no vertex leaves."""
     n = len(poly)
     sides = [h.side(v) for v, _ in poly]
     out = []
@@ -143,15 +156,20 @@ def clip_pass(poly, h, eps):
         if a_in:
             out.append((a, edge_hp))
         if a_in != b_in:
-            x = geometry._boundary_intersection(edge_hp, h, a, b, sa, sb)
+            x = boundary_intersection(edge_hp, h, a, b, sa, sb)
             out.append((x, h) if a_in else ((x, edge_hp)))
     return out
+
+
+def floats(h):
+    return h.normal.x, h.normal.y, h.offset
 
 
 def test_clip_matches_the_full_pass():
     # convex polygons on a 2^-10 grid, so that axis half-planes can put a
     # side exactly at eps = 2^-20; half-planes that keep, cut, touch or miss
-    # the polygon, NaN normals and offsets, and a vertex whose side is NaN
+    # the polygon, NaN normals and offsets, and a vertex whose side is NaN;
+    # the float pass is read back into (Vec2, HalfPlane) pairs
     rng = Random(12)
     eps = 2.0 ** -20
     at_eps = nan_side = kept = 0  # sides at eps, NaN sides max() would skip, no-op clips
@@ -179,9 +197,11 @@ def test_clip_matches_the_full_pass():
         at_eps += eps in sides
         nan_side += (any(map(math.isnan, sides[1:])) and not math.isnan(sides[0])
                      and all(s <= eps for s in sides if not math.isnan(s)))
-        got = geometry._clip(poly, h, eps)
-        kept += got is poly
-        assert repr(got) == repr(clip_pass(poly, h, eps))
+        flat = [(v.x, v.y, floats(e)) for v, e in poly]
+        got = geometry._clip(flat, floats(h), eps)
+        kept += got is flat
+        assert repr([(Vec2(x, y), HalfPlane(Vec2(*e[:2]), e[2])) for x, y, e in got]) \
+            == repr(clip_pass(poly, h, eps))
     assert at_eps >= 300 and nan_side >= 100 and kept >= 500, (at_eps, nan_side, kept)
 
 

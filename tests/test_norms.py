@@ -86,6 +86,34 @@ def test_gauge_keeps_nan_as_gauge_batch_does(diamond, hexagon):
     assert gauge(diamond, Vec2(-0.0, 0.0)) == 0.0 and gauge(diamond, Vec2(3, -4)) == 7.0
 
 
+def sector_by_mod(norm, dx, dy):
+    """sector_batch as it was, folding the angle from vertex 0 with np.mod."""
+    with np.errstate(invalid="ignore"):
+        ang = np.mod(np.arctan2(dy, dx) - norm._base_angle, 2.0 * math.pi)
+    return np.searchsorted(norm._rel_array, ang, side="right") - 1
+
+
+def test_sector_batch_matches_the_mod_route(diamond, hexagon):
+    # vertex 0 at (-1, -0.0) puts the base angle at -pi, so (-1, +0.0) is at
+    # 2pi from it; (1, -1e-300) is a tiny negative angle from vertex 0 of the
+    # diamond, which a + 2pi rounds to 2pi
+    flipped = make_polygonal_norm([(-1.0, -0.0), (0.0, -1.0), (1.0, 0.0), (0.0, 1.0)])
+    assert flipped._base_angle == -math.pi and diamond._base_angle == 0.0
+    special = [0.0, -0.0, math.nan, math.inf, -math.inf, 1.0, -1.0, 1e-300, -1e-300]
+    sx, sy = (np.array(c) for c in zip(*[(x, y) for x in special for y in special]))
+    rng = np.random.default_rng(9)
+    norms = [diamond, hexagon, flipped] + [random_symmetric_norm(Random(k)) for k in range(20)]
+    wrapped = tiny = 0
+    for norm in norms:
+        scaled = rng.standard_normal((2, 2000)) * rng.choice([1e-3, 1.0, 1e6], 2000)
+        for dx, dy in ((sx, sy), scaled):
+            assert np.array_equal(norm.sector_batch(dx, dy), sector_by_mod(norm, dx, dy))
+            a = np.arctan2(dy, dx) - norm._base_angle
+            wrapped += (a == 2.0 * math.pi).sum()
+            tiny += ((a < 0.0) & (a + 2.0 * math.pi == 2.0 * math.pi)).sum()
+    assert wrapped >= 1 and tiny >= 1, (wrapped, tiny)
+
+
 def test_dual_vertices_diamond(diamond):
     duals = [(f.x, f.y) for f in dual_vertices(diamond)]
     assert duals == [(1, 1), (-1, 1), (-1, -1), (1, -1)]

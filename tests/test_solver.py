@@ -29,8 +29,8 @@ from ftplane import (
     objective,
     verify_ft_point,
 )
-from ftplane import solver
-from ftplane.geometry import DEFAULT_EPS, Region
+from ftplane import geometry, solver
+from ftplane.geometry import DEFAULT_EPS, HalfPlane, Region, clip_polygon
 from ftplane.lambda_planes import make_lambda_norm
 from ftplane.norms import Functional, FunctionalSegment, dual_norms, gauge_batch, norming_set
 from ftplane.oracle import random_instance, random_symmetric_norm
@@ -45,6 +45,7 @@ from conftest import (
     fibre_vertices,
     random_terminals,
     regions_match,
+    rotations,
 )
 
 
@@ -638,6 +639,104 @@ def test_intersect_cones_hexagon_triangle(hexagon, unit_triangle):
         assert any((v - q).norm() <= 1e-9 for v in region.vertices)
 
 
+def cone_halfplanes_by_objects(cone, eps):
+    """_cone_halfplanes as HalfPlane objects, as it was before the float route."""
+    v = cone.vertex
+    if isinstance(cone.shape, AngleShape):
+        d1, d2 = cone.shape.d1, cone.shape.d2
+        if d1.cross(d2) <= eps * d1.norm() * d2.norm():
+            raise InputError("angle cone must sweep counterclockwise below pi")
+        n1 = Vec2(d1.y, -d1.x)
+        n2 = Vec2(-d2.y, d2.x)
+        return [HalfPlane(n1, n1.dot(v)), HalfPlane(n2, n2.dot(v))]
+    d = cone.shape.direction
+    if d.x == 0.0 and d.y == 0.0:
+        raise InputError("ray cone needs a nonzero direction")
+    n = Vec2(d.y, -d.x)
+    back = -d * (1.0 / d.norm())
+    return [HalfPlane(n, n.dot(v)), HalfPlane(-n, -n.dot(v)), HalfPlane(back, back.dot(v))]
+
+
+def outcome(call, *args):
+    try:
+        return repr(call(*args))
+    except (InputError, CertificateError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_intersect_cones_matches_the_object_route():
+    # the unit half-planes to the bit, and the region or error, against
+    # HalfPlane.unit of the object half-planes clipped by clip_polygon. Lattice
+    # apexes with zero coordinates tell -(n . v) from (-n) . v by the sign of
+    # a zero; the witnesses of the condition-2 octagon and condition-3 hexagon
+    # are the golden cases such a slip moves.
+    rng = Random(22)
+    eps, r = DEFAULT_EPS, 20.0
+
+    def unit_bits(hps):
+        return [tuple(c.hex() for c in h) for h in hps]
+
+    def direction():
+        if rng.random() < 0.5:
+            return Vec2(*rng.choice([(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-2, 1),
+                                     (0.0, -0.0)]))
+        a = rng.uniform(0.0, 2 * math.pi)
+        return Vec2(math.cos(a), math.sin(a)) * rng.choice([1.0, 1e-10, 3.0])
+
+    cases = []
+    for _ in range(1500):
+        cones = []
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.5:
+                apex = Vec2(*(rng.choice([0, 0.0, -0.0, 1.0, -2.0]) for _ in range(2)))
+            else:
+                apex = Vec2(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            if rng.random() < 0.5:
+                cones.append(Cone(apex, RayShape(direction())))
+            else:
+                d1 = direction()
+                turn = rng.choice([math.pi / 2, math.pi / 4, rng.uniform(0.0, 3.5), math.pi])
+                d2 = Vec2(d1.x * math.cos(turn) - d1.y * math.sin(turn),
+                          d1.x * math.sin(turn) + d1.y * math.cos(turn))
+                cones.append(Cone(apex, AngleShape(d1, d2)))
+        cases.append(cones)
+    for verts in COND2_OCTAGON, COND3_HEXAGON:
+        for rotated in rotations(verts):
+            norm = make_polygonal_norm(rotated)
+            pts = uniqueness_verdict(norm).witness
+            sol = ft_solve(norm, pts)
+            cases.append(list(build_cones(norm, pts, sol.certificate.functionals)))
+    seen = set()
+    for cones in cases:
+        try:
+            want = [h for cone in cones for h in cone_halfplanes_by_objects(cone, eps)]
+        except InputError as exc:
+            with pytest.raises(InputError, match=str(exc)):
+                [solver._cone_halfplanes(cone, eps) for cone in cones]
+            seen.add(str(exc))
+            continue
+        got = [h for cone in cones for h in solver._cone_halfplanes(cone, eps)]
+        short = any(h.normal.norm() <= eps for h in want)  # clip_polygon raises
+        if not short:
+            assert unit_bits(geometry._unit(*h) for h in got) == \
+                unit_bits((u.normal.x, u.normal.y, u.offset) for u in map(HalfPlane.unit, want))
+        c = cones[0].vertex
+        square = [Vec2(c.x - r, c.y - r), Vec2(c.x + r, c.y - r),
+                  Vec2(c.x + r, c.y + r), Vec2(c.x - r, c.y + r)]
+        sides = [HalfPlane(Vec2(0.0, -1.0), r - c.y), HalfPlane(Vec2(1.0, 0.0), c.x + r),
+                 HalfPlane(Vec2(0.0, 1.0), c.y + r), HalfPlane(Vec2(-1.0, 0.0), r - c.x)]
+        region = outcome(clip_polygon, square, sides, want)
+        if region == repr(Region.empty()):
+            region = "CertificateError: cone intersection is empty"
+        assert outcome(intersect_cones, cones, r) == region
+        seen.add(region.split(",")[0])
+    assert seen >= {"angle cone must sweep counterclockwise below pi",
+                    "ray cone needs a nonzero direction",
+                    "InputError: half-plane normal is too short",
+                    "CertificateError: cone intersection is empty",
+                    "Region(kind='point'", "Region(kind='segment'", "Region(kind='polygon'"}, seen
+
+
 def test_collinear_median():
     assert collinear_median([Vec2(0, 0), Vec2(1, 0), Vec2(5, 0)]) == Vec2(1, 0)
     pts = [Vec2(0, 0), Vec2(1, 1), Vec2(2, 2), Vec2(3, 3), Vec2(10, 10)]
@@ -924,15 +1023,19 @@ def test_plus_shape_enumerates_equivalent_selections(diamond):
 
 
 def zonogon_normals_with_duplicates(gens):
-    """_zonogon_normals as it was before bit-identical normals were dropped."""
+    """_zonogon_normals as it was before bit-identical normals were dropped,
+    on (x, y) pairs."""
     out = []
-    for g in gens:
-        n = g.perp() * (1.0 / g.norm())
-        out += [n, -n]
-    if gens and all(abs(g.cross(gens[0])) <= 1e-12 * g.norm() * gens[0].norm()
-                    for g in gens):
-        u = gens[0] * (1.0 / gens[0].norm())
-        out += [u, -u]
+    for gx, gy in gens:
+        s = 1.0 / math.hypot(gx, gy)
+        nx, ny = -gy * s, gx * s
+        out += [(nx, ny), (-nx, -ny)]
+    if not gens:
+        return out
+    (g0x, g0y), g0n = gens[0], math.hypot(*gens[0])
+    if all(abs(gx * g0y - gy * g0x) <= 1e-12 * math.hypot(gx, gy) * g0n for gx, gy in gens):
+        s = 1.0 / g0n
+        out += [(g0x * s, g0y * s), (-(g0x * s), -(g0y * s))]
     return out
 
 
@@ -966,15 +1069,15 @@ def test_zonogon_normals_drop_only_bit_identical_duplicates(monkeypatch, diamond
 
 
 def peel_bounding_every_normal(gens, target):
-    """_peel as it was before it bounded each normal value once."""
+    """_peel as it was before it bounded each normal value once, on (x, y) pairs."""
     normals = solver._zonogon_normals(gens)
-    dots = [[n.dot(g) for g in gens] for n in normals]
+    dots = [[nx * gx + ny * gy for gx, gy in gens] for nx, ny in normals]
     support = [sum(max(0.0, ng) for ng in row) for row in dots]
-    levels = [n.dot(target) for n in normals]
+    levels = [nx * target[0] + ny * target[1] for nx, ny in normals]
     ts = []
-    for j, g in enumerate(gens):
+    for j, (gx, gy) in enumerate(gens):
         lo, hi = 0.0, 1.0
-        tiny = 1e-12 * g.norm()
+        tiny = 1e-12 * math.hypot(gx, gy)
         for i, row in enumerate(dots):
             ng = row[j]
             support[i] -= max(0.0, ng)
@@ -1010,12 +1113,14 @@ def test_peel_bounds_each_normal_value_once():
         if rng.random() < 0.3:
             aim = (aim[0] + rng.choice((0.0, -0.0, 0.5)), aim[1] + rng.choice((0.0, -0.0, -2.0)))
         for scale in (1.0, 0.1, 1 / 3, -1.0, 2.0 ** -30, 1e6):
-            gens = [Vec2(x * scale, y * scale) for x, y in raw]
-            target = Vec2(aim[0] * scale, aim[1] * scale)
+            gens = [(x * scale, y * scale) for x, y in raw]
+            target = (aim[0] * scale, aim[1] * scale)
             assert [t.hex() for t in solver._peel(gens, target)] == \
                 [t.hex() for t in peel_bounding_every_normal(gens, target)], (gens, target)
             normals = solver._zonogon_normals(gens)
-            merged += len({(n.x, n.y) for n in normals}) < len(normals)
+            merged += len(set(normals)) < len(normals)
+            assert {(x.hex(), y.hex()) for x, y in normals} == \
+                {(x.hex(), y.hex()) for x, y in zonogon_normals_with_duplicates(gens)}
     assert merged >= 1000, merged
 
 
