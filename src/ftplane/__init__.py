@@ -8,7 +8,6 @@ input, and classifies planes normed by regular polygons.
 from .errors import CertificateError, InputError, PlaneError
 from .geometry import (
     DEFAULT_EPS,
-    HalfPlane,
     Region,
     Vec2,
     convex_hull,
@@ -70,7 +69,7 @@ from .render import render_svg
 __all__ = [
     "CertificateError", "InputError", "PlaneError",
 
-    "DEFAULT_EPS", "HalfPlane", "Region", "Vec2", "convex_hull", "orient",
+    "DEFAULT_EPS", "Region", "Vec2", "convex_hull", "orient",
     "segment_interior_contains",
 
     "EdgeElement", "Functional", "FunctionalSegment", "PolygonalNorm",

@@ -183,22 +183,6 @@ def _drop_flat(verts: list[Vec2], eps: float) -> list[Vec2]:
     return verts
 
 
-@dataclass(frozen=True, slots=True)
-class HalfPlane:
-    """The set of points p with normal . p <= offset."""
-
-    normal: Vec2
-    offset: float
-
-    def side(self, p: Vec2) -> float:
-        """Signed violation: negative inside, positive outside."""
-        return self.normal.dot(p) - self.offset
-
-    def unit(self) -> "HalfPlane":
-        n = self.normal.norm()
-        return HalfPlane(Vec2(self.normal.x / n, self.normal.y / n), self.offset / n)
-
-
 def _clip(poly: list[tuple[float, float, tuple[float, float, float]]],
           h: tuple[float, float, float], eps: float) -> list:
     """One Sutherland-Hodgman pass keeping n . v - offset <= eps for the unit
@@ -237,9 +221,17 @@ def _unit(nx: float, ny: float, offset: float) -> tuple[float, float, float]:
     return nx / n, ny / n, offset / n
 
 
-def _clip_floats(vertices: list[tuple[float, float]], edges: list[tuple[float, float, float]],
-                 halfplanes: list[tuple[float, float, float]], eps: float) -> Region:
-    """``clip_polygon`` on (x, y) vertices and (nx, ny, offset) half-planes."""
+def clip_polygon(vertices: list[tuple[float, float]], edges: list[tuple[float, float, float]],
+                 halfplanes: list[tuple[float, float, float]], eps: float = DEFAULT_EPS) -> Region:
+    """Clip a bounded convex CCW polygon by half-planes, classified by shape.
+
+    Vertices are (x, y) pairs; ``edges[k]`` must carry the edge leaving
+    ``vertices[k]``, and it and each half-plane are (nx, ny, offset) triples,
+    the points p with n . p <= offset. Each output vertex is computed as the
+    intersection of the two support lines that bound its edges, which keeps
+    coordinates accurate even for slivers. Raises InputError for a
+    half-plane normal no longer than ``eps``.
+    """
     if any(math.hypot(nx, ny) <= eps for nx, ny, _ in halfplanes):
         raise InputError("half-plane normal is too short")
     poly = [(x, y, _unit(*e)) for (x, y), e in zip(vertices, edges)]
@@ -248,20 +240,6 @@ def _clip_floats(vertices: list[tuple[float, float]], edges: list[tuple[float, f
         if not poly:
             return Region.empty()
     return convex_hull([Vec2(x, y) for x, y, _ in poly], eps)
-
-
-def clip_polygon(vertices: list[Vec2], edge_halfplanes: list[HalfPlane],
-                 halfplanes: list[HalfPlane], eps: float = DEFAULT_EPS) -> Region:
-    """Clip a bounded convex CCW polygon by half-planes, classified by shape.
-
-    ``edge_halfplanes[k]`` must carry the edge leaving ``vertices[k]``. Each
-    output vertex is computed as the intersection of the two support lines
-    that bound its edges, which keeps coordinates accurate even for slivers.
-    Raises InputError for a half-plane normal no longer than ``eps``.
-    """
-    return _clip_floats([(v.x, v.y) for v in vertices],
-                        [(h.normal.x, h.normal.y, h.offset) for h in edge_halfplanes],
-                        [(h.normal.x, h.normal.y, h.offset) for h in halfplanes], eps)
 
 
 def segment_interior_contains(a: Vec2, b: Vec2, q: Vec2,

@@ -45,8 +45,8 @@ from .geometry import (
     DEFAULT_EPS,
     Region,
     Vec2,
-    _clip_floats,
     check_eps,
+    clip_polygon,
     finite_spans,
     orient,
 )
@@ -228,7 +228,8 @@ def candidate_minimize(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...
     Breaklines are the lines through each terminal in each unit-ball vertex
     direction; every extreme point of the solution set is such an
     intersection, so the minimum over candidates is the global minimum.
-    Returns all minimizing candidates (deduplicated) and the value.
+    Returns all minimizing candidates (deduplicated) and the value; raises
+    InputError when finite terminals give a least value of inf or NaN.
 
     The crossings come from _crossing_blocks, each the same float as in a
     scalar loop over Vec2 line pairs, and in its order (i, k, j, l). Two lines
@@ -255,18 +256,28 @@ def candidate_minimize(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...
     live = _live_lines(norm, qx, qy, eps)
 
     kept, best, start = [], np.inf, 0
-    for xs, ys in _crossing_blocks(qx, qy, dx, dy, dn, live):
-        vals = _objective_batch(norm, qx, qy, xs, ys)
-        best = np.minimum(best, vals.min())  # a NaN sticks, as in np.min
-        near = np.flatnonzero(vals <= best + eps * max(1.0, best))
-        kept.append((xs[near], ys[near], vals[near], near + start))
-        start += len(xs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for xs, ys in _crossing_blocks(qx, qy, dx, dy, dn, live):
+            vals = _objective_batch(norm, qx, qy, xs, ys)
+            best = np.minimum(best, vals.min())  # a NaN sticks, as in np.min
+            near = np.flatnonzero(vals <= best + eps * max(1.0, best))
+            kept.append((xs[near], ys[near], vals[near], near + start))
+            start += len(xs)
+    if not np.isfinite(best):
+        raise InputError(f"the objective overflows: its least candidate value is {best}")
 
     xs, ys, vals, at = (np.concatenate(a) for a in zip(*kept))
     near = vals <= best + eps * max(1.0, abs(best))
-    # the first len(pts) are the terminals, returned as the caller's objects (ints stay)
-    arg = [pts[k] if k < len(pts) else Vec2(x, y) for x, y, k in
-           zip(xs[near].tolist(), ys[near].tolist(), at[near].tolist())]
+    # the first len(pts) are the terminals, returned as the caller's objects
+    # (ints stay); a crossing equal (==: +-0.0 alike, a NaN never) to an earlier
+    # one is not built, as _dedup would skip it after the same first copy
+    arg, seen = [], set()
+    for x, y, k in zip(xs[near].tolist(), ys[near].tolist(), at[near].tolist()):
+        if k < len(pts):
+            arg.append(pts[k])
+        elif (x, y) not in seen:  # each NaN is its own object, never in seen
+            seen.add((x, y))
+            arg.append(Vec2(x, y))
     return _dedup(arg, eps), float(best)
 
 
@@ -466,7 +477,7 @@ def _relaxed_target(norm: PolygonalNorm, sets, ball_scale: int,
     # the edge from dual vertex k to k+1 lies on the support line of primal
     # vertex k+1
     ball_edges = [(v.x, v.y, scale) for v in norm.vertices[1:] + norm.vertices[:1]]
-    region = _clip_floats(ball_verts, ball_edges, hps, eps)
+    region = clip_polygon(ball_verts, ball_edges, hps, eps)
     if region.kind == "empty":
         return None
     sx = sum(v.x for v in region.vertices) / len(region.vertices)
@@ -566,7 +577,7 @@ def intersect_cones(cones: list[Cone] | tuple[Cone, ...], radius: float,
     c, r = cones[0].vertex, radius
     square = [(c.x - r, c.y - r), (c.x + r, c.y - r), (c.x + r, c.y + r), (c.x - r, c.y + r)]
     sides = [(0.0, -1.0, r - c.y), (1.0, 0.0, c.x + r), (0.0, 1.0, c.y + r), (-1.0, 0.0, r - c.x)]
-    region = _clip_floats(square, sides, hps, eps)
+    region = clip_polygon(square, sides, hps, eps)
     if region.kind == "empty":
         raise CertificateError("cone intersection is empty")
     return region
@@ -638,6 +649,8 @@ def ft_solve(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...],
     p, cands = collinear_median(pts, eps), []  # it rejects non-finite coordinates
     if p is not None:
         value = objective(norm, pts, p)
+        if not math.isfinite(value):  # a relaxed certificate would return it
+            raise InputError(f"the objective overflows: its value at the median is {value}")
     else:
         cands, value = candidate_minimize(norm, pts, eps)
         p = cands[0]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 from itertools import chain, combinations
 from random import Random
 
@@ -72,6 +73,23 @@ def random_terminals(n, seed):
 def cone_radius(norm, value):
     """Half-width that ft_solve passes to intersect_cones for optimum ``value``."""
     return 2 * value * max(v.norm() for v in norm.vertices)
+
+
+@dataclass(frozen=True, slots=True)
+class HalfPlane:
+    """The points p with normal . p <= offset: the object form in which the
+    clip and cone references compute, against clip_polygon's triples."""
+
+    normal: Vec2
+    offset: float
+
+    def side(self, p: Vec2) -> float:
+        """Signed violation: negative inside, positive outside."""
+        return self.normal.dot(p) - self.offset
+
+    def unit(self) -> "HalfPlane":
+        n = self.normal.norm()
+        return HalfPlane(Vec2(self.normal.x / n, self.normal.y / n), self.offset / n)
 
 
 def vec_close(v: Vec2, xy, tol=1e-9) -> bool:

@@ -4,7 +4,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from ftplane import CertificateError, Vec2, ft_solve, make_lambda_norm
@@ -301,9 +300,16 @@ def test_overflowing_coordinate_span_is_validation_error(tmp_path, capsys):
 def test_overflowing_cone_radius_is_validation_error(tmp_path, capsys):
     path = tmp_path / "p.json"
     path.write_text(json.dumps({"points": [[0, 0], [6e307, 0], [3e307, 5e307]]}))
-    with np.errstate(over="ignore"):  # the candidate stage overflows on the way
-        code, out, err = run(capsys, ["solve", "--lambda", "3", "--points", str(path)])
+    code, out, err = run(capsys, ["solve", "--lambda", "3", "--points", str(path)])
     assert (code, out) == (1, "") and "cone radius" in err and "overflows" in err
+
+
+def test_overflowing_objective_is_one_line_validation_error(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"points": [[0, 0], [1.7e308, 0], [0, 1.7e308]]}))
+    code, out, err = run(capsys, ["solve", "--lambda", "3", "--points", str(path)])
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: the objective overflows: its least candidate value is nan"]
 
 
 def test_large_finite_coordinates_still_solve(tmp_path, capsys):

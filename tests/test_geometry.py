@@ -4,7 +4,6 @@ from random import Random
 import pytest
 
 from ftplane import (
-    HalfPlane,
     InputError,
     Region,
     Vec2,
@@ -15,12 +14,13 @@ from ftplane import (
 from ftplane import geometry
 from ftplane.geometry import check_eps, clip_polygon
 
+from conftest import HalfPlane
+
 
 def clip_square(halfplanes, r=10.0):
     """clip_polygon starting from the square [-r, r]^2."""
-    square = [Vec2(-r, -r), Vec2(r, -r), Vec2(r, r), Vec2(-r, r)]
-    sides = [HalfPlane(Vec2(0, -1), r), HalfPlane(Vec2(1, 0), r),
-             HalfPlane(Vec2(0, 1), r), HalfPlane(Vec2(-1, 0), r)]
+    square = [(-r, -r), (r, -r), (r, r), (-r, r)]
+    sides = [(0, -1, r), (1, 0, r), (0, 1, r), (-1, 0, r)]
     return clip_polygon(square, sides, halfplanes)
 
 
@@ -86,16 +86,14 @@ def test_hull_is_convex_and_canonical():
 
 
 def test_halfplanes_point():
-    hps = [HalfPlane(Vec2(-1, 0), 0), HalfPlane(Vec2(1, 0), 0),
-           HalfPlane(Vec2(0, -1), 0), HalfPlane(Vec2(0, 1), 0)]
+    hps = [(-1, 0, 0), (1, 0, 0), (0, -1, 0), (0, 1, 0)]
     r = clip_square(hps)
     assert r.kind == "point"
     assert (r.vertices[0] - Vec2(0, 0)).norm() <= 1e-9
 
 
 def test_halfplanes_segment():
-    hps = [HalfPlane(Vec2(-1, 0), 0), HalfPlane(Vec2(1, 0), 2),
-           HalfPlane(Vec2(0, -1), 0), HalfPlane(Vec2(0, 1), 0)]
+    hps = [(-1, 0, 0), (1, 0, 2), (0, -1, 0), (0, 1, 0)]
     r = clip_square(hps)
     assert r.kind == "segment"
     assert (r.vertices[0] - Vec2(0, 0)).norm() <= 1e-9
@@ -103,31 +101,30 @@ def test_halfplanes_segment():
 
 
 def test_halfplanes_empty():
-    r = clip_square([HalfPlane(Vec2(1, 0), 0), HalfPlane(Vec2(-1, 0), -1)])
+    r = clip_square([(1, 0, 0), (-1, 0, -1)])
     assert r.kind == "empty"
 
 
 def test_halfplanes_result_contained_in_every_input():
     rng = Random(3)
     for _ in range(40):
-        hps = [HalfPlane(Vec2(1, 0), rng.uniform(1, 3)),
-               HalfPlane(Vec2(-1, 0), rng.uniform(1, 3)),
-               HalfPlane(Vec2(0, 1), rng.uniform(1, 3)),
-               HalfPlane(Vec2(0, -1), rng.uniform(1, 3))]
+        hps = [(1, 0, rng.uniform(1, 3)),
+               (-1, 0, rng.uniform(1, 3)),
+               (0, 1, rng.uniform(1, 3)),
+               (0, -1, rng.uniform(1, 3))]
         for _ in range(6):
             ang = rng.uniform(0, 2 * math.pi)
-            hps.append(HalfPlane(Vec2(math.cos(ang), math.sin(ang)),
-                                 rng.uniform(-0.5, 2.5)))
+            hps.append((math.cos(ang), math.sin(ang), rng.uniform(-0.5, 2.5)))
         r = clip_square(hps)
-        for hp in hps:
-            u = hp.unit()
+        for nx, ny, offset in hps:
+            n = math.hypot(nx, ny)
             for v in r.vertices:
-                assert u.side(v) <= 1e-8
+                assert nx / n * v.x + ny / n * v.y - offset / n <= 1e-8
 
 
 def test_halfplane_normal_too_short():
     with pytest.raises(ValueError):
-        clip_square([HalfPlane(Vec2(0, 0), 1)])
+        clip_square([(0, 0, 1)])
 
 
 def boundary_intersection(h1, h2, a, b, sa, sb):

@@ -3,7 +3,6 @@ import math
 import types
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import ftplane
@@ -44,10 +43,9 @@ def test_public_calls_raise_one_of_two_error_classes(diamond, square, unit_trian
         norming_set, objective, torricelli_point, uniqueness_verdict, verify_ft_point)
     from ftplane.oracle import final_cell_diameter, grid_minimize
 
-    def overflowing_radius():
-        # finite coordinates and spans; the candidate stage overflows on the way
-        with np.errstate(over="ignore"):
-            ft_solve(make_lambda_norm(3).norm, [Vec2(0, 0), Vec2(6e307, 0), Vec2(3e307, 5e307)])
+    def overflowing(lam, *pts):
+        # finite coordinates and spans whose objective overflows a float
+        return lambda: ft_solve(make_lambda_norm(lam).norm, [Vec2(*p) for p in pts])
 
     assert issubclass(InputError, (PlaneError, ValueError))
     assert issubclass(CertificateError, PlaneError)
@@ -92,7 +90,16 @@ def test_public_calls_raise_one_of_two_error_classes(diamond, square, unit_trian
         (lambda: intersect_cones([Cone(Vec2(0, 0), RayShape(Vec2(1, 0))),
                                   Cone(Vec2(1, math.nan), RayShape(Vec2(1, 0)))], 10.0),
          "cone apexes must be finite"),
-        (overflowing_radius, r"the cone radius 2 \* 1\.17\d*e\+308 \* 1\.0 overflows"),
+        (overflowing(3, (0, 0), (6e307, 0), (3e307, 5e307)),
+         r"the cone radius 2 \* 1\.17\d*e\+308 \* 1\.0 overflows"),
+        (overflowing(3, (0, 0), (1.7e308, 0), (0, 1.7e308)),
+         "the objective overflows: its least candidate value is nan"),
+        (overflowing(3, (8e307, 0), (-8e307, 0), (0, 8e307), (0, -8e307)),
+         "the objective overflows: its least candidate value is inf"),
+        (overflowing(2, (8e307, 8e307), (-8e307, 8e307), (-8e307, -8e307), (8e307, -8e307)),
+         "the objective overflows: its least candidate value is inf"),
+        (overflowing(3, (0, 0), (0, 0), (1e308, 0), (1.7e308, 0), (1.7e308, 0)),
+         "the objective overflows: its value at the median is inf"),
         (lambda: build_cones(diamond, (Vec2(0, 0), Vec2(1, 0)), (Functional(1.0, 0.0),)),
          "2 terminals but 1 functionals"),
         (lambda: objective(diamond, [], Vec2(0, 0)), "objective needs at least one terminal"),

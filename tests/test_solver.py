@@ -30,7 +30,7 @@ from ftplane import (
     verify_ft_point,
 )
 from ftplane import geometry, solver
-from ftplane.geometry import DEFAULT_EPS, HalfPlane, Region, clip_polygon
+from ftplane.geometry import DEFAULT_EPS, Region, clip_polygon
 from ftplane.lambda_planes import make_lambda_norm
 from ftplane.norms import Functional, FunctionalSegment, dual_norms, gauge_batch, norming_set
 from ftplane.oracle import random_instance, random_symmetric_norm
@@ -40,6 +40,7 @@ from conftest import (
     COND2_OCTAGON,
     COND3_HEXAGON,
     SQRT3,
+    HalfPlane,
     cone_radius,
     fibre_selections,
     fibre_vertices,
@@ -657,6 +658,20 @@ def cone_halfplanes_by_objects(cone, eps):
     return [HalfPlane(n, n.dot(v)), HalfPlane(-n, -n.dot(v)), HalfPlane(back, back.dot(v))]
 
 
+def test_cone_path_clips_through_the_solver_attribute(monkeypatch, hexagon, unit_triangle):
+    # the benchmark's tracer wraps solver.clip_polygon, a module attribute
+    want = repr(ft_solve(hexagon, unit_triangle))
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return clip_polygon(*args)
+
+    monkeypatch.setattr(solver, "clip_polygon", counting)
+    sol = ft_solve(hexagon, unit_triangle)
+    assert repr(sol) == want and sol.region.kind == "polygon" and len(calls) == 1
+
+
 def outcome(call, *args):
     try:
         return repr(call(*args))
@@ -721,11 +736,10 @@ def test_intersect_cones_matches_the_object_route():
             assert unit_bits(geometry._unit(*h) for h in got) == \
                 unit_bits((u.normal.x, u.normal.y, u.offset) for u in map(HalfPlane.unit, want))
         c = cones[0].vertex
-        square = [Vec2(c.x - r, c.y - r), Vec2(c.x + r, c.y - r),
-                  Vec2(c.x + r, c.y + r), Vec2(c.x - r, c.y + r)]
-        sides = [HalfPlane(Vec2(0.0, -1.0), r - c.y), HalfPlane(Vec2(1.0, 0.0), c.x + r),
-                 HalfPlane(Vec2(0.0, 1.0), c.y + r), HalfPlane(Vec2(-1.0, 0.0), r - c.x)]
-        region = outcome(clip_polygon, square, sides, want)
+        square = [(c.x - r, c.y - r), (c.x + r, c.y - r), (c.x + r, c.y + r), (c.x - r, c.y + r)]
+        sides = [(0.0, -1.0, r - c.y), (1.0, 0.0, c.x + r), (0.0, 1.0, c.y + r), (-1.0, 0.0, r - c.x)]
+        region = outcome(clip_polygon, square, sides,
+                         [(h.normal.x, h.normal.y, h.offset) for h in want])
         if region == repr(Region.empty()):
             region = "CertificateError: cone intersection is empty"
         assert outcome(intersect_cones, cones, r) == region
