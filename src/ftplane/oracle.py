@@ -38,20 +38,21 @@ def _objective_grid(norm: PolygonalNorm, points, xs: np.ndarray,
     products a*dx depend on the column alone and b*dy on the row alone, so
     they are taken on the axes and broadcast into buffers allocated once;
     every grid value is still a*dx + b*dy, maximized over the edges in order
-    and summed over the terminals in order.
+    and summed over the terminals in order; an overflow gives inf or NaN.
     """
     shape = (len(ys), len(xs))
     total = np.zeros(shape)
     best = np.empty(shape)
     level = np.empty(shape)
-    for q in points:
-        dx = xs - q.x
-        dy = (ys - q.y)[:, None]
-        best.fill(-np.inf)
-        for a, b in norm._dual_array:
-            np.add(a * dx, b * dy, out=level)
-            np.maximum(best, level, out=best)
-        total += best
+    with np.errstate(over="ignore", invalid="ignore"):
+        for q in points:
+            dx = xs - q.x
+            dy = (ys - q.y)[:, None]
+            best.fill(-np.inf)
+            for a, b in norm._dual_array:
+                np.add(a * dx, b * dy, out=level)
+                np.maximum(best, level, out=best)
+            total += best
     return total
 
 
@@ -76,7 +77,8 @@ def auto_bbox(norm: PolygonalNorm, points) -> tuple[Vec2, Vec2]:
 
 
 def grid_minimize(norm: PolygonalNorm, points) -> tuple[Vec2, float]:
-    """Best grid point after the refinement rounds, starting from ``auto_bbox``."""
+    """Best grid point after the refinement rounds, starting from ``auto_bbox``.
+    Raises InputError if a round's least value overflows."""
     lo, hi = auto_bbox(norm, points)
     best_pt = lo
     best_val = math.inf
@@ -87,7 +89,9 @@ def grid_minimize(norm: PolygonalNorm, points) -> tuple[Vec2, float]:
         ys = np.linspace(cy - wy / 2, cy + wy / 2, _RESOLUTION + 1)
         vals = _objective_grid(norm, points, xs, ys)
         idx = int(vals.argmin())
-        val = float(vals.flat[idx])
+        val = float(vals.flat[idx])  # NaN if any value is
+        if not math.isfinite(val):
+            raise InputError(f"the objective overflows: its least grid value is {val}")
         if val < best_val:
             best_val = val
             row, col = divmod(idx, len(xs))
@@ -114,7 +118,7 @@ def probe_solution_set(norm: PolygonalNorm, points, region: Region,
     drawn from ``Random(0)``) should match the optimal value; points pushed
     ``delta`` outward along the boundary normals should exceed it. A
     corrupted region shows up as a large inside deviation or a non-positive
-    outside excess.
+    outside excess. Raises InputError if the value or a probed one overflows.
     """
     rng = Random(0)
     verts = list(region.vertices)
@@ -124,54 +128,39 @@ def probe_solution_set(norm: PolygonalNorm, points, region: Region,
         value = min(oracle_objective(norm, points, v) for v in verts)
 
     inside: list[Vec2] = list(verts)
-    if region.kind == "segment":
-        a, b = verts
-        inside.append((a + b) * 0.5)
-        for _ in range(64):
-            t = rng.random()
-            inside.append(a + (b - a) * t)
-    elif region.kind == "polygon":
-        n = len(verts)
-        for i in range(n):
-            inside.append((verts[i] + verts[(i + 1) % n]) * 0.5)
-        for _ in range(64):
-            ws = [rng.random() for _ in range(n)]
-            tot = sum(ws)
-            x = sum(w * v.x for w, v in zip(ws, verts)) / tot
-            y = sum(w * v.y for w, v in zip(ws, verts)) / tot
-            inside.append(Vec2(x, y))
-
-    outside: list[Vec2] = []
     if region.kind == "point":
-        p = verts[0]
         dirs = [Vec2(math.cos(2 * math.pi * k / 16), math.sin(2 * math.pi * k / 16))
                 for k in range(16)]
         dirs += [v * (1.0 / v.norm()) for v in norm.vertices]
-        outside = [p + d * delta for d in dirs]
+        outside = [verts[0] + d * delta for d in dirs]
     elif region.kind == "segment":
         a, b = verts
+        mid = (a + b) * 0.5
+        inside += [mid] + [a + (b - a) * rng.random() for _ in range(64)]
         d = b - a
         d = d * (1.0 / d.norm())
         n = d.perp()
-        mid = (a + b) * 0.5
-        for q in (a, mid, b):
-            outside.append(q + n * delta)
-            outside.append(q - n * delta)
-        outside.append(a - d * delta)
-        outside.append(b + d * delta)
+        outside = [r for q in (a, mid, b) for r in (q + n * delta, q - n * delta)]
+        outside += [a - d * delta, b + d * delta]
     else:
-        n = len(verts)
-        for i in range(n):
-            a, b = verts[i], verts[(i + 1) % n]
-            edge = b - a
-            out_n = Vec2(edge.y, -edge.x)
+        edges = list(zip(verts, verts[1:] + verts[:1]))
+        inside += [(a + b) * 0.5 for a, b in edges]
+        for _ in range(64):
+            ws = [rng.random() for _ in verts]
+            tot = sum(ws)
+            inside.append(Vec2(sum(w * v.x for w, v in zip(ws, verts)) / tot,
+                               sum(w * v.y for w, v in zip(ws, verts)) / tot))
+        outside = []
+        for a, b in edges:
+            out_n = Vec2(b.y - a.y, -(b.x - a.x))
             out_n = out_n * (1.0 / out_n.norm())
-            outside.append((a + b) * 0.5 + out_n * delta)
-            outside.append(a + out_n * delta)
+            outside += [(a + b) * 0.5 + out_n * delta, a + out_n * delta]
 
-    dev = max(abs(oracle_objective(norm, points, q) - value) for q in inside)
-    exc = min(oracle_objective(norm, points, q) - value for q in outside)
-    return ProbeReport(dev, exc)
+    got = [oracle_objective(norm, points, q) for q in inside + outside]
+    if bad := [v for v in [value] + got if not math.isfinite(v)]:
+        raise InputError(f"the objective overflows: the value or a probed one is {bad[0]}")
+    return ProbeReport(max(abs(v - value) for v in got[:len(inside)]),
+                       min(v - value for v in got[len(inside):]))
 
 
 # --- random instances --------------------------------------------------------

@@ -7,10 +7,11 @@ therefore arrangement vertices, which the solver enumerates outright
 instead of descending iteratively. The crossings are numpy arrays over
 pairs of breaklines, in bounded blocks, computed with the operations of a
 scalar loop over line pairs; lines through one terminal meet there and are
-not paired. Every candidate within tolerance of the optimum lies in a
-sublevel set of the objective; cuts by sums of unit functionals, one per
-terminal, enclose that set in a polygon, and only the breaklines that meet
-the polygon are paired. Each crossing formed gets the gauge.
+not paired, and a line through several terminals is formed once. Every
+candidate within tolerance of the optimum lies in a sublevel set of the
+objective; cuts by sums of unit functionals, one per terminal, enclose that
+set in a polygon, and only the breaklines that meet the polygon are paired.
+Each crossing formed gets the gauge.
 
 Optimality at a point p outside the terminal set is certified by one
 norming functional per displacement x_i - p whose sum is zero; the full
@@ -203,8 +204,16 @@ def _crossing_blocks(qx: np.ndarray, qy: np.ndarray, dx: np.ndarray,
     """The terminals, then the crossings of live lines x_i + d_k t and x_j + d_l s
     (i < j) in the order (i, k, j, l), in blocks of rows paired with all later
     lines, at most _PAIR_BLOCK pairs but for a longer row alone:
-    t = ((x_j - x_i) x d_l) / (d_k x d_l), unless |d_k x d_l| <= 1e-12 |d_k| |d_l|."""
+    t = ((x_j - x_i) x d_l) / (d_k x d_l), unless |d_k x d_l| <= 1e-12 |d_k| |d_l|.
+    Live lines of one direction k and an equal finite offset x_i x d_k are one
+    line, taken at its first terminal."""
     li, lk = np.nonzero(live.reshape(len(qx), len(dx)))
+    off = qx[li] * dy[lk] - qy[li] * dx[lk]
+    s = np.lexsort((off, lk))  # stable: each run of equal keys in (i, k) order
+    before, after = s[:-1], s[1:]
+    copy = after[(lk[after] == lk[before]) & (off[after] == off[before]) & np.isfinite(off[after])]
+    if len(copy):  # np.delete's fixed cost exceeds the rest of the merge
+        li, lk = np.delete(li, copy), np.delete(lk, copy)
     lx, ly, ldx, ldy, ldn = qx[li], qy[li], dx[lk], dy[lk], dn[lk]
     rows = max(1, _PAIR_BLOCK // max(1, len(li)))
     for a0 in range(0, max(1, len(li)), rows):  # at least once, for the terminals
@@ -268,33 +277,21 @@ def candidate_minimize(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...
 
     xs, ys, vals, at = (np.concatenate(a) for a in zip(*kept))
     near = vals <= best + eps * max(1.0, abs(best))
-    # the first len(pts) are the terminals, returned as the caller's objects
-    # (ints stay); a crossing equal (==: +-0.0 alike, a NaN never) to an earlier
-    # one is not built, as _dedup would skip it after the same first copy
-    arg, seen = [], set()
-    for x, y, k in zip(xs[near].tolist(), ys[near].tolist(), at[near].tolist()):
-        if k < len(pts):
-            arg.append(pts[k])
-        elif (x, y) not in seen:  # each NaN is its own object, never in seen
-            seen.add((x, y))
-            arg.append(Vec2(x, y))
+    # the first len(pts) are the terminals, returned as the caller's objects (ints stay)
+    arg = [pts[k] if k < len(pts) else Vec2(x, y) for x, y, k in
+           zip(xs[near].tolist(), ys[near].tolist(), at[near].tolist())]
     return _dedup(arg, eps), float(best)
 
 
 def _dedup(cands: list[Vec2], eps: float) -> list[Vec2]:
-    """``cands`` stably sorted by Vec2.key, less each one within eps of one kept.
-    A copy (==, never for a NaN) of the one before it goes unscanned, as it
-    lies within eps of the same kept point."""
+    """``cands`` stably sorted by Vec2.key, less each one within eps of one kept."""
     out: list[Vec2] = []
-    prev = Vec2(math.nan, math.nan)
     for c in sorted(cands, key=Vec2.key):
         # x never decreases along out, and |c - q| >= c.x - q.x: only kept
         # points at most eps left of c can lie within eps of it
-        if not (c.x == prev.x and c.y == prev.y) and all(
-                (c - q).norm() > eps
-                for q in takewhile(lambda q: not c.x - q.x > eps, reversed(out))):
+        if all((c - q).norm() > eps for q in
+               takewhile(lambda q: not c.x - q.x > eps, reversed(out))):
             out.append(c)
-        prev = c
     return out
 
 

@@ -19,6 +19,7 @@ triples are those of pair-by-pair loops, in O(m log m) time.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -123,6 +124,7 @@ class _DualSetup:
     ez: np.ndarray  # dual edge k, d_k - d_{k-1}, as complex
     mags: list[float]  # |d_k|, with math.hypot
     cells: tuple[np.ndarray, np.ndarray]  # the search's rows and offsets
+    sector: Callable[[np.ndarray], np.ndarray]  # _sector_of_sum of the duals
 
     @classmethod
     def build(cls, norm: PolygonalNorm, eps: float) -> "_DualSetup":
@@ -168,7 +170,8 @@ class _DualSetup:
             return np.concatenate([(wz[s] * qz).real - 1.0,
                                    (row_d[c] * unit_u2[c + x[split:]]).imag]), g_cut
 
-        return cls(eps=eps, norm=norm, ez=ez, mags=mags, cells=_runs(value, m, half + 1))
+        return cls(eps=eps, norm=norm, ez=ez, mags=mags, cells=_runs(value, m, half + 1),
+                   sector=sector)
 
     @cached_property
     def window(self) -> tuple[np.ndarray, ...] | None:
@@ -180,7 +183,7 @@ class _DualSetup:
         i, j = r[pair], r[pair] + x[pair]
         i, j = np.sort([np.concatenate([i, i + m // 2]), np.concatenate([j, j + m // 2]) % m], 0)
         qz = -(dz[i, 0] + dz[j, 0])  # complex sums and differences are the float ones
-        k = (_sector_of_sum(dz[:, 0])(-qz) + np.arange(-1, 3)[:, None]) % m
+        k = (self.sector(-qz) + np.arange(-1, 3)[:, None]) % m
         bz = dz[k, 0] - qz  # d_k - psi is (d_i + d_j) + d_k bit for bit
         return i, j, k, qz.real, qz.imag, bz.real, bz.imag
 

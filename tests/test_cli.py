@@ -309,7 +309,9 @@ def test_overflowing_objective_is_one_line_validation_error(tmp_path, capsys):
     path.write_text(json.dumps({"points": [[0, 0], [1.7e308, 0], [0, 1.7e308]]}))
     code, out, err = run(capsys, ["solve", "--lambda", "3", "--points", str(path)])
     assert (code, out) == (1, "")
-    assert err.splitlines() == ["error: the objective overflows: its least candidate value is nan"]
+    # (0, 0) and (1.7e308, 0) share one horizontal grid line, formed once; its
+    # second copy through (1.7e308, 0) gave a NaN crossing
+    assert err.splitlines() == ["error: the objective overflows: its least candidate value is inf"]
 
 
 def test_large_finite_coordinates_still_solve(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import inspect
 import math
+import sys
 from random import Random
 
 import pytest
@@ -12,7 +14,7 @@ from ftplane import (
     segment_interior_contains,
 )
 from ftplane import geometry
-from ftplane.geometry import check_eps, clip_polygon
+from ftplane.geometry import DEFAULT_EPS, check_eps, clip_polygon
 
 from conftest import HalfPlane
 
@@ -83,6 +85,84 @@ def test_hull_is_convex_and_canonical():
         assert all(orient(vs[i], vs[(i + 1) % n], vs[(i + 2) % n]) == 1
                    for i in range(n))
         assert min(vs, key=Vec2.key) == vs[0]
+
+
+def near_degenerate_cloud(rng, eps):
+    """Near-collinear points, eps-clusters, a slab a few eps thick, or points
+    on a circle with eps-jittered copies."""
+    def jitter(scale=1.0):
+        return eps * scale * rng.uniform(-1.0, 1.0)
+
+    x0, y0, s = rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0), rng.uniform(0.01, 3.0)
+    a = rng.uniform(0.0, 2 * math.pi)
+    c, sn = math.cos(a), math.sin(a)
+    n, kind = rng.randint(3, 12), rng.randrange(4)
+    if kind == 0:
+        return [Vec2(x0 + c * t + jitter(2.0), y0 + sn * t + jitter(2.0))
+                for t in (rng.uniform(-s, s) for _ in range(n))]
+    if kind == 1:
+        centres = [(x0 + rng.uniform(-s, s), y0 + rng.uniform(-s, s))
+                   for _ in range(rng.randint(1, 3))]
+        return [Vec2(cx + jitter(), cy + jitter())
+                for cx, cy in centres for _ in range(rng.randint(1, 3))]
+    if kind == 2:
+        w = eps * rng.uniform(0.5, 4.0)
+        return [Vec2(x0 + c * t - sn * u, y0 + sn * t + c * u)
+                for t, u in ((rng.uniform(-s, s), rng.uniform(0.0, w)) for _ in range(n))]
+    pts = [Vec2(x0 + s * math.cos(t), y0 + s * math.sin(t))
+           for t in (rng.uniform(0.0, 2 * math.pi) for _ in range(n))]
+    return pts + [Vec2(p.x + jitter(1.5), p.y + jitter(1.5))
+                  for p in rng.sample(pts, rng.randint(1, n))]
+
+
+def distance_to_region(p, region):
+    def to_segment(a, b):
+        d = b - a
+        t = max(0.0, min(1.0, (p - a).dot(d) / d.dot(d)))
+        return (p - (a + d * t)).norm()
+
+    vs = region.vertices
+    if region.kind == "point":
+        return (p - vs[0]).norm()
+    edges = list(zip(vs, vs[1:] + vs[:1])) if region.kind == "polygon" else [vs]
+    if region.kind == "polygon" and all((b - a).cross(p - a) >= 0.0 for a, b in edges):
+        return 0.0
+    return min(to_segment(a, b) for a, b in edges)
+
+
+def test_hull_invariants_on_near_degenerate_clouds():
+    # a line spy shows that both rare branches run: _drop_flat deleting a
+    # vertex, and _merge_close popping a last vertex within eps of the first
+    eps = DEFAULT_EPS
+    watched = {}
+    for func, text in ((geometry._drop_flat, "del verts[i]"), (geometry._merge_close, "out.pop()")):
+        lines, first = inspect.getsourcelines(func)
+        watched[func.__code__] = first + next(i for i, line in enumerate(lines) if text in line)
+    runs = dict.fromkeys(watched, 0)
+
+    def in_watched(frame, event, arg):
+        if event == "line" and frame.f_lineno == watched[frame.f_code]:
+            runs[frame.f_code] += 1
+        return in_watched
+
+    rng = Random(0)
+    clouds = [near_degenerate_cloud(rng, eps) for _ in range(2000)]
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: in_watched if frame.f_code in watched else None)
+    try:
+        hulls = [convex_hull(pts, eps) for pts in clouds]
+    finally:
+        sys.settrace(previous)
+    assert all(runs.values()), runs
+    for pts, hull in zip(clouds, hulls):
+        vs = hull.vertices
+        n = len(vs)
+        assert all((vs[i] - vs[j]).norm() > eps for i in range(n) for j in range(i))
+        if hull.kind == "polygon":
+            assert all(orient(vs[i - 1], vs[i], vs[(i + 1) % n], eps) == 1 for i in range(n))
+        # not within eps: each point the chains drop as flat can move the hull
+        # in by up to about eps, and the moves add up (2.2 eps here at most)
+        assert max(distance_to_region(p, hull) for p in pts) <= len(pts) * eps, pts
 
 
 def test_halfplanes_point():

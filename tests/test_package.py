@@ -41,12 +41,14 @@ def test_public_calls_raise_one_of_two_error_classes(diamond, square, unit_trian
         classify_lambda, collinear_median, convex_hull, element_point, ft_solve,
         intersect_cones, lambda_triangle_solution, make_lambda_norm, make_polygonal_norm,
         norming_set, objective, torricelli_point, uniqueness_verdict, verify_ft_point)
-    from ftplane.oracle import final_cell_diameter, grid_minimize
+    from ftplane.geometry import Region
+    from ftplane.oracle import final_cell_diameter, grid_minimize, probe_solution_set
 
     def overflowing(lam, *pts):
         # finite coordinates and spans whose objective overflows a float
         return lambda: ft_solve(make_lambda_norm(lam).norm, [Vec2(*p) for p in pts])
 
+    overflow_corner = [Vec2(0, 0), Vec2(1.7e308, 0), Vec2(0, 1.7e308)]
     assert issubclass(InputError, (PlaneError, ValueError))
     assert issubclass(CertificateError, PlaneError)
     assert not issubclass(CertificateError, ValueError)
@@ -92,8 +94,18 @@ def test_public_calls_raise_one_of_two_error_classes(diamond, square, unit_trian
          "cone apexes must be finite"),
         (overflowing(3, (0, 0), (6e307, 0), (3e307, 5e307)),
          r"the cone radius 2 \* 1\.17\d*e\+308 \* 1\.0 overflows"),
+        # one horizontal grid line through (0, 0) and (1.7e308, 0): a second
+        # copy of it gave a NaN crossing
         (overflowing(3, (0, 0), (1.7e308, 0), (0, 1.7e308)),
-         "the objective overflows: its least candidate value is nan"),
+         "the objective overflows: its least candidate value is inf"),
+        (lambda: grid_minimize(make_lambda_norm(3).norm, overflow_corner),
+         "the objective overflows: its least grid value is inf"),
+        (lambda: probe_solution_set(make_lambda_norm(3).norm, overflow_corner,
+                                    Region.point(Vec2(0, 0))),
+         "the objective overflows: the value or a probed one is inf"),
+        (lambda: probe_solution_set(make_lambda_norm(3).norm, overflow_corner,
+                                    Region.point(Vec2(0, 0)), 1.0),
+         "the objective overflows: the value or a probed one is inf"),
         (overflowing(3, (8e307, 0), (-8e307, 0), (0, 8e307), (0, -8e307)),
          "the objective overflows: its least candidate value is inf"),
         (overflowing(2, (8e307, 8e307), (-8e307, 8e307), (-8e307, -8e307), (8e307, -8e307)),

@@ -3,6 +3,7 @@ import math
 import tracemalloc
 import warnings
 import weakref
+from fractions import Fraction
 from random import Random
 
 import numpy as np
@@ -103,18 +104,24 @@ def test_candidate_minimize_hexagon_triangle(hexagon, unit_triangle):
 def reference_candidates(norm, points):
     """The scalar pair loop over Vec2 lines that candidate_minimize replaces.
 
+    A grid line is one line: lines of one direction whose keys
+    q.x * d.y - q.y * d.x are equal and finite are taken at the first terminal.
     Returns the terminals and then every crossing, the pair (a, b) of line
     indices (terminal * m/2 + direction) of each crossing (None for a
     terminal), and the objective at each candidate.
     """
     pts = list(points)
     half = norm.m // 2
-    lines = [(q, norm.vertices[k]) for q in pts for k in range(half)]
+    lines, firsts = [], set()
+    for a, (q, k) in enumerate((q, k) for q in pts for k in range(half)):
+        d = norm.vertices[k]
+        key = q.x * d.y - q.y * d.x
+        if not (math.isfinite(key) and (k, key) in firsts):
+            firsts.add((k, key))
+            lines.append((a, q, d))
     cands, pairs = list(pts), [None] * len(pts)
-    for i in range(len(lines)):
-        p1, d1 = lines[i]
-        for j in range(i + 1, len(lines)):
-            p2, d2 = lines[j]
+    for at, (i, p1, d1) in enumerate(lines):
+        for j, p2, d2 in lines[at + 1:]:
             den = d1.cross(d2)
             if abs(den) <= 1e-12 * d1.norm() * d2.norm():
                 continue
@@ -364,8 +371,8 @@ def greedy_dedup(cands, eps):
 
 def test_dedup_matches_greedy_loop():
     # clouds on lattices with spacings near eps, jittered below eps, with
-    # repeated points, copies at other identities (the dedup skips a copy of
-    # the candidate before it unscanned), +-0.0 coordinates and shared x
+    # repeated points, copies at other identities, +-0.0 coordinates and
+    # shared x
     rng = Random(3)
     eps = DEFAULT_EPS
     for _ in range(3000):
@@ -1034,6 +1041,31 @@ def test_plus_shape_enumerates_equivalent_selections(diamond):
     assert regions[0].kind == "point"
     for r in regions[1:]:
         assert regions_match(regions[0], r, tol=1e-9)
+
+
+@pytest.mark.parametrize("n", [40, 400])
+def test_plus_shape_forms_each_grid_line_once(monkeypatch, diamond, n):
+    # the terminals of two opposite arms share one grid line through the
+    # centre, so the n live lines are two lines with one crossing; one copy
+    # per terminal formed n^2 / 4 crossings (40,000 at n = 400)
+    formed = []
+    real = solver._crossing_blocks
+
+    def spy(*args):
+        for xs, ys in real(*args):
+            formed.append(len(xs))
+            yield xs, ys
+
+    monkeypatch.setattr(solver, "_crossing_blocks", spy)
+    pts = plus_shape(Vec2(0.3, -0.7), [n // 4] * 4, seed=n)
+    sol = ft_solve(diamond, pts)
+    assert sum(formed) <= 2 * n
+    (v,) = sol.region.vertices
+    assert abs(v.x - 0.3) <= math.ulp(0.3) and abs(v.y + 0.7) <= math.ulp(0.7)
+    mx, my = sorted(q.x for q in pts)[n // 2], sorted(q.y for q in pts)[n // 2]
+    exact = sum(abs(Fraction(q.x) - Fraction(mx)) + abs(Fraction(q.y) - Fraction(my))
+                for q in pts)
+    assert abs(Fraction(sol.objective) - exact) <= 4 * n * Fraction(math.ulp(sol.objective))
 
 
 def zonogon_normals_with_duplicates(gens):
