@@ -86,6 +86,10 @@ def orient(a: Vec2, b: Vec2, c: Vec2, eps: float = DEFAULT_EPS) -> int:
     cross = (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
     scale = max(abs(b.x - a.x), abs(b.y - a.y), abs(c.x - a.x),
                 abs(c.y - a.y), abs(c.x - b.x), abs(c.y - b.y))
+    if not math.isfinite(cross) and 0.0 < scale < math.inf:  # a product overflowed
+        e = -math.frexp(scale)[1]  # decide on the differences scaled by 2^-e, exactly
+        ux, uy, wx, wy = (math.ldexp(t, e) for t in (b.x - a.x, b.y - a.y, c.x - a.x, c.y - a.y))
+        cross, scale = ux * wy - uy * wx, math.ldexp(scale, e)
     if abs(cross) <= eps * scale:
         return 0
     return 1 if cross > 0.0 else -1

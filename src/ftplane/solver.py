@@ -26,7 +26,8 @@ of one pick per terminal form a zonogon. One peel decides a selection: each
 segment parameter is fixed once, in index order, at the midpoint of the
 interval that keeps the rest of the target reachable by the segments still
 free, in O(k^2) for k segments (terminals in a vertex direction from p).
-It succeeds exactly when the target lies in the zonogon.
+It succeeds exactly when the target lies in the zonogon; with d times the
+dual ball added (d terminals at p), the same peel decides the relaxed test.
 
 The clip, peel, cone and check stages compute on plain floats, in the
 operation order of the Vec2 arithmetic, and build Vec2 only for results.
@@ -311,6 +312,7 @@ def collinear_median(points: list[Vec2] | tuple[Vec2, ...],
     if any(orient(a, b, q, eps) != 0 for q in pts):
         return None
     d = b - a
+    d = d * math.ldexp(1.0, -math.frexp(max(abs(d.x), abs(d.y)))[1])  # keys cannot overflow
     ordered = sorted(pts, key=lambda q: (q - a).dot(d))
     return ordered[len(ordered) // 2]
 
@@ -348,13 +350,10 @@ def _zonogon_normals(gens: list[tuple[float, float]]) -> list[tuple[float, float
     These are +-perp(g) for every generator g: they hold every facet normal
     of every such zonogon, and the perps of two independent directions also
     pin the ends of a segment and the point of the empty sum. Only when all
-    generators are parallel are the end caps +-g/|g| added. Only copies equal
-    in every bit (+0.0 and -0.0 differ) are dropped: the peel bounds each value
-    once, but a second clip of the relaxed target by an equal line is a no-op
-    only up to rounding."""
+    generators are parallel are the end caps +-g/|g| added. Copies stay: the
+    peel bounds each value once."""
     perps = [(-gy * s, gx * s) for gx, gy in gens for s in (1.0 / math.hypot(gx, gy),)]
-    out = list({(x.hex(), y.hex()): (x, y) for nx, ny in perps
-                for x, y in ((nx, ny), (-nx, -ny))}.values())
+    out = [(x, y) for nx, ny in perps for x, y in ((nx, ny), (-nx, -ny))]
     if gens:
         (g0x, g0y), g0n = gens[0], math.hypot(*gens[0])
         if all(abs(gx * g0y - gy * g0x) <= 1e-12 * math.hypot(gx, gy) * g0n for gx, gy in gens):
@@ -363,7 +362,8 @@ def _zonogon_normals(gens: list[tuple[float, float]]) -> list[tuple[float, float
     return out
 
 
-def _peel(gens: list[tuple[float, float]], target: tuple[float, float]) -> list[float]:
+def _peel(gens: list[tuple[float, float]], target: tuple[float, float],
+          ball: tuple[PolygonalNorm, int] | None = None) -> list[float]:
     """Box parameters t in [0, 1] with sum t_j g_j = target, if reachable.
 
     The generators are fixed one at a time in index order. Step j takes t_j
@@ -374,10 +374,22 @@ def _peel(gens: list[tuple[float, float]], target: tuple[float, float]) -> list[
     are tabulated once and each step updates every normal's support and
     level in O(1), so the peel costs O(k^2). Normals equal in value give equal
     bounds, which max and min (first of equals) ignore, so each value counts once.
+
+    With ``ball = (norm, d)`` the rest may also use d B*, B* the dual ball:
+    its facet normals join and d gauge(n) adds to each support, exactly, as
+    every facet normal of the sum is a normal of one of its terms.
     """
-    normals = dict.fromkeys(_zonogon_normals(gens))
+    if not gens:
+        return []
+    normals = _zonogon_normals(gens)
+    if ball is not None:
+        norm, d = ball
+        normals += [(v.x / v.norm(), v.y / v.norm()) for v in norm.vertices]
+    normals = dict.fromkeys(normals)
     dots = [[nx * gx + ny * gy for gx, gy in gens] for nx, ny in normals]
     support = [sum(max(0.0, ng) for ng in row) for row in dots]  # of the free gens
+    if ball is not None:  # plus the ball's
+        support = [h + d * _gauge(norm, nx, ny) for h, (nx, ny) in zip(support, normals)]
     levels = [nx * target[0] + ny * target[1] for nx, ny in normals]  # n . (target - sum t g)
     ts: list[float] = []
     for j, g in enumerate(gens):
@@ -399,23 +411,23 @@ def _peel(gens: list[tuple[float, float]], target: tuple[float, float]) -> list[
     return ts
 
 
-def _select(sets, target: Vec2) -> list[Functional] | None:
+def _select(sets, target: Vec2, ball=None) -> list[Functional] | None:
     """One functional per set, the picks summing to ``target``, or None.
 
     With segment sets parameterized by t in [0, 1], the reachable sums form
-    a zonogon: the base plus one generator per segment. The zonogon peel
-    (``_peel``) decomposes ``target`` into box parameters in O(k^2) for k
-    segments; the decomposition counts only if its residual is within a
-    tolerance relative to the functionals' size.
+    a zonogon: the base plus one generator per segment. The peel (``_peel``)
+    finds box parameters in O(k^2) for k segments; they count only if the
+    residual is within a tolerance relative to the functionals' size. With
+    ``ball`` the peel aims at target + d B*, and the caller judges the sum.
     """
     (bx, by), idxs, gens = _zonogon(sets)
     tx, ty = target.x - bx, target.y - by
     scale = max([1.0] + [f.norm() for s in sets for f in _set_bounds(s)])
     rtol = 2e-9 * scale * max(1, len(sets))
-    ts = _peel(gens, (tx, ty))
+    ts = _peel(gens, (tx, ty), ball)
     sx = sum(t * gx for t, (gx, _) in zip(ts, gens))
     sy = sum(t * gy for t, (_, gy) in zip(ts, gens))
-    if math.hypot(sx - tx, sy - ty) > rtol:
+    if ball is None and math.hypot(sx - tx, sy - ty) > rtol:
         return None
     sel = [_set_bounds(s)[0] for s in sets]
     for t, idx in zip(ts, idxs):
@@ -431,55 +443,25 @@ def verify_ft_point(norm: PolygonalNorm, points, p: Vec2,
     none do and d terminals coincide with p, the condition relaxes: the
     others need only sum to some psi of dual norm at most d, and each of the
     d relaxed entries is -psi / d, so the certificate still sums to zero.
-    One midpoint peel of the norming sets' zonogon decides each target.
+    One midpoint peel of the norming sets' zonogon (plus d B*) decides each.
     """
     check_eps(eps)
     pts = list(points)
     omitted = tuple(i for i, q in enumerate(pts) if math.hypot(q.x - p.x, q.y - p.y) <= eps)
     sets = [norming_set(norm, q - p, eps) for i, q in enumerate(pts) if i not in omitted]
+    d = len(omitted)
     psi = Vec2(0.0, 0.0)
     funcs = _select(sets, psi)
     if funcs is None and omitted:
-        psi = _relaxed_target(norm, sets, len(omitted), eps)
-        funcs = None if psi is None else _select(sets, psi)
+        funcs = _select(sets, psi, (norm, d))
+        psi = Vec2(*_zonogon(funcs)[0])  # the picks' sum, in index order from 0.0
+        if not dual_norm(norm, psi) <= d + 10 * eps:  # a NaN fails it
+            return None
     if funcs is None:
         return None
-    d = len(omitted)
     for i in omitted:  # ascending, so each lands at its own index
         funcs.insert(i, Vec2(-psi.x / d, -psi.y / d))
     return Certificate(p, tuple(funcs), omitted)
-
-
-def _relaxed_target(norm: PolygonalNorm, sets, ball_scale: int,
-                    eps: float) -> Vec2 | None:
-    """A reachable functional sum with dual norm <= ball_scale, or None.
-
-    The reachable sums form a zonogon; clipping the scaled dual ball (whose
-    vertices are the edge functionals) by the zonogon's half-planes and
-    taking the centroid gives a concrete target that the peel can then
-    decompose.
-    """
-    (bx, by), _, gens = _zonogon(sets)
-    if not gens:
-        base = Vec2(bx, by)
-        if dual_norm(norm, base) <= ball_scale + 10 * eps:
-            return base
-        return None
-    # the support of the zonogon in a unit direction n is n.base plus the
-    # positive parts of n.g
-    hps = [(nx, ny, nx * bx + ny * by + sum(max(0.0, nx * gx + ny * gy) for gx, gy in gens))
-           for nx, ny in _zonogon_normals(gens)]
-    scale = float(ball_scale)
-    ball_verts = [(f.x * scale, f.y * scale) for f in norm._duals]
-    # the edge from dual vertex k to k+1 lies on the support line of primal
-    # vertex k+1
-    ball_edges = [(v.x, v.y, scale) for v in norm.vertices[1:] + norm.vertices[:1]]
-    region = clip_polygon(ball_verts, ball_edges, hps, eps)
-    if region.kind == "empty":
-        return None
-    sx = sum(v.x for v in region.vertices) / len(region.vertices)
-    sy = sum(v.y for v in region.vertices) / len(region.vertices)
-    return Vec2(sx, sy)
 
 
 # --- cones ------------------------------------------------------------------

@@ -1,4 +1,7 @@
+import inspect
 import math
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, combinations
 from random import Random
@@ -8,6 +11,31 @@ import pytest
 from ftplane import FunctionalSegment, Vec2, make_polygonal_norm, norming_set
 
 SQRT3 = math.sqrt(3.0)
+
+
+@contextmanager
+def line_runs(*watch):
+    """Count how often lines run: each (function, text) watches the first
+    line of the function's source that reads text, less indentation. Yields
+    the counts, keyed by text; one watched line per function."""
+    watched = {}
+    for func, text in watch:
+        lines, first = inspect.getsourcelines(func)
+        watched[func.__code__] = (first + [line.strip() for line in lines].index(text), text)
+    runs = dict.fromkeys((text for _, text in watch), 0)
+
+    def in_watched(frame, event, arg):
+        line, text = watched[frame.f_code]
+        if event == "line" and frame.f_lineno == line:
+            runs[text] += 1
+        return in_watched
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: in_watched if frame.f_code in watched else None)
+    try:
+        yield runs
+    finally:
+        sys.settrace(previous)
 
 
 @pytest.fixture(scope="session")

@@ -193,6 +193,30 @@ def test_svg_point_region_marker(tmp_path, capsys, diamond_norm_file):
     assert svg.count('class="terminal"') == 3
 
 
+def test_svg_ray_cones_and_segment_region(tmp_path, capsys, diamond_norm_file):
+    # 13 terminals in the diamond's vertex directions from (0.3, -0.7): every
+    # functional touches one vertex, so each cone is a ray, drawn as M ... L
+    arms, lengths = ((1, 0), (0, 1), (-1, 0), (0, -1)), (0.5, 1.25, 2, 2.5)
+    plus = tmp_path / "plus.json"
+    plus.write_text(json.dumps({"points": [
+        [0.3 + a * d, -0.7 + b * d]
+        for (a, b), many in zip(arms, (3, 3, 4, 3)) for d in lengths[:many]]}))
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({"points": [[0, 0], [2, 0]]}))
+    svgs = []
+    for pts in plus, pair:
+        svg_path = tmp_path / "fig.svg"
+        code, _, _ = run(capsys, ["solve", "--norm", diamond_norm_file,
+                                  "--points", str(pts), "--svg", str(svg_path)])
+        assert code == 0
+        svgs.append(svg_path.read_text())
+    cones = [line for line in svgs[0].splitlines() if 'class="cone"' in line]
+    assert len(cones) == 13 and all(line.count(" L ") == 1 for line in cones)
+    assert '<circle class="region" cx="0.3" cy="-0.7"' in svgs[0]
+    # on the l1 plane the pair's solution set is the segment between them
+    assert '<path class="region" d="M 0 0 L 2 0" fill="none"' in svgs[1]
+
+
 def test_validation_exit_codes(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     code, _, err = run(capsys, ["uniqueness", "--norm", missing])

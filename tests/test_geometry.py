@@ -1,6 +1,4 @@
-import inspect
 import math
-import sys
 from random import Random
 
 import pytest
@@ -16,7 +14,7 @@ from ftplane import (
 from ftplane import geometry
 from ftplane.geometry import DEFAULT_EPS, check_eps, clip_polygon
 
-from conftest import HalfPlane
+from conftest import HalfPlane, line_runs
 
 
 def clip_square(halfplanes, r=10.0):
@@ -30,6 +28,16 @@ def test_orient_turns():
     assert orient(Vec2(0, 0), Vec2(1, 0), Vec2(0, 1)) == 1
     assert orient(Vec2(0, 0), Vec2(1, 0), Vec2(2, 0)) == 0
     assert orient(Vec2(0, 0), Vec2(0, 1), Vec2(1, 0)) == -1
+
+
+def test_orient_survives_overflowing_cross_products():
+    # past about 1.3e154 the cross product is inf - inf; swapping the first
+    # two points must flip the sign, and an exactly collinear triple is flat
+    for s in (1e160, 1e200, 1e307):
+        a, b, o = Vec2(-s, s), Vec2(s, -s), Vec2(0.0, 0.0)
+        assert orient(a, b, o) == orient(b, a, o) == 0
+        for c in (Vec2(s, s), Vec2(-s, -s), Vec2(s / 2, 0.0)):
+            assert orient(a, b, c) == -orient(b, a, c) != 0, (s, c)
 
 
 def test_orient_antisymmetric():
@@ -134,25 +142,11 @@ def test_hull_invariants_on_near_degenerate_clouds():
     # a line spy shows that both rare branches run: _drop_flat deleting a
     # vertex, and _merge_close popping a last vertex within eps of the first
     eps = DEFAULT_EPS
-    watched = {}
-    for func, text in ((geometry._drop_flat, "del verts[i]"), (geometry._merge_close, "out.pop()")):
-        lines, first = inspect.getsourcelines(func)
-        watched[func.__code__] = first + next(i for i, line in enumerate(lines) if text in line)
-    runs = dict.fromkeys(watched, 0)
-
-    def in_watched(frame, event, arg):
-        if event == "line" and frame.f_lineno == watched[frame.f_code]:
-            runs[frame.f_code] += 1
-        return in_watched
-
     rng = Random(0)
     clouds = [near_degenerate_cloud(rng, eps) for _ in range(2000)]
-    previous = sys.gettrace()
-    sys.settrace(lambda frame, event, arg: in_watched if frame.f_code in watched else None)
-    try:
+    with line_runs((geometry._drop_flat, "del verts[i]"),
+                   (geometry._merge_close, "out.pop()")) as runs:
         hulls = [convex_hull(pts, eps) for pts in clouds]
-    finally:
-        sys.settrace(previous)
     assert all(runs.values()), runs
     for pts, hull in zip(clouds, hulls):
         vs = hull.vertices

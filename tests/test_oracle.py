@@ -14,6 +14,7 @@ from ftplane import (
     random_symmetric_norm,
 )
 from ftplane.oracle import _objective_grid, auto_bbox, final_cell_diameter
+from ftplane.uniqueness import uniqueness_verdict
 
 
 def test_grid_minimize_diamond(diamond):
@@ -101,6 +102,20 @@ def test_probe_default_reference_value(hexagon, unit_triangle):
     report = probe_solution_set(hexagon, unit_triangle, sol.region)
     assert report.max_inside_deviation < 1e-9
     assert report.min_outside_excess > 0
+
+
+def test_probe_segment_region(cond3_hexagon):
+    # the condition-3 hexagon's witness fires condition 2 and solves to a
+    # segment: inside samples along it, pushed-out points across and beyond it
+    verdict = uniqueness_verdict(cond3_hexagon)
+    pts = list(verdict.witness)
+    sol = ft_solve(cond3_hexagon, pts)
+    assert verdict.triple.condition == 2 and sol.region.kind == "segment"
+    report = probe_solution_set(cond3_hexagon, pts, sol.region, sol.objective)
+    assert report.max_inside_deviation == 0.0 and report.min_outside_excess > 0
+    a, b = sol.region.vertices
+    longer = Region.segment(a, b + (b - a) * 0.1)
+    assert probe_solution_set(cond3_hexagon, pts, longer, sol.objective).max_inside_deviation > 0
 
 
 def test_random_norm_generator_properties():

@@ -45,6 +45,7 @@ from conftest import (
     cone_radius,
     fibre_selections,
     fibre_vertices,
+    line_runs,
     random_terminals,
     regions_match,
     rotations,
@@ -774,6 +775,19 @@ def test_collinear_median_near_vertical_line():
     assert collinear_median([Vec2(0, 7), Vec2(0, -3), Vec2(0, 1)]) == Vec2(0, 1)
 
 
+def test_collinear_median_of_huge_collinear_sets(diamond):
+    # coordinate differences past about 1.3e154 overflow the cross products
+    # of the collinearity test and the dot products of the sort key
+    for s in (1e160, 1e200, 1e307):
+        pts = [Vec2(-s, s), Vec2(s, -s), Vec2(0.0, 0.0)]
+        assert collinear_median(pts) == Vec2(0, 0)
+        sol = ft_solve(diamond, pts)
+        assert sol.region == Region.point(Vec2(0, 0)) and sol.certificate.relaxed == (2,)
+    # (0, 1) - (-1e200, -1e200) rounds onto the line through the other two
+    pts = [Vec2(1e200, 1e200), Vec2(-1e200, -1e200), Vec2(0, 1)]
+    assert collinear_median(pts) == Vec2(0, 1)
+
+
 def test_ft_solve_diamond_point(diamond):
     sol = ft_solve(diamond, [Vec2(0, 0), Vec2(2, 0), Vec2(0, 2)])
     assert sol.region.kind == "point"
@@ -910,8 +924,8 @@ def test_odd_collinear_matches_generic_invariant():
 
 def test_relaxed_certificate_on_many_sided_ball():
     # three vertex-direction pulls that nearly but not exactly cancel: the
-    # optimum sits on the terminal and the relaxed test must clip the whole
-    # 64-vertex dual ball without hitting any half-plane count limit
+    # optimum sits on the terminal and the relaxed peel must bound by all 64
+    # facet normals of the dual ball without hitting any count limit
     from ftplane import make_lambda_norm
 
     norm = make_lambda_norm(32).norm
@@ -922,6 +936,36 @@ def test_relaxed_certificate_on_many_sided_ball():
     assert sol.certificate.relaxed == (0,)
     check_certificate(norm, pts, sol.certificate)
     assert verify_ft_point(norm, pts, Vec2(0.5, 0.5)) is None
+
+
+def test_relaxed_peel_agrees_with_the_lp_at_lattice_terminals(monkeypatch):
+    # at every distinct terminal q, verify_ft_point certifies exactly the
+    # optimal ones, by scipy's LP; a spy on _select counts the relaxed peels
+    # that had generators to fix
+    real, peels = solver._select, []
+
+    def spy(sets, target, ball=None):
+        peels.append(ball is not None and bool(solver._zonogon(sets)[2]))
+        return real(sets, target, ball)
+
+    monkeypatch.setattr(solver, "_select", spy)
+    norms = [make_lambda_norm(lam).norm for lam in (2, 3, 4, 6)]
+    rng = Random(8)
+    optimal = other = 0
+    for k in range(160):
+        norm = norms[k % 4]
+        pts = [Vec2(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(3, 8))]
+        best = lp_minimum(norm, pts)
+        for q in dict.fromkeys(pts):
+            value, cert = objective(norm, pts, q), verify_ft_point(norm, pts, q)
+            if value <= best + 1e-9 * max(1.0, best):
+                optimal += 1
+                assert cert is not None, (k, q)
+                check_certificate(norm, pts, cert)
+            elif value > best + 1e-6:
+                other += 1
+                assert cert is None, (k, q)
+    assert optimal >= 100 and other >= 700 and sum(peels) >= 100, (optimal, other, sum(peels))
 
 
 def test_thin_flat_region_far_from_origin_stays_polygon():
@@ -969,8 +1013,8 @@ def ft_make_cluster_norm():
 
 def test_vertex_aligned_terminal_optimum_certifies():
     # displacements to the other terminals land exactly on unit-ball vertex
-    # rays; the terminal optimum needs the degenerate (single-generator)
-    # zonogon end caps in the relaxed test
+    # rays; the relaxed peel of the terminal optimum bounds by the degenerate
+    # (single-generator) zonogon's end caps beside the dual ball's normals
     norm = ft_make_cluster_norm()
     pts = [Vec2(-1.2447069920299603, -0.3082205603771331),
            Vec2(-0.22915146656448182, -0.2688388746538604),
@@ -1068,6 +1112,15 @@ def test_plus_shape_forms_each_grid_line_once(monkeypatch, diamond, n):
     assert abs(Fraction(sol.objective) - exact) <= 4 * n * Fraction(math.ulp(sol.objective))
 
 
+def test_live_lines_weiszfeld_stops_on_a_terminal(diamond):
+    # 21 terminals, above the guard: the centroid of this plus shape is
+    # exactly its centre terminal, so the first Weiszfeld step stops there
+    pts = [Vec2(0, 0)] + [arm * (0.5 * k) for arm in DIAMOND_ARMS for k in range(1, 6)]
+    with line_runs((solver._live_lines, "break")) as runs:
+        sol = ft_solve(diamond, pts)
+    assert runs["break"] == 1 and sol.region == Region.point(Vec2(0, 0))
+
+
 def zonogon_normals_with_duplicates(gens):
     """_zonogon_normals as it was before bit-identical normals were dropped,
     on (x, y) pairs."""
@@ -1086,8 +1139,8 @@ def zonogon_normals_with_duplicates(gens):
 
 
 def test_zonogon_normals_drop_only_bit_identical_duplicates(monkeypatch, diamond):
-    # a duplicated normal repeats a bound of the peel and a clip of the
-    # relaxed target, so selections and certificates stay the same
+    # a duplicated normal repeats a bound of the peel, so selections and
+    # certificates stay the same
     rng = Random(21)
     cases = []
     for _ in range(40):
@@ -1097,8 +1150,10 @@ def test_zonogon_normals_drop_only_bit_identical_duplicates(monkeypatch, diamond
     centre = Vec2(0.3, -0.7)
     _, _, gens = solver._zonogon([norming_set(diamond, q - centre)
                                   for q in plus_shape(centre, (4, 3, 3, 3), seed=13)])
-    assert (len(zonogon_normals_with_duplicates(gens)), len(solver._zonogon_normals(gens))) \
-        == (26, 8)
+    # 26 raw normals, 8 distinct in their bits and 4 in value, which the peel bounds
+    normals = solver._zonogon_normals(gens)
+    assert (len(normals), len({(x.hex(), y.hex()) for x, y in normals}),
+            len(dict.fromkeys(normals))) == (26, 8, 4)
 
     def answers():
         out = []
