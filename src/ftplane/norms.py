@@ -250,6 +250,22 @@ def gauge_batch(norm: PolygonalNorm, dx: np.ndarray, dy: np.ndarray) -> np.ndarr
     return np.maximum(out, 0.0)
 
 
+def _snap(norm: PolygonalNorm, v: Vec2, eps: float) -> tuple[int, int | None]:
+    """Sector k of direction v, and the vertex (k or k + 1) it snaps to, or None."""
+    check_eps(eps)
+    if v.x == 0.0 and v.y == 0.0:
+        raise InputError("cannot classify the zero vector")
+    if not v.is_finite():
+        raise InputError(f"cannot classify the non-finite vector {v}")
+    k = norm.sector(v)
+    vlen = v.norm()
+    for idx in (k, (k + 1) % norm.m):
+        w = norm.vertices[idx]
+        if abs(v.cross(w)) <= eps * vlen * w.norm() and v.dot(w) > 0.0:
+            return k, idx
+    return k, None
+
+
 def classify_direction(norm: PolygonalNorm, v: Vec2,
                        eps: float = DEFAULT_EPS) -> UnitCircleElement:
     """Classify the unit-circle point in direction v.
@@ -257,20 +273,11 @@ def classify_direction(norm: PolygonalNorm, v: Vec2,
     A direction within eps (angularly) of a vertex snaps to that vertex, so
     behavior at the boundary is deterministic.
     """
-    check_eps(eps)
-    if v.x == 0.0 and v.y == 0.0:
-        raise InputError("cannot classify the zero vector")
-    if not v.is_finite():
-        raise InputError(f"cannot classify the non-finite vector {v}")
-    k = norm.sector(v)
-    m = norm.m
-    vlen = v.norm()
-    for idx in (k, (k + 1) % m):
-        w = norm.vertices[idx]
-        if abs(v.cross(w)) <= eps * vlen * w.norm() and v.dot(w) > 0.0:
-            return VertexElement(idx)
+    k, idx = _snap(norm, v, eps)
+    if idx is not None:
+        return VertexElement(idx)
     vhat = v * (1.0 / gauge(norm, v))
-    a, b = norm.vertices[k], norm.vertices[(k + 1) % m]
+    a, b = norm.vertices[k], norm.vertices[(k + 1) % norm.m]
     d = b - a
     t = (vhat - a).dot(d) / d.dot(d)
     return EdgeElement(k, min(max(t, 0.0), 1.0))
@@ -283,12 +290,9 @@ def norming_set(norm: PolygonalNorm, v: Vec2,
     Edge-interior directions give the edge functional itself; vertex
     directions give the whole dual edge at that vertex.
     """
-    element = classify_direction(norm, v, eps)
+    k, idx = _snap(norm, v, eps)
     duals = norm._duals
-    if isinstance(element, EdgeElement):
-        return duals[element.edge]
-    k = element.index
-    return FunctionalSegment(duals[k - 1], duals[k])
+    return duals[k] if idx is None else FunctionalSegment(duals[idx - 1], duals[idx])
 
 
 def element_point(norm: PolygonalNorm, element: UnitCircleElement) -> Vec2:

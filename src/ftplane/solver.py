@@ -16,10 +16,12 @@ Each crossing formed gets the gauge.
 Optimality at a point p outside the terminal set is certified by one
 norming functional per displacement x_i - p whose sum is zero; the full
 solution set is then the intersection of the cones these functionals span,
-one per terminal. At a terminal the certificate is relaxed: the remaining
-functionals need only sum to something of dual norm at most one. Dual norms
-and cone contacts come from one functional-by-vertex table (``dual_norms``),
-with the floats of a loop over the vertices.
+one per terminal, and its vertices must attain the optimum. One path does
+this for every p: an odd collinear set's middle point, a candidate, or an
+optimum a caller knows (a uniqueness witness, at the origin). At a terminal
+the certificate is relaxed: the remaining functionals need only sum to
+something of dual norm at most one. Dual norms and cone contacts come from
+one functional-by-vertex table (``dual_norms``), with a vertex loop's floats.
 
 Each terminal's norming functionals form a point or a segment, so the sums
 of one pick per terminal form a zonogon. One peel decides a selection: each
@@ -605,20 +607,9 @@ def check_certificate(norm: PolygonalNorm, points, cert: Certificate,
 
 def ft_solve(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...],
              eps: float = DEFAULT_EPS) -> FTSolution:
-    """Full solution set of the Fermat-Torricelli problem.
-
-    A point p of the solution set comes first: the middle point of an odd
-    collinear set, else the single minimizing candidate, else the centroid
-    of the minimizing candidates. On a nearly flat objective that centroid
-    can miss the optimum; when it gives no certificate, or a relaxed one,
-    the lowest-valued candidate (the first on ties) takes its place. One
-    certify step follows on every path: ``verify_ft_point`` finds the
-    certificate and ``check_certificate`` checks it. A relaxed certificate
-    means p is a terminal and the whole solution set; with several
-    minimizing candidates it contradicts them and raises CertificateError
-    ("no norming selection sums to zero at p"). Otherwise the solution set
-    is the intersection of the certificate's cones, and every vertex of it
-    must attain the optimal value.
+    """Full solution set of the Fermat-Torricelli problem: an optimum p is
+    the middle point of an odd collinear set, else the single minimizing
+    candidate, else the candidates' centroid, and ``_certify`` certifies it.
     """
     check_eps(eps)
     if not points:
@@ -636,7 +627,19 @@ def ft_solve(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...],
         if len(cands) > 1:
             p = Vec2(sum(c.x for c in cands) / len(cands),
                      sum(c.y for c in cands) / len(cands))
+    return _certify(norm, pts, p, value, eps, cands)
 
+
+def _certify(norm: PolygonalNorm, pts: tuple[Vec2, ...], p: Vec2, value: float,
+             eps: float, cands: list[Vec2] | tuple[Vec2, ...] = ()) -> FTSolution:
+    """The certified solution set through p, an optimum of value ``value``.
+
+    When p, the centroid of several minimizing candidates ``cands``, gives
+    no certificate or a relaxed one, the lowest-valued candidate (the first
+    on ties) replaces it. A relaxed certificate means p is a terminal and
+    the whole solution set, which several candidates contradict; else the
+    solution set is where the cones meet, and each vertex must attain ``value``.
+    """
     cert = verify_ft_point(norm, pts, p, eps)
     if (cert is None or cert.relaxed) and len(cands) > 1:
         p = min(cands, key=lambda c: objective(norm, pts, c))

@@ -36,7 +36,7 @@ from .norms import (
     dual_vertices,
     element_point,
 )
-from .solver import ft_solve
+from .solver import _certify, objective
 
 
 @dataclass(frozen=True)
@@ -289,7 +289,8 @@ def uniqueness_verdict(norm: PolygonalNorm,
                        eps: float = DEFAULT_EPS) -> Verdict:
     """Take the first firing condition, in order 1, 2, 3, and validate its witness.
 
-    The witness points are the triple's unit-circle elements themselves.
+    The witness points are the triple's unit-circle elements themselves, so
+    the triple's functionals certify the origin as an optimum, without search.
     Condition 1 must solve to a polygon, condition 3 to a segment;
     condition 2 must solve to something other than a point.
     """
@@ -300,10 +301,10 @@ def uniqueness_verdict(norm: PolygonalNorm,
     cond = triple.condition
     witness = tuple(element_point(norm, e) for e in triple.elements)
     expected = "polygon" if cond == 1 else "segment"
-    region = ft_solve(norm, witness, eps).region
+    origin = Vec2(0.0, 0.0)
+    region = _certify(norm, witness, origin, objective(norm, witness, origin), eps).region
     observed = region.kind
-    ok = observed == expected if cond in (1, 3) else observed != "point"
-    if not ok:
+    if not (observed == expected if cond in (1, 3) else observed != "point"):
         raise CertificateError(
             f"condition {cond} witness solved to {observed}, expected {expected}")
     return Verdict(False, triple, witness, region)

@@ -140,22 +140,31 @@ def test_witness_command(capsys, hex_norm_file, diamond_norm_file):
 
 
 def test_witness_solves_its_triple_once(capsys, monkeypatch, hex_norm_file):
-    import ftplane.cli as cli
+    # the verdict certifies its witness at the origin, where the triple's
+    # functionals sum to zero: one certification and no candidate search
+    import ftplane.solver as solver
     import ftplane.uniqueness as uniqueness
 
-    calls = []
+    certified, searched = [], []
 
-    def counted(fn):
+    def counted(fn, calls):
         def wrapper(*args, **kwargs):
             calls.append(args[1])
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(uniqueness, "ft_solve", counted(uniqueness.ft_solve))
-    monkeypatch.setattr(cli, "ft_solve", counted(cli.ft_solve))
+    # every certification goes through _certify: the verdict's own, and
+    # ft_solve's, which looks it up in solver
+    monkeypatch.setattr(uniqueness, "_certify", counted(uniqueness._certify, certified))
+    monkeypatch.setattr(solver, "_certify", counted(solver._certify, certified))
+    monkeypatch.setattr(solver, "candidate_minimize",
+                        counted(solver.candidate_minimize, searched))
     code, out, _ = run(capsys, ["witness", "--norm", hex_norm_file])
-    assert code == 0 and len(calls) == 1
-    assert json.loads(out)["region"]["kind"] == "polygon"
+    doc = json.loads(out)
+    assert code == 0 and len(certified) == 1 and searched == []
+    assert [c for w in certified[0] for c in (w.x, w.y)] == pytest.approx(
+        [c for w in doc["witness"] for c in w], abs=1e-9)  # the output rounds
+    assert doc["region"]["kind"] == "polygon"
 
 
 def test_lambda_flag_replaces_norm_file(capsys, triangle_points_file):

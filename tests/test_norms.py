@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ftplane import (
+    DEFAULT_EPS,
     EdgeElement,
     FunctionalSegment,
     InputError,
@@ -181,6 +182,30 @@ def test_norming_pairing_and_existence(diamond, hexagon):
             for phi in members:
                 assert phi.dot(v) == pytest.approx(g, abs=1e-9 * max(1, g))
                 assert dual_norm(norm, phi) == pytest.approx(1.0, abs=1e-9)
+    # at and around the snap: each vertex itself, and its direction turned by
+    # +-eps/2 (snaps) and +-2 eps (does not); the set is the one that
+    # classify_direction's element names, to the bit
+    eps = DEFAULT_EPS
+    kinds = set()
+    for norm in norms:
+        duals = dual_vertices(norm)
+        for v in norm.vertices:
+            a = math.atan2(v.y, v.x)
+            turned = [Vec2(2.5 * math.cos(a + d), 2.5 * math.sin(a + d))
+                      for d in (-2 * eps, -eps / 2, eps / 2, 2 * eps)]
+            for u in [v] + turned:
+                element = classify_direction(norm, u, eps)
+                if isinstance(element, VertexElement):
+                    k = element.index
+                    want = FunctionalSegment(duals[k - 1], duals[k])
+                else:
+                    want = duals[element.edge]
+                got = norming_set(norm, u, eps)
+                assert repr(got) == repr(want), (norm, u)
+                kinds.add(type(got))
+        with pytest.raises(InputError, match="cannot classify the zero vector"):
+            norming_set(norm, Vec2(0.0, 0.0))
+    assert kinds == {FunctionalSegment, Functional}
 
 
 def test_bipolar_recovers_vertices(diamond, hexagon):

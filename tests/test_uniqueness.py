@@ -165,6 +165,33 @@ def test_verdict_on_the_19998_gon():
     assert sol.region == verdict.region
 
 
+def test_verdict_region_is_the_full_solve_of_its_witness():
+    # the verdict certifies its witness at the origin without a search; the
+    # full solve of the same three points gives the same region, to the bit
+    norms = [make_lambda_norm(lam).norm for lam in range(2, 61)]
+    norms += [make_polygonal_norm(r) for r in rotations(COND2_OCTAGON) + rotations(COND3_HEXAGON)]
+    nonunique = 0
+    for norm in norms:
+        verdict = uniqueness_verdict(norm)
+        if verdict.unique:
+            continue
+        nonunique += 1
+        assert repr(verdict.region) == repr(ft_solve(norm, verdict.witness).region), norm
+    assert nonunique == 20 + 8 + 6
+
+
+def test_verdict_rejects_a_witness_not_optimal_at_the_origin(monkeypatch, hexagon):
+    # three edge functionals that do not sum to zero: the origin is no
+    # optimum of their witness, and the certify step says so
+    duals = dual_vertices(hexagon)
+    bad = ConsistentTriple(tuple(EdgeElement(k, 0.5) for k in range(3)),
+                           duals[:3], condition=1)
+    assert functional_sum(bad.functionals).norm() > 1.0
+    monkeypatch.setattr(uniqueness, "_condition1", lambda setup: bad)
+    with pytest.raises(CertificateError, match="no norming selection sums to zero"):
+        uniqueness_verdict(hexagon)
+
+
 def test_verdict_cond2_octagon(cond2_octagon):
     verdict = uniqueness_verdict(cond2_octagon)
     assert not verdict.unique
