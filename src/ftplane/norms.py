@@ -62,6 +62,12 @@ class FunctionalSegment:
         return Vec2(self.lo.x + t * (self.hi.x - self.lo.x),
                     self.lo.y + t * (self.hi.y - self.lo.y))
 
+    @cached_property
+    def _consts(self) -> tuple[tuple[float, float], float, float]:
+        """hi - lo as an (x, y) pair, its length, and the larger length of lo and hi."""
+        g = (self.hi.x - self.lo.x, self.hi.y - self.lo.y)
+        return g, math.hypot(*g), max(self.lo.norm(), self.hi.norm())
+
 
 FunctionalSet = Functional | FunctionalSegment
 
@@ -75,6 +81,12 @@ class PolygonalNorm:
     @property
     def m(self) -> int:
         return len(self.vertices)
+
+    @cached_property
+    def _memo(self) -> dict:
+        """Immutable values by (type, vertex or edge index), built on first use:
+        dual edges and cone shapes. Threads at worst build one twice."""
+        return {}
 
     @cached_property
     def _duals(self) -> tuple[Functional, ...]:
@@ -253,15 +265,17 @@ def gauge_batch(norm: PolygonalNorm, dx: np.ndarray, dy: np.ndarray) -> np.ndarr
 def _snap(norm: PolygonalNorm, v: Vec2, eps: float) -> tuple[int, int | None]:
     """Sector k of direction v, and the vertex (k or k + 1) it snaps to, or None."""
     check_eps(eps)
-    if v.x == 0.0 and v.y == 0.0:
+    x, y = v.x, v.y
+    if x == 0.0 and y == 0.0:
         raise InputError("cannot classify the zero vector")
-    if not v.is_finite():
+    if not (math.isfinite(x) and math.isfinite(y)):
         raise InputError(f"cannot classify the non-finite vector {v}")
-    k = norm.sector(v)
-    vlen = v.norm()
-    for idx in (k, (k + 1) % norm.m):
-        w = norm.vertices[idx]
-        if abs(v.cross(w)) <= eps * vlen * w.norm() and v.dot(w) > 0.0:
+    k = norm._sector(x, y)
+    vlen = math.hypot(x, y)
+    verts = norm.vertices
+    for idx in (k, (k + 1) % len(verts)):
+        wx, wy = verts[idx].x, verts[idx].y
+        if abs(x * wy - y * wx) <= eps * vlen * math.hypot(wx, wy) and x * wx + y * wy > 0.0:
             return k, idx
     return k, None
 
@@ -288,11 +302,15 @@ def norming_set(norm: PolygonalNorm, v: Vec2,
     """All unit functionals phi with phi(v) = gauge(v).
 
     Edge-interior directions give the edge functional itself; vertex
-    directions give the whole dual edge at that vertex.
+    directions give the whole dual edge at that vertex, one object per vertex
+    and norm.
     """
     k, idx = _snap(norm, v, eps)
     duals = norm._duals
-    return duals[k] if idx is None else FunctionalSegment(duals[idx - 1], duals[idx])
+    if idx is None:
+        return duals[k]
+    memo, key = norm._memo, (FunctionalSegment, idx)
+    return memo.get(key) or memo.setdefault(key, FunctionalSegment(duals[idx - 1], duals[idx]))
 
 
 def element_point(norm: PolygonalNorm, element: UnitCircleElement) -> Vec2:

@@ -33,6 +33,8 @@ dual ball added (d terminals at p), the same peel decides the relaxed test.
 
 The clip, peel, cone and check stages compute on plain floats, in the
 operation order of the Vec2 arithmetic, and build Vec2 only for results.
+A dual edge, its generator and lengths, and a cone shape are built on first
+use, once per vertex or edge and norm; a side that cones share is clipped once.
 """
 
 from __future__ import annotations
@@ -321,28 +323,21 @@ def collinear_median(points: list[Vec2] | tuple[Vec2, ...],
 
 # --- functional selection -------------------------------------------------
 
-def _set_bounds(fset) -> tuple[Functional, Functional]:
-    if isinstance(fset, FunctionalSegment):
-        return fset.lo, fset.hi
-    return fset, fset
-
-
 def _zonogon(sets) -> tuple[tuple[float, float], list[int], list[tuple[float, float]]]:
     """Base and generators, as (x, y) pairs, of the sums of one pick per set.
 
-    The base is the sum of the low ends; each segment set contributes the
+    The base is the sum of the low ends; each segment set contributes its
     generator ``hi - lo``. Also returns the index of each generator's set.
     """
     bx = by = 0.0
     idxs: list[int] = []
     gens: list[tuple[float, float]] = []
     for idx, s in enumerate(sets):
-        lo, hi = _set_bounds(s)
+        lo = s.lo if isinstance(s, FunctionalSegment) else s
         bx, by = bx + lo.x, by + lo.y
-        gx, gy = hi.x - lo.x, hi.y - lo.y
-        if math.hypot(gx, gy) > 1e-12:
+        if lo is not s and s._consts[1] > 1e-12:
             idxs.append(idx)
-            gens.append((gx, gy))
+            gens.append(s._consts[0])
     return (bx, by), idxs, gens
 
 
@@ -354,11 +349,12 @@ def _zonogon_normals(gens: list[tuple[float, float]]) -> list[tuple[float, float
     pin the ends of a segment and the point of the empty sum. Only when all
     generators are parallel are the end caps +-g/|g| added. Copies stay: the
     peel bounds each value once."""
-    perps = [(-gy * s, gx * s) for gx, gy in gens for s in (1.0 / math.hypot(gx, gy),)]
+    lens = [math.hypot(gx, gy) for gx, gy in gens]
+    perps = [(-gy * s, gx * s) for (gx, gy), n in zip(gens, lens) for s in (1.0 / n,)]
     out = [(x, y) for nx, ny in perps for x, y in ((nx, ny), (-nx, -ny))]
     if gens:
-        (g0x, g0y), g0n = gens[0], math.hypot(*gens[0])
-        if all(abs(gx * g0y - gy * g0x) <= 1e-12 * math.hypot(gx, gy) * g0n for gx, gy in gens):
+        (g0x, g0y), g0n = gens[0], lens[0]
+        if all(abs(gx * g0y - gy * g0x) <= 1e-12 * n * g0n for (gx, gy), n in zip(gens, lens)):
             ux, uy = g0x * (1.0 / g0n), g0y * (1.0 / g0n)
             out += [(ux, uy), (-ux, -uy)]
     return out
@@ -389,27 +385,29 @@ def _peel(gens: list[tuple[float, float]], target: tuple[float, float],
         normals += [(v.x / v.norm(), v.y / v.norm()) for v in norm.vertices]
     normals = dict.fromkeys(normals)
     dots = [[nx * gx + ny * gy for gx, gy in gens] for nx, ny in normals]
-    support = [sum(max(0.0, ng) for ng in row) for row in dots]  # of the free gens
+    # max(0.0, ng), max(lo, b), min(hi, b) as comparisons: the same floats, NaN too
+    support = [sum([ng if ng > 0.0 else 0.0 for ng in row]) for row in dots]  # of the free gens
     if ball is not None:  # plus the ball's
         support = [h + d * _gauge(norm, nx, ny) for h, (nx, ny) in zip(support, normals)]
     levels = [nx * target[0] + ny * target[1] for nx, ny in normals]  # n . (target - sum t g)
     ts: list[float] = []
-    for j, g in enumerate(gens):
+    for g, col in zip(gens, zip(*dots)):
         lo, hi = 0.0, 1.0
         tiny = 1e-12 * math.hypot(*g)
-        for i, row in enumerate(dots):
-            ng = row[j]
-            support[i] -= max(0.0, ng)
+        for i, ng in enumerate(col):
+            if ng > 0.0:
+                support[i] -= ng
             if abs(ng) <= tiny:
                 continue  # this normal does not constrain t_j
             bound = (levels[i] - support[i]) / ng
-            if ng > 0:
-                lo = max(lo, bound)
-            else:
-                hi = min(hi, bound)
+            if ng > 0.0:
+                if bound > lo:
+                    lo = bound
+            elif bound < hi:
+                hi = bound
         t = min(max(lo + 0.5 * (hi - lo), 0.0), 1.0)
         ts.append(t)
-        levels = [level - t * row[j] for row, level in zip(dots, levels)]
+        levels = [level - t * ng for ng, level in zip(col, levels)]
     return ts
 
 
@@ -424,14 +422,15 @@ def _select(sets, target: Vec2, ball=None) -> list[Functional] | None:
     """
     (bx, by), idxs, gens = _zonogon(sets)
     tx, ty = target.x - bx, target.y - by
-    scale = max([1.0] + [f.norm() for s in sets for f in _set_bounds(s)])
+    scale = max([1.0] + [s._consts[2] if isinstance(s, FunctionalSegment) else s.norm()
+                         for s in sets])
     rtol = 2e-9 * scale * max(1, len(sets))
     ts = _peel(gens, (tx, ty), ball)
     sx = sum(t * gx for t, (gx, _) in zip(ts, gens))
     sy = sum(t * gy for t, (_, gy) in zip(ts, gens))
     if ball is None and math.hypot(sx - tx, sy - ty) > rtol:
         return None
-    sel = [_set_bounds(s)[0] for s in sets]
+    sel = [s.lo if isinstance(s, FunctionalSegment) else s for s in sets]
     for t, idx in zip(ts, idxs):
         sel[idx] = sets[idx].at(t)
     return sel
@@ -490,32 +489,39 @@ def build_cones(norm: PolygonalNorm, points, phis, eps: float = DEFAULT_EPS,
 
     The level line phi = 1 touches the unit ball in a vertex (ray cone) or
     an edge (angle cone); the touching set is negated and translated to x.
-    ``table`` is ``dual_norms(norm, phis)``, if the caller has it.
+    A phi equal to edge c's dual vertex touches edge c; other contacts come
+    from a floor. ``table`` is ``dual_norms(norm, phis)``, if the caller has it.
     """
     check_eps(eps)
     if len(points) != len(phis):
         raise InputError(f"{len(points)} terminals but {len(phis)} functionals")
     if table is None:
         table = dual_norms(norm, phis)
-    m = norm.m
+    verts, duals, memo, m = norm.vertices, norm._duals, norm._memo, norm.m
     cones = []
-    for x, top, s, contact in zip(points, *_contact_sets(phis, eps, *table)):
+    for x, phi, top, s, contact in zip(points, phis, *_contact_sets(phis, eps, *table)):
         # an infinite functional would make the tolerance inf; a NaN fails the test
         if not (math.isfinite(s) and abs(top - 1.0) <= 100 * eps * s):
             raise CertificateError(f"dual norm is {top}, expected 1")
-        if len(contact) == 1:
-            cones.append(Cone(x, RayShape(-norm.vertices[contact[0]])))
-            continue
-        if len(contact) != 2:
+        edge = [c for c in contact if phi.x == duals[c].x and phi.y == duals[c].y]
+        if edge:
+            key = AngleShape, edge[0]
+        elif len(contact) == 1:
+            key = RayShape, contact[0]
+        elif len(contact) != 2:
             raise CertificateError("support line touches more than one edge")
-        i, j = contact
-        if j - i == 1:
-            k = i
-        elif i == 0 and j == m - 1:
-            k = m - 1
+        elif contact[1] - contact[0] == 1:
+            key = AngleShape, contact[0]
+        elif contact == [0, m - 1]:
+            key = AngleShape, m - 1
         else:
             raise CertificateError("support line touches non-adjacent vertices")
-        cones.append(Cone(x, AngleShape(-norm.vertices[k], -norm.vertices[(k + 1) % m])))
+        shape = memo.get(key)
+        if shape is None:
+            kind, k = key
+            ends = [-verts[k]] if kind is RayShape else [-verts[k], -verts[(k + 1) % m]]
+            shape = memo.setdefault(key, kind(*ends))
+        cones.append(Cone(x, shape))
     return tuple(cones)
 
 
@@ -543,9 +549,10 @@ def intersect_cones(cones: list[Cone] | tuple[Cone, ...], radius: float,
 
     Each angle contributes its two sides as half-planes and each ray its
     carrier line plus the cut at the apex, so one clip of a square covers
-    every mixed case. The square has half-width ``radius`` and is centred on
-    the first cone's apex; it must contain the whole intersection. The radius
-    and the apexes must be finite.
+    every mixed case; a side that several cones share is clipped once. The
+    square has half-width ``radius`` and is centred on the first cone's apex;
+    it must contain the whole intersection. The radius and the apexes must be
+    finite.
     """
     check_eps(eps)
     if not cones:
@@ -554,7 +561,7 @@ def intersect_cones(cones: list[Cone] | tuple[Cone, ...], radius: float,
         raise InputError(f"radius must be >= 0 and finite, got {radius}")
     if not all(cone.vertex.is_finite() for cone in cones):
         raise InputError("cone apexes must be finite")
-    hps = [h for cone in cones for h in _cone_halfplanes(cone, eps)]
+    hps = list(dict.fromkeys(h for cone in cones for h in _cone_halfplanes(cone, eps)))
     c, r = cones[0].vertex, radius
     square = [(c.x - r, c.y - r), (c.x + r, c.y - r), (c.x + r, c.y + r), (c.x - r, c.y + r)]
     sides = [(0.0, -1.0, r - c.y), (1.0, 0.0, c.x + r), (0.0, 1.0, c.y + r), (-1.0, 0.0, r - c.x)]

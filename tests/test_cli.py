@@ -1,8 +1,10 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -403,3 +405,29 @@ def test_internal_value_error_is_not_a_validation_error(monkeypatch, capsys, tmp
     with pytest.raises(ValueError, match="forced internal fault"):
         main(["solve", "--norm", diamond_norm_file, "--points", str(pts)])
     assert "error:" not in capsys.readouterr().err
+
+
+def test_svg_bytes_are_pinned(tmp_path, capsys, diamond_norm_file):
+    # a plus-diamond instance (13 ray cones that share their carrier lines)
+    # and a 48-gon instance: the figure's bytes, as SHA-256, whatever shape
+    # objects the cones share
+    rng = Random(26)
+    cx, cy = rng.uniform(-5, 5), rng.uniform(-5, 5)
+    plus = tmp_path / "plus.json"
+    plus.write_text(json.dumps({"points": [
+        [cx + a * d, cy + b * d]
+        for (a, b), many in zip(((1, 0), (0, 1), (-1, 0), (0, -1)), (3, 3, 4, 3))
+        for d in (rng.uniform(0.25, 3.0) for _ in range(many))]}))
+    six = tmp_path / "six.json"
+    six.write_text(json.dumps({"points": [[rng.uniform(-5, 5), rng.uniform(-5, 5)]
+                                          for _ in range(6)]}))
+    digests = []
+    for norm_args, pts in ((["--norm", diamond_norm_file], plus), (["--lambda", "24"], six)):
+        svg_path = tmp_path / "fig.svg"
+        code, _, _ = run(capsys, ["solve", *norm_args, "--points", str(pts),
+                                  "--svg", str(svg_path)])
+        assert code == 0
+        digests.append(hashlib.sha256(svg_path.read_bytes()).hexdigest())
+    assert digests == [
+        "18e81e7be740dd1b03ec369a13aac83063d8c3285f99cea1f5335dc1fd054b76",
+        "fa09ad593e6e70cc1596a3cb536ac8b657eb46ed8061de37bb721c868b58b2f5"]

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import tracemalloc
@@ -599,10 +600,19 @@ def test_check_certificate_rejects_a_bad_entry(diamond, pts, funcs, relaxed, mes
 
 def test_build_cones_rejects_a_support_line_on_several_edges():
     # at eps 5e-4 the contact tolerance takes in more than two of the
-    # 200-gon's vertices under an edge functional
+    # 200-gon's vertices under a functional a rounding away from edge 3's
     norm = make_lambda_norm(100).norm
+    phi = dual_vertices(norm)[3] * (1 + 1e-12)
     with pytest.raises(CertificateError, match="support line touches more than one edge"):
-        build_cones(norm, (Vec2(0, 0),), (dual_vertices(norm)[3],), 5e-4)
+        build_cones(norm, (Vec2(0, 0),), (phi,), 5e-4)
+
+
+def test_build_cones_gives_an_edge_functional_its_edge():
+    # the same floor takes in more than two vertices, but a functional equal
+    # to edge 3's dual vertex touches edge 3 alone
+    norm = make_lambda_norm(100).norm
+    (cone,) = build_cones(norm, (Vec2(0, 0),), (dual_vertices(norm)[3],), 5e-4)
+    assert cone.shape == AngleShape(-norm.vertices[3], -norm.vertices[4])
 
 
 def test_ft_solve_rejects_a_region_vertex_off_the_optimum(monkeypatch, hexagon,
@@ -1293,3 +1303,111 @@ def test_relaxed_centroid_hands_over_to_the_lowest_candidate(monkeypatch, diamon
     with pytest.raises(CertificateError, match="no norming selection sums to zero at p"):
         ft_solve(diamond, star)
     assert calls == [(Vec2(0.0, 0.0), (0,)), (Vec2(0.5, 0), None)]
+
+
+def test_plus_layouts_clip_each_distinct_cone_side_once(monkeypatch, diamond):
+    # every terminal of a plus shape gets a ray cone: its own apex cut and a
+    # carrier line that the two arms of one axis share, each line taken in
+    # both orientations, so n terminals give n + 4 distinct sides of 3n
+    calls = []
+
+    def counting(*args):
+        calls.append(len(args[2]))
+        return clip_polygon(*args)
+
+    monkeypatch.setattr(solver, "clip_polygon", counting)
+    centre = Vec2(0.3, -0.7)
+    for counts, seed in (((3, 3, 4, 3), 5), ((100, 100, 100, 100), 9)):
+        calls.clear()
+        sol = ft_solve(diamond, plus_shape(centre, counts, seed))
+        assert sol.region == Region.point(centre) and calls == [sum(counts) + 4]
+
+
+def test_intersect_cones_of_repeated_cones_is_the_same_region():
+    # the cones of the golden corpus's solve inputs, listed once and twice
+    rng, rng48 = Random(7), Random(48)
+    cases = [random_instance(rng) for _ in range(200)]
+    cases += [(make_lambda_norm(24).norm, [Vec2(rng48.uniform(-5.0, 5.0), rng48.uniform(-5.0, 5.0))
+                                           for _ in range(6)]) for _ in range(20)]
+    clipped = 0
+    for norm, pts in cases:
+        sol = ft_solve(norm, pts)
+        if sol.certificate.relaxed:
+            continue
+        cones = build_cones(norm, pts, sol.certificate.functionals)
+        radius = 2.0 * sol.objective * norm._breaklines[0]
+        assert repr(intersect_cones(cones + cones, radius)) == \
+            repr(intersect_cones(cones, radius)) == repr(sol.region)
+        clipped += 1
+    assert clipped >= 150, clipped
+
+
+def float_bits(obj):
+    """``obj`` with every float as float.hex, through dataclasses and sequences."""
+    if isinstance(obj, float):
+        return obj.hex()
+    if dataclasses.is_dataclass(obj):
+        return (type(obj).__name__,) + tuple(float_bits(getattr(obj, f.name))
+                                             for f in dataclasses.fields(obj))
+    if isinstance(obj, (tuple, list)):
+        return tuple(map(float_bits, obj))
+    return obj
+
+
+def bits_or_error(call, *args):
+    try:
+        return float_bits(call(*args))
+    except (InputError, CertificateError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_per_vertex_caches_give_the_same_bits_fresh_and_warm(diamond, hexagon):
+    # one norm serves its dual edges and cone shapes from its per-vertex
+    # caches, warmed by every call before; a fresh copy per call builds them
+    eps = DEFAULT_EPS
+    rng, solved = Random(27), 0
+    for warm in (diamond, hexagon, make_lambda_norm(12).norm, random_symmetric_norm(rng)):
+        def fresh():
+            return make_polygonal_norm(list(warm.vertices))
+
+        dirs = [Vec2(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(40)]
+        for v in warm.vertices:
+            a = math.atan2(v.y, v.x)
+            dirs += [v] + [Vec2(2.5 * math.cos(a + d), 2.5 * math.sin(a + d))
+                           for d in (-2 * eps, -eps / 2, eps / 2, 2 * eps)]
+        sets = []
+        for _ in range(30):
+            p = Vec2(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            pts = [p + rng.choice(warm.vertices) * rng.uniform(0.5, 3.0)
+                   for _ in range(rng.randint(2, 6))]
+            pts += [p + rng.choice(dirs) for _ in range(rng.randint(0, 2))]
+            sets.append((pts + [p] * rng.randint(0, 1), p))
+        for _ in range(2):  # the second round finds every entry cached
+            for u in dirs:
+                ns = norming_set(warm, u, eps)
+                assert float_bits(ns) == float_bits(norming_set(fresh(), u, eps))
+                phis = [ns.lo, ns.at(0.5), ns.hi] if isinstance(ns, FunctionalSegment) else [ns]
+                xs = [u] * len(phis)
+                assert float_bits(build_cones(warm, xs, phis, eps)) == \
+                    float_bits(build_cones(fresh(), xs, phis, eps))
+            for pts, p in sets:
+                got = bits_or_error(ft_solve, warm, pts)
+                assert got == bits_or_error(ft_solve, fresh(), pts)
+                solved += got[0] == "FTSolution"
+                for q in p, pts[0]:
+                    assert bits_or_error(verify_ft_point, warm, pts, q, eps) == \
+                        bits_or_error(verify_ft_point, fresh(), pts, q, eps)
+    # some sets have a terminal 2 eps off a vertex direction from the optimum,
+    # where the certificate fails on both norms alike
+    assert solved >= 180, solved
+
+
+def test_per_vertex_caches_fill_only_what_a_solve_uses():
+    # a fresh 2,002-gon: a 3-terminal solve builds the dual edge and the ray
+    # shape of its three vertex directions, not one entry per vertex
+    norm = make_lambda_norm(1001).norm
+    v = norm.vertices
+    sol = ft_solve(norm, [v[0] * 2.0, v[667] * 1.5, v[1335] * 1.8])
+    assert sol.region.kind == "point"
+    assert sorted((kind.__name__, k) for kind, k in norm._memo) == \
+        [(kind, k) for kind in ("FunctionalSegment", "RayShape") for k in (0, 667, 1335)]
