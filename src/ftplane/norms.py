@@ -13,7 +13,8 @@ A functional phi is a ``Vec2``, a point of the dual plane, with
 phi(v) = phi.dot(v); ``Functional`` is that type's name on the dual side.
 The norming set of a direction is one functional (the edge functional, for
 a direction interior to an edge) or a ``FunctionalSegment`` (the dual edge,
-for a vertex direction).
+for a vertex direction). One angular snap, ``_along``, puts a direction on a
+vertex and a functional on a dual vertex, whose face is that vertex's edge.
 """
 
 from __future__ import annotations
@@ -214,14 +215,14 @@ def dual_vertices(norm: PolygonalNorm) -> tuple[Functional, ...]:
     return norm._duals
 
 
-def dual_norms(norm: PolygonalNorm, funcs) -> tuple[np.ndarray, np.ndarray]:
-    """Each functional (row) at each unit-ball vertex (column), and each
-    row's maximum: the dual norms.
+def dual_norms(norm: PolygonalNorm, funcs) -> tuple[list[float], list[int]]:
+    """Each functional's dual norm, its largest value at a unit-ball vertex,
+    and the first vertex ``a`` that attains it.
 
-    An entry is the float ``phi.x * v.x + phi.y * v.y`` (elementwise, never
-    ``@``, whose fused or reordered sums differ in the last bit; inf * 0 is a
-    silent NaN, as in Python). A maximum is the row's first largest entry,
-    as Python's ``max`` gives it, but NaN if the row holds one.
+    A value is the float ``phi.x * v.x + phi.y * v.y`` of a functional-by-vertex
+    table (elementwise, never ``@``, whose fused or reordered sums differ in
+    the last bit; inf * 0 is a silent NaN, as in Python). A maximum is the
+    first largest value, as Python's ``max`` gives it, but NaN if there is one.
     """
     fa, fb = np.array([f.x for f in funcs] + [f.y for f in funcs],
                       dtype=float).reshape(2, -1, 1)
@@ -229,12 +230,13 @@ def dual_norms(norm: PolygonalNorm, funcs) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(over="ignore", invalid="ignore"):
         table = fa * vx
         table += fb * vy
-    return table, table.ravel()[table.argmax(axis=1) + np.arange(0, table.size, norm.m)]
+    a = table.argmax(axis=1)
+    return table.ravel()[a + np.arange(0, table.size, norm.m)].tolist(), a.tolist()
 
 
 def dual_norm(norm: PolygonalNorm, phi: Functional) -> float:
     """Operator norm of phi: max of phi over the unit-ball vertices."""
-    return float(dual_norms(norm, (phi,))[1][0])
+    return dual_norms(norm, (phi,))[0][0]
 
 
 def gauge(norm: PolygonalNorm, v: Vec2) -> float:
@@ -262,6 +264,12 @@ def gauge_batch(norm: PolygonalNorm, dx: np.ndarray, dy: np.ndarray) -> np.ndarr
     return np.maximum(out, 0.0)
 
 
+def _along(x: float, y: float, w: Vec2, eps: float) -> bool:
+    """Whether (x, y) lies within the sine eps of w's direction: the snap of a
+    direction onto a vertex, and of a functional onto a dual vertex."""
+    return abs(x * w.y - y * w.x) <= eps * math.hypot(x, y) * w.norm() and x * w.x + y * w.y > 0.0
+
+
 def _snap(norm: PolygonalNorm, v: Vec2, eps: float) -> tuple[int, int | None]:
     """Sector k of direction v, and the vertex (k or k + 1) it snaps to, or None."""
     check_eps(eps)
@@ -271,11 +279,8 @@ def _snap(norm: PolygonalNorm, v: Vec2, eps: float) -> tuple[int, int | None]:
     if not (math.isfinite(x) and math.isfinite(y)):
         raise InputError(f"cannot classify the non-finite vector {v}")
     k = norm._sector(x, y)
-    vlen = math.hypot(x, y)
-    verts = norm.vertices
-    for idx in (k, (k + 1) % len(verts)):
-        wx, wy = verts[idx].x, verts[idx].y
-        if abs(x * wy - y * wx) <= eps * vlen * math.hypot(wx, wy) and x * wx + y * wy > 0.0:
+    for idx in (k, (k + 1) % norm.m):
+        if _along(x, y, norm.vertices[idx], eps):
             return k, idx
     return k, None
 

@@ -20,8 +20,9 @@ one per terminal, and its vertices must attain the optimum. One path does
 this for every p: an odd collinear set's middle point, a candidate, or an
 optimum a caller knows (a uniqueness witness, at the origin). At a terminal
 the certificate is relaxed: the remaining functionals need only sum to
-something of dual norm at most one. Dual norms and cone contacts come from
-one functional-by-vertex table (``dual_norms``), with a vertex loop's floats.
+something of dual norm at most one. A functional's face comes from the snap
+that places a direction on a vertex: it touches an edge if it points along
+that edge's dual vertex, else the vertex where it first attains its dual norm.
 
 Each terminal's norming functionals form a point or a segment, so the sums
 of one pick per terminal form a zonogon. One peel decides a selection: each
@@ -60,6 +61,7 @@ from .norms import (
     Functional,
     FunctionalSegment,
     PolygonalNorm,
+    _along,
     _gauge,
     dual_norm,
     dual_norms,
@@ -467,55 +469,30 @@ def verify_ft_point(norm: PolygonalNorm, points, p: Vec2,
 
 # --- cones ------------------------------------------------------------------
 
-def _contact_sets(phis, eps: float, table: np.ndarray,
-                  tops: np.ndarray) -> tuple[list[float], list[float], list[list[int]]]:
-    """Per functional: its dual norm ``top``, its scale s = max(1, |phi|) and
-    its contacts {k : phi(v_k) >= top - 10 eps s}, read from its row of the
-    vertex table (``dual_norms``) with the floats of a loop over the vertices."""
-    tops = tops.tolist()
-    scales = [max(1.0, phi.norm()) for phi in phis]
-    floors = np.array([top - eps * s * 10 for top, s in zip(tops, scales)])
-    rows, cols = np.nonzero(table >= floors[:, None])
-    contacts: list[list[int]] = [[] for _ in scales]
-    for i, k in zip(rows.tolist(), cols.tolist()):
-        contacts[i].append(k)
-    return tops, scales, contacts
-
-
-def build_cones(norm: PolygonalNorm, points, phis, eps: float = DEFAULT_EPS,
-                table: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[Cone, ...]:
+def build_cones(norm: PolygonalNorm, points, phis, eps: float = DEFAULT_EPS) -> tuple[Cone, ...]:
     """One cone per terminal x and functional phi: the points from which phi
     keeps norming the displacement to x.
 
     The level line phi = 1 touches the unit ball in a vertex (ray cone) or
     an edge (angle cone); the touching set is negated and translated to x.
-    A phi equal to edge c's dual vertex touches edge c; other contacts come
-    from a floor. ``table`` is ``dual_norms(norm, phis)``, if the caller has it.
+    phi attains its dual norm first at vertex a. It touches edge c, a - 1 or
+    a, if it points along the dual vertex d_c by the snap that places a
+    direction on a vertex (the nearer one if both); else vertex a alone.
     """
     check_eps(eps)
     if len(points) != len(phis):
         raise InputError(f"{len(points)} terminals but {len(phis)} functionals")
-    if table is None:
-        table = dual_norms(norm, phis)
     verts, duals, memo, m = norm.vertices, norm._duals, norm._memo, norm.m
     cones = []
-    for x, phi, top, s, contact in zip(points, phis, *_contact_sets(phis, eps, *table)):
+    for x, phi, top, a in zip(points, phis, *dual_norms(norm, phis)):
+        s = max(1.0, phi.norm())
         # an infinite functional would make the tolerance inf; a NaN fails the test
         if not (math.isfinite(s) and abs(top - 1.0) <= 100 * eps * s):
             raise CertificateError(f"dual norm is {top}, expected 1")
-        edge = [c for c in contact if phi.x == duals[c].x and phi.y == duals[c].y]
-        if edge:
-            key = AngleShape, edge[0]
-        elif len(contact) == 1:
-            key = RayShape, contact[0]
-        elif len(contact) != 2:
-            raise CertificateError("support line touches more than one edge")
-        elif contact[1] - contact[0] == 1:
-            key = AngleShape, contact[0]
-        elif contact == [0, m - 1]:
-            key = AngleShape, m - 1
-        else:
-            raise CertificateError("support line touches non-adjacent vertices")
+        near = [c for c in (a - 1, a) if _along(phi.x, phi.y, duals[c], eps)]
+        if len(near) == 2:  # the nearer first
+            near.sort(key=lambda c: abs(phi.cross(duals[c])) / duals[c].norm())
+        key = (AngleShape, near[0] % m) if near else (RayShape, a)
         shape = memo.get(key)
         if shape is None:
             kind, k = key
@@ -574,13 +551,12 @@ def intersect_cones(cones: list[Cone] | tuple[Cone, ...], radius: float,
 # --- certificates and the full pipeline -------------------------------------
 
 def check_certificate(norm: PolygonalNorm, points, cert: Certificate,
-                      eps: float = DEFAULT_EPS) -> tuple[np.ndarray, np.ndarray]:
+                      eps: float = DEFAULT_EPS) -> None:
     """Raise CertificateError unless the certificate verifies.
 
     Checks the zero sum, and for every non-relaxed entry that the
     functional norms its displacement and has dual norm one; relaxed
-    entries only need dual norm at most one. Returns the functionals'
-    ``dual_norms`` (vertex table and dual norms), for the cones.
+    entries only need dual norm at most one.
     """
     check_eps(eps)
     pts = list(points)
@@ -597,8 +573,8 @@ def check_certificate(norm: PolygonalNorm, points, cert: Certificate,
     if not math.hypot(tx, ty) <= tol:
         raise CertificateError(f"functionals sum to {Vec2(tx, ty)}, not zero")
     relaxed = set(cert.relaxed)
-    table = dual_norms(norm, cert.functionals)
-    for i, (q, f, dn) in enumerate(zip(pts, cert.functionals, table[1].tolist())):
+    tops = dual_norms(norm, cert.functionals)[0]
+    for i, (q, f, dn) in enumerate(zip(pts, cert.functionals, tops)):
         if i in relaxed:
             if not dn <= 1.0 + tol:
                 raise CertificateError(f"relaxed entry {i} has dual norm {dn}")
@@ -609,7 +585,6 @@ def check_certificate(norm: PolygonalNorm, points, cert: Certificate,
         g = _gauge(norm, dx, dy)
         if not abs(f.x * dx + f.y * dy - g) <= tol * max(1.0, g):
             raise CertificateError(f"entry {i} does not norm its displacement")
-    return table
 
 
 def ft_solve(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...],
@@ -655,10 +630,10 @@ def _certify(norm: PolygonalNorm, pts: tuple[Vec2, ...], p: Vec2, value: float,
     # certificate's one-point region would drop
     if cert is None or (cert.relaxed and len(cands) > 1):
         raise CertificateError("no norming selection sums to zero at p")
-    table = check_certificate(norm, pts, cert, eps)
+    check_certificate(norm, pts, cert, eps)
     if cert.relaxed:
         return FTSolution(Region.point(p), value, cert)
-    cones = build_cones(norm, pts, cert.functionals, eps, table)
+    cones = build_cones(norm, pts, cert.functionals, eps)
     # gauge(u) >= |u| / max_k |v_k|, so every optimum lies within
     # value * max_k |v_k| of the first terminal. Twice that keeps the square's
     # sides off the solution set; cones that reach them (a wrong certificate)

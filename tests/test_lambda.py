@@ -56,6 +56,13 @@ def test_classify_examples():
     assert not classify_lambda(6).unique
 
 
+def test_large_multiples_of_3_certify_a_polygon_witness():
+    # the first multiple of 3 past 31,410 and the largest accepted plane
+    for lam in (31416, 70248):
+        verdict = classify_lambda(lam)
+        assert not verdict.unique and verdict.region.kind == "polygon"
+
+
 def test_torricelli_equilateral(unit_triangle):
     t = torricelli_point(*unit_triangle)
     assert (t - Vec2(0.5, SQRT3 / 6)).norm() <= 1e-12

@@ -490,31 +490,31 @@ def test_build_cone_hexagon(hexagon):
     assert (cone.shape.d2 - Vec2(0.5, -SQRT3 / 2)).norm() <= 1e-12
 
 
-def scalar_contacts(norm, phi, eps=DEFAULT_EPS):
+def scalar_dual_norm(norm, phi):
     """The loop over the vertices that the functional-by-vertex table
-    replaces: phi's dual norm and contact set."""
+    replaces: phi's dual norm and the first vertex that attains it."""
     values = [phi.dot(v) for v in norm.vertices]
     top = max(values)
-    ctol = eps * max(1.0, phi.norm()) * 10
-    return top, [k for k, val in enumerate(values) if val >= top - ctol]
+    return top, values.index(top)
 
 
 def scalar_cone(norm, x, phi, eps=DEFAULT_EPS):
-    """build_cones for one terminal as a loop over the vertices: a Cone, or
-    the error message."""
-    top, contact = scalar_contacts(norm, phi, eps)
+    """build_cones for one terminal as a loop over the vertices and the snap
+    rule: a Cone, or the error message."""
+    top, a = scalar_dual_norm(norm, phi)
     scale = max(1.0, phi.norm())
     if not (math.isfinite(scale) and abs(top - 1.0) <= 100 * eps * scale):
         return f"dual norm is {top}, expected 1"
-    m = norm.m
-    if len(contact) == 1:
-        return Cone(x, RayShape(-norm.vertices[contact[0]]))
-    if len(contact) != 2:
-        return "support line touches more than one edge"
-    i, j = contact
-    if j - i != 1 and (i, j) != (0, m - 1):
-        return "support line touches non-adjacent vertices"
-    k = i if j - i == 1 else m - 1
+    m, duals = norm.m, dual_vertices(norm)
+    near = []  # (distance of phi from the ray of d_c, c) for each d_c phi points along
+    for c in (a - 1, a):
+        d = duals[c % m]
+        cross = abs(phi.cross(d))
+        if cross <= eps * phi.norm() * d.norm() and phi.dot(d) > 0.0:
+            near.append((cross / d.norm(), c % m))
+    if not near:
+        return Cone(x, RayShape(-norm.vertices[a]))
+    k = min(near, key=lambda pair: pair[0])[1]
     return Cone(x, AngleShape(-norm.vertices[k], -norm.vertices[(k + 1) % m]))
 
 
@@ -544,10 +544,10 @@ def test_vertex_table_matches_scalar_loop():
                   for k in range(0, norm.m, stride) for t in (0.25, 0.5, 0.8)]
         funcs += cert_funcs
         funcs += [Functional(0.0, 0.0), Functional(-0.0, -0.0), Functional(-0.0, 0.0)]
-        want = [scalar_contacts(norm, phi) for phi in funcs]
-        tops, _, contacts = solver._contact_sets(funcs, DEFAULT_EPS, *dual_norms(norm, funcs))
+        want = [scalar_dual_norm(norm, phi) for phi in funcs]
+        tops, firsts = dual_norms(norm, funcs)
         assert [t.hex() for t in tops] == [top.hex() for top, _ in want]
-        assert contacts == [c for _, c in want]
+        assert firsts == [a for _, a in want]
         for phi in funcs:
             try:
                 got = build_cones(norm, (Vec2(1, 2),), (phi,))[0]
@@ -598,21 +598,46 @@ def test_check_certificate_rejects_a_bad_entry(diamond, pts, funcs, relaxed, mes
         check_certificate(diamond, pts, cert)
 
 
-def test_build_cones_rejects_a_support_line_on_several_edges():
-    # at eps 5e-4 the contact tolerance takes in more than two of the
-    # 200-gon's vertices under a functional a rounding away from edge 3's
+def test_build_cones_gives_a_rounded_edge_functional_its_edge():
+    # at eps 5e-4 a value floor of 10 eps would take in more than two of the
+    # 200-gon's vertices under a functional a rounding away from edge 3's dual
+    # vertex; it points along that dual vertex, so it touches edge 3 alone
     norm = make_lambda_norm(100).norm
     phi = dual_vertices(norm)[3] * (1 + 1e-12)
-    with pytest.raises(CertificateError, match="support line touches more than one edge"):
-        build_cones(norm, (Vec2(0, 0),), (phi,), 5e-4)
+    (cone,) = build_cones(norm, (Vec2(0, 0),), (phi,), 5e-4)
+    assert cone.shape == AngleShape(-norm.vertices[3], -norm.vertices[4])
 
 
 def test_build_cones_gives_an_edge_functional_its_edge():
-    # the same floor takes in more than two vertices, but a functional equal
-    # to edge 3's dual vertex touches edge 3 alone
     norm = make_lambda_norm(100).norm
     (cone,) = build_cones(norm, (Vec2(0, 0),), (dual_vertices(norm)[3],), 5e-4)
     assert cone.shape == AngleShape(-norm.vertices[3], -norm.vertices[4])
+
+
+def test_build_cones_snaps_a_functional_as_norming_set_snaps_a_direction():
+    # the functional side of the snap in test_norming_pairing_and_existence:
+    # edge c's dual vertex and its copies a rounding away get the edge's
+    # angle; a pick on the dual edge turned eps/2 from it, either way, gets
+    # the angle too, and one turned 2 eps gets the ray at the vertex it
+    # turned toward
+    eps, x = DEFAULT_EPS, Vec2(1, 2)
+    norms = [make_lambda_norm(lam).norm for lam in (2, 3, 12, 24, 1001)]
+    norms += [make_polygonal_norm(r) for verts in (COND2_OCTAGON, COND3_HEXAGON)
+              for r in rotations(verts)]
+    for norm in norms:
+        m, verts = norm.m, norm.vertices
+        for c, d in enumerate(dual_vertices(norm)):
+            angle = AngleShape(-verts[c], -verts[(c + 1) % m])
+            cases = [(d, angle), (d * (1 + 1e-12), angle), (d * (1 - 1e-12), angle)]
+            a = math.atan2(d.y, d.x)
+            # turned clockwise onto vertex c's dual edge, counterclockwise onto
+            # vertex c + 1's; vertex k's dual edge is where phi(v_k) = 1
+            for turn, k in ((-1.0, c), (1.0, (c + 1) % m)):
+                for size, want in ((eps / 2, angle), (2 * eps, RayShape(-verts[k]))):
+                    u = Vec2(math.cos(a + turn * size), math.sin(a + turn * size))
+                    cases.append((u * (1.0 / u.dot(verts[k])), want))
+            for phi, want in cases:
+                assert build_cones(norm, (x,), (phi,), eps) == (Cone(x, want),), (verts, c, phi)
 
 
 def test_ft_solve_rejects_a_region_vertex_off_the_optimum(monkeypatch, hexagon,
