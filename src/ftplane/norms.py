@@ -13,8 +13,8 @@ A functional phi is a ``Vec2``, a point of the dual plane, with
 phi(v) = phi.dot(v); ``Functional`` is that type's name on the dual side.
 The norming set of a direction is one functional (the edge functional, for
 a direction interior to an edge) or a ``FunctionalSegment`` (the dual edge,
-for a vertex direction). One angular snap, ``_along``, puts a direction on a
-vertex and a functional on a dual vertex, whose face is that vertex's edge.
+for a vertex direction). The dual ball is a norm, ``_polar``: a functional's
+dual norm is its gauge there, and its face, a dual vertex's edge, its snap.
 """
 
 from __future__ import annotations
@@ -93,6 +93,14 @@ class PolygonalNorm:
     def _duals(self) -> tuple[Functional, ...]:
         xs, ys = self._dual_array.T.tolist()
         return tuple(map(Vec2, xs, ys))
+
+    @cached_property
+    def _polar(self) -> PolygonalNorm:
+        """The dual ball, a norm on functionals. Its vertices are the dual
+        vertices, and its dual vertex k is vertex k + 1: the same objects."""
+        polar = PolygonalNorm(self._duals)
+        polar.__dict__["_duals"] = self.vertices[1:] + self.vertices[:1]
+        return polar
 
     @cached_property
     def _base_angle(self) -> float:
@@ -215,28 +223,9 @@ def dual_vertices(norm: PolygonalNorm) -> tuple[Functional, ...]:
     return norm._duals
 
 
-def dual_norms(norm: PolygonalNorm, funcs) -> tuple[list[float], list[int]]:
-    """Each functional's dual norm, its largest value at a unit-ball vertex,
-    and the first vertex ``a`` that attains it.
-
-    A value is the float ``phi.x * v.x + phi.y * v.y`` of a functional-by-vertex
-    table (elementwise, never ``@``, whose fused or reordered sums differ in
-    the last bit; inf * 0 is a silent NaN, as in Python). A maximum is the
-    first largest value, as Python's ``max`` gives it, but NaN if there is one.
-    """
-    fa, fb = np.array([f.x for f in funcs] + [f.y for f in funcs],
-                      dtype=float).reshape(2, -1, 1)
-    vx, vy = norm._vertex_array.T
-    with np.errstate(over="ignore", invalid="ignore"):
-        table = fa * vx
-        table += fb * vy
-    a = table.argmax(axis=1)
-    return table.ravel()[a + np.arange(0, table.size, norm.m)].tolist(), a.tolist()
-
-
 def dual_norm(norm: PolygonalNorm, phi: Functional) -> float:
-    """Operator norm of phi: max of phi over the unit-ball vertices."""
-    return dual_norms(norm, (phi,))[0][0]
+    """Operator norm of phi, its largest value at a vertex: the dual ball's gauge."""
+    return _gauge(norm._polar, phi.x, phi.y)
 
 
 def gauge(norm: PolygonalNorm, v: Vec2) -> float:
@@ -264,12 +253,6 @@ def gauge_batch(norm: PolygonalNorm, dx: np.ndarray, dy: np.ndarray) -> np.ndarr
     return np.maximum(out, 0.0)
 
 
-def _along(x: float, y: float, w: Vec2, eps: float) -> bool:
-    """Whether (x, y) lies within the sine eps of w's direction: the snap of a
-    direction onto a vertex, and of a functional onto a dual vertex."""
-    return abs(x * w.y - y * w.x) <= eps * math.hypot(x, y) * w.norm() and x * w.x + y * w.y > 0.0
-
-
 def _snap(norm: PolygonalNorm, v: Vec2, eps: float) -> tuple[int, int | None]:
     """Sector k of direction v, and the vertex (k or k + 1) it snaps to, or None."""
     check_eps(eps)
@@ -280,7 +263,8 @@ def _snap(norm: PolygonalNorm, v: Vec2, eps: float) -> tuple[int, int | None]:
         raise InputError(f"cannot classify the non-finite vector {v}")
     k = norm._sector(x, y)
     for idx in (k, (k + 1) % norm.m):
-        if _along(x, y, norm.vertices[idx], eps):
+        w = norm.vertices[idx]
+        if abs(x * w.y - y * w.x) <= eps * math.hypot(x, y) * w.norm() and x * w.x + y * w.y > 0.0:
             return k, idx
     return k, None
 

@@ -17,12 +17,12 @@ Optimality at a point p outside the terminal set is certified by one
 norming functional per displacement x_i - p whose sum is zero; the full
 solution set is then the intersection of the cones these functionals span,
 one per terminal, and its vertices must attain the optimum. One path does
-this for every p: an odd collinear set's middle point, a candidate, or an
+this for every p: a collinear set's median, a candidate, or an
 optimum a caller knows (a uniqueness witness, at the origin). At a terminal
 the certificate is relaxed: the remaining functionals need only sum to
-something of dual norm at most one. A functional's face comes from the snap
-that places a direction on a vertex: it touches an edge if it points along
-that edge's dual vertex, else the vertex where it first attains its dual norm.
+something of dual norm at most one. The dual ball is a norm, the polar: a
+functional's dual norm is its gauge there, and its face is its snap there,
+the edge of a dual vertex it points along, else the vertex of its sector.
 
 Each terminal's norming functionals form a point or a segment, so the sums
 of one pick per terminal form a zonogon. One peel decides a selection: each
@@ -61,10 +61,9 @@ from .norms import (
     Functional,
     FunctionalSegment,
     PolygonalNorm,
-    _along,
     _gauge,
+    _snap,
     dual_norm,
-    dual_norms,
     gauge_batch,
     norming_set,
 )
@@ -304,23 +303,27 @@ def _dedup(cands: list[Vec2], eps: float) -> list[Vec2]:
 
 def collinear_median(points: list[Vec2] | tuple[Vec2, ...],
                      eps: float = DEFAULT_EPS) -> Vec2 | None:
-    """Middle point of an odd collinear set (sorted along the line), else None."""
+    """A median of a collinear set sorted along its line, else None: the middle
+    point of an odd set, the midpoint of an even set's two middle points (or
+    that point if they are equal); the whole interval between them is optimal."""
     check_eps(eps)
     pts = list(points)
     if pts and not finite_spans(pts):
         raise InputError("coordinates and their spans must be finite")
-    if not pts or len(pts) % 2 == 0:
+    if not pts:
         return None
     a = min(pts, key=Vec2.key)
     b = max(pts, key=lambda q: math.hypot(q.x - a.x, q.y - a.y))  # farthest: a true line extreme
     if (b - a).norm() <= eps:
-        return sorted(pts, key=Vec2.key)[len(pts) // 2]
-    if any(orient(a, b, q, eps) != 0 for q in pts):
+        ordered = sorted(pts, key=Vec2.key)
+    elif any(orient(a, b, q, eps) != 0 for q in pts):
         return None
-    d = b - a
-    d = d * math.ldexp(1.0, -math.frexp(max(abs(d.x), abs(d.y)))[1])  # keys cannot overflow
-    ordered = sorted(pts, key=lambda q: (q - a).dot(d))
-    return ordered[len(ordered) // 2]
+    else:
+        d = b - a
+        d = d * math.ldexp(1.0, -math.frexp(max(abs(d.x), abs(d.y)))[1])  # keys cannot overflow
+        ordered = sorted(pts, key=lambda q: (q - a).dot(d))
+    lo, hi = ordered[(len(pts) - 1) // 2], ordered[len(pts) // 2]
+    return lo if lo == hi else lo + (hi - lo) * 0.5  # finite_spans: hi - lo is finite
 
 
 # --- functional selection -------------------------------------------------
@@ -475,24 +478,22 @@ def build_cones(norm: PolygonalNorm, points, phis, eps: float = DEFAULT_EPS) -> 
 
     The level line phi = 1 touches the unit ball in a vertex (ray cone) or
     an edge (angle cone); the touching set is negated and translated to x.
-    phi attains its dual norm first at vertex a. It touches edge c, a - 1 or
-    a, if it points along the dual vertex d_c by the snap that places a
-    direction on a vertex (the nearer one if both); else vertex a alone.
+    That face is phi's snap on the dual ball: edge c if phi points along its
+    dual vertex d_c, c = k or k + 1 for phi's sector k there; else vertex k + 1.
     """
     check_eps(eps)
     if len(points) != len(phis):
         raise InputError(f"{len(points)} terminals but {len(phis)} functionals")
-    verts, duals, memo, m = norm.vertices, norm._duals, norm._memo, norm.m
+    verts, polar, memo, m = norm.vertices, norm._polar, norm._memo, norm.m
     cones = []
-    for x, phi, top, a in zip(points, phis, *dual_norms(norm, phis)):
+    for x, phi in zip(points, phis):
+        top = dual_norm(norm, phi)
         s = max(1.0, phi.norm())
         # an infinite functional would make the tolerance inf; a NaN fails the test
         if not (math.isfinite(s) and abs(top - 1.0) <= 100 * eps * s):
             raise CertificateError(f"dual norm is {top}, expected 1")
-        near = [c for c in (a - 1, a) if _along(phi.x, phi.y, duals[c], eps)]
-        if len(near) == 2:  # the nearer first
-            near.sort(key=lambda c: abs(phi.cross(duals[c])) / duals[c].norm())
-        key = (AngleShape, near[0] % m) if near else (RayShape, a)
+        k, c = _snap(polar, phi, eps)
+        key = (RayShape, (k + 1) % m) if c is None else (AngleShape, c)
         shape = memo.get(key)
         if shape is None:
             kind, k = key
@@ -573,8 +574,8 @@ def check_certificate(norm: PolygonalNorm, points, cert: Certificate,
     if not math.hypot(tx, ty) <= tol:
         raise CertificateError(f"functionals sum to {Vec2(tx, ty)}, not zero")
     relaxed = set(cert.relaxed)
-    tops = dual_norms(norm, cert.functionals)[0]
-    for i, (q, f, dn) in enumerate(zip(pts, cert.functionals, tops)):
+    for i, (q, f) in enumerate(zip(pts, cert.functionals)):
+        dn = dual_norm(norm, f)
         if i in relaxed:
             if not dn <= 1.0 + tol:
                 raise CertificateError(f"relaxed entry {i} has dual norm {dn}")
@@ -590,8 +591,8 @@ def check_certificate(norm: PolygonalNorm, points, cert: Certificate,
 def ft_solve(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...],
              eps: float = DEFAULT_EPS) -> FTSolution:
     """Full solution set of the Fermat-Torricelli problem: an optimum p is
-    the middle point of an odd collinear set, else the single minimizing
-    candidate, else the candidates' centroid, and ``_certify`` certifies it.
+    a collinear set's median, else the single minimizing candidate, else the
+    candidates' centroid, and ``_certify`` certifies it.
     """
     check_eps(eps)
     if not points:

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from random import Random
 
 import numpy as np
@@ -20,6 +22,7 @@ from ftplane import (
     norming_set,
     objective,
 )
+from ftplane.lambda_planes import make_lambda_norm
 from ftplane.norms import Functional, gauge_batch
 from ftplane.oracle import random_symmetric_norm
 
@@ -139,6 +142,26 @@ def test_dual_norm_examples(diamond):
     assert dual_norm(diamond, Functional(1, 1)) == pytest.approx(1.0)
     assert dual_norm(diamond, Functional(1, 0)) == pytest.approx(1.0)
     assert dual_norm(diamond, Functional(0, 0)) == 0.0
+
+
+def test_the_polar_shares_the_norms_objects(hexagon):
+    # the dual ball is a norm whose vertices are the dual vertices and whose
+    # dual vertex k is vertex k + 1: the same objects, so the same bits
+    for norm in (hexagon, make_lambda_norm(7).norm, random_symmetric_norm(Random(3))):
+        polar, m = norm._polar, norm.m
+        assert polar.vertices is dual_vertices(norm)
+        assert all(polar._duals[k] is norm.vertices[(k + 1) % m] for k in range(m))
+        assert norm._polar is polar
+    # and it holds no reference back: the norm goes with its last reference
+    norm = make_polygonal_norm([(1, 0), (0, 1), (-1, 0), (0, -1)])
+    assert dual_norm(norm, Functional(0.5, 0.25)) == 0.5
+    ref = weakref.ref(norm)
+    gc.disable()
+    try:
+        del norm
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_classify_direction(diamond, hexagon):

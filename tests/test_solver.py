@@ -34,7 +34,7 @@ from ftplane import (
 from ftplane import geometry, solver
 from ftplane.geometry import DEFAULT_EPS, Region, clip_polygon
 from ftplane.lambda_planes import make_lambda_norm
-from ftplane.norms import Functional, FunctionalSegment, dual_norms, gauge_batch, norming_set
+from ftplane.norms import Functional, FunctionalSegment, gauge_batch, norming_set
 from ftplane.oracle import random_instance, random_symmetric_norm
 from ftplane.uniqueness import uniqueness_verdict
 
@@ -491,8 +491,8 @@ def test_build_cone_hexagon(hexagon):
 
 
 def scalar_dual_norm(norm, phi):
-    """The loop over the vertices that the functional-by-vertex table
-    replaces: phi's dual norm and the first vertex that attains it."""
+    """phi's largest value at a vertex, by a loop over the vertices, and the
+    first vertex that attains it."""
     values = [phi.dot(v) for v in norm.vertices]
     top = max(values)
     return top, values.index(top)
@@ -501,6 +501,8 @@ def scalar_dual_norm(norm, phi):
 def scalar_cone(norm, x, phi, eps=DEFAULT_EPS):
     """build_cones for one terminal as a loop over the vertices and the snap
     rule: a Cone, or the error message."""
+    if phi.x == 0.0 and phi.y == 0.0:  # its gauge on the dual ball, whatever the signs
+        return "dual norm is 0.0, expected 1"
     top, a = scalar_dual_norm(norm, phi)
     scale = max(1.0, phi.norm())
     if not (math.isfinite(scale) and abs(top - 1.0) <= 100 * eps * scale):
@@ -544,11 +546,16 @@ def test_vertex_table_matches_scalar_loop():
                   for k in range(0, norm.m, stride) for t in (0.25, 0.5, 0.8)]
         funcs += cert_funcs
         funcs += [Functional(0.0, 0.0), Functional(-0.0, -0.0), Functional(-0.0, 0.0)]
-        want = [scalar_dual_norm(norm, phi) for phi in funcs]
-        tops, firsts = dual_norms(norm, funcs)
-        assert [t.hex() for t in tops] == [top.hex() for top, _ in want]
-        assert firsts == [a for _, a in want]
         for phi in funcs:
+            # the dual ball's gauge is one vertex value, and the largest but
+            # where the top two lie within 4 ulps: a tie at a dual-ball vertex
+            got = dual_norm(norm, phi)
+            values = sorted(phi.dot(v) for v in norm.vertices)
+            top, ulps = values[-1], 4 * math.ulp(values[-1])
+            assert got.hex() in {v.hex() for v in values}, (phi, got)
+            assert abs(got - top) <= ulps, (phi, got, top)
+            if values[-2] < top - ulps:
+                assert got.hex() == top.hex(), (phi, got, top)
             try:
                 got = build_cones(norm, (Vec2(1, 2),), (phi,))[0]
             except CertificateError as exc:
@@ -569,9 +576,10 @@ def test_non_finite_certificates_and_functionals_are_rejected(diamond, square):
     assert math.isnan(dual_norm(diamond, Functional(nan, nan)))
     with pytest.raises(CertificateError, match="dual norm is nan"):
         build_cones(diamond, (Vec2(0, 0),), (Functional(nan, nan),))
-    # inf * 0 at the vertices on the y axis is NaN, as in Python floats,
-    # and raises no RuntimeWarning
-    with pytest.raises(CertificateError, match="dual norm is nan"):
+    # the dual ball's gauge takes the one vertex (1, 0) of its sector: no
+    # inf * 0, so the true value inf, and no RuntimeWarning
+    assert dual_norm(diamond, Functional(math.inf, 0.0)) == math.inf
+    with pytest.raises(CertificateError, match="dual norm is inf"):
         build_cones(diamond, (Vec2(0, 0),), (Functional(math.inf, 0.0),))
     # on the square the dual norm is inf with no NaN, and the unit test's
     # tolerance 100 eps |phi| would be inf too
@@ -799,7 +807,11 @@ def test_collinear_median():
     pts = [Vec2(0, 0), Vec2(1, 1), Vec2(2, 2), Vec2(3, 3), Vec2(10, 10)]
     assert collinear_median(pts) == Vec2(2, 2)
     assert collinear_median([Vec2(0, 0), Vec2(1, 0), Vec2(0, 1)]) is None
-    assert collinear_median([Vec2(0, 0), Vec2(1, 0)]) is None
+    # an even set: the midpoint of its two middle points, or that point
+    assert collinear_median([Vec2(0, 0), Vec2(1, 0)]) == Vec2(0.5, 0)
+    assert collinear_median([Vec2(3, 3), Vec2(0, 0), Vec2(10, 10), Vec2(1, 1)]) == Vec2(2, 2)
+    pts = [Vec2(0, 0), Vec2(2, 1), Vec2(2, 1), Vec2(4, 2)]
+    assert collinear_median(pts) is pts[1]
 
 
 def test_collinear_median_near_vertical_line():
@@ -955,6 +967,51 @@ def test_odd_collinear_matches_generic_invariant():
         assert med is not None
         assert sol.region.kind == "point"
         assert (sol.region.vertices[0] - med).norm() <= 1e-9
+
+
+def even_collinear_sets(rng):
+    """Even collinear sets, n = 2..10: integer points k (a, b) + (c, e), some
+    with a repeated middle point, and points on a float line."""
+    for n in range(2, 11, 2):
+        a, b, c, e = (rng.randint(-3, 3) for _ in range(4))
+        if (a, b) == (0, 0):
+            a = 1
+        ks = rng.sample(range(-6, 7), n)
+        if n > 2 and rng.random() < 0.5:
+            ks.sort()
+            ks[n // 2] = ks[n // 2 - 1]  # the two middle points are equal
+        yield [Vec2(c + a * k, e + b * k) for k in ks]
+        ang = rng.uniform(0, 2 * math.pi)
+        base = Vec2(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        yield [base + Vec2(math.cos(ang), math.sin(ang)) * rng.uniform(-4, 4) for _ in range(n)]
+
+
+def test_even_collinear_sets_give_the_candidate_paths_region():
+    # the median of an even set lies inside the median interval, a candidate
+    # at one of its ends: the certificates differ, the region must not
+    rng = Random(12)
+    norms = [make_lambda_norm(lam).norm for lam in (2, 3, 4, 6, 24)]
+    norms += [random_symmetric_norm(Random(seed)) for seed in range(10)]
+    kinds = []
+    for norm in norms * 2:
+        for pts in even_collinear_sets(rng):
+            pts = tuple(pts)
+            med = collinear_median(pts)
+            sol = ft_solve(norm, pts)
+            assert med is not None and sol.certificate.base == med
+            cands, value = candidate_minimize(norm, pts)
+            p = cands[0] if len(cands) == 1 else Vec2(sum(c.x for c in cands) / len(cands),
+                                                      sum(c.y for c in cands) / len(cands))
+            ref = solver._certify(norm, pts, p, value, DEFAULT_EPS, cands)
+            assert sol.objective == pytest.approx(ref.objective, rel=1e-15, abs=0)
+            kinds.append(sol.region.kind)
+            if med in pts:  # two equal middle points: the optimum is that terminal
+                # the candidate path may keep a crossing a few ulps off it
+                assert sol.region == Region.point(med)
+                assert regions_match(sol.region, ref.region)
+            else:
+                assert sol.region == ref.region, (norm, pts)
+    assert len(kinds) == 300 and set(kinds) == {"point", "segment", "polygon"}
 
 
 def test_relaxed_certificate_on_many_sided_ball():
@@ -1301,8 +1358,10 @@ def test_single_peel_decides_reachability_on_lattice_zonogons():
 
 def test_relaxed_centroid_hands_over_to_the_lowest_candidate(monkeypatch, diamond):
     # a faked argmin of two candidates averages onto the terminal at the
-    # origin, where the certificate is relaxed: one optimum against two
-    pair = [Vec2(0, 0), Vec2(2, 0)]
+    # origin, where the certificate is relaxed: one optimum against two. The
+    # pair is collinear, so ft_solve takes its median: _certify gets the
+    # candidates and their centroid directly.
+    pair = (Vec2(0, 0), Vec2(2, 0))
     expected = ft_solve(diamond, pair).region
     calls = []
     verify = solver.verify_ft_point
@@ -1314,9 +1373,8 @@ def test_relaxed_centroid_hands_over_to_the_lowest_candidate(monkeypatch, diamon
 
     monkeypatch.setattr(solver, "verify_ft_point", recording_verify)
     # the lowest candidate (1, 0) is an optimum and certifies the segment
-    monkeypatch.setattr(solver, "candidate_minimize",
-                        lambda norm, pts, eps: ([Vec2(1, 0), Vec2(-1, 0)], 2.0))
-    sol = ft_solve(diamond, pair)
+    sol = solver._certify(diamond, pair, Vec2(0.0, 0.0), 2.0, DEFAULT_EPS,
+                          [Vec2(1, 0), Vec2(-1, 0)])
     assert calls == [(Vec2(0.0, 0.0), (0,)), (Vec2(1, 0), ())]
     assert sol.certificate.base == Vec2(1, 0) and regions_match(sol.region, expected)
     assert expected.kind == "segment"

@@ -131,6 +131,14 @@ def test_verdict_diamond_unique(diamond):
     assert verdict.unique and verdict.observed_kind is None
 
 
+def test_a_unique_verdict_does_not_build_the_polar():
+    # the verdict locates dual-ball sectors its own way; the polar's angle
+    # table would cost a fresh norm m atan2 calls and m Vec2
+    norm = make_lambda_norm(10).norm
+    assert uniqueness_verdict(norm).unique
+    assert "_polar" not in norm.__dict__
+
+
 def test_verdict_hexagon(hexagon):
     verdict = uniqueness_verdict(hexagon)
     assert not verdict.unique
