@@ -24,12 +24,18 @@ def check_eps(eps: float) -> float:
     return eps
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Vec2:
     """A point or direction in the plane."""
 
     x: float
     y: float
+
+    def __init__(self, x: float, y: float) -> None:
+        # the slots' own setters, past the frozen __setattr__, as the
+        # generated __init__ does through object.__setattr__ at more cost
+        _set_x(self, x)
+        _set_y(self, y)
 
     def __add__(self, other: "Vec2") -> "Vec2":
         return Vec2(self.x + other.x, self.y + other.y)
@@ -65,6 +71,9 @@ class Vec2:
     def key(self) -> tuple[float, float]:
         """Lexicographic sort key."""
         return (self.x, self.y)
+
+
+_set_x, _set_y = Vec2.x.__set__, Vec2.y.__set__
 
 
 def finite_spans(points: list[Vec2] | tuple[Vec2, ...]) -> bool:

@@ -36,15 +36,16 @@ def make_lambda_norm(lam: int) -> LambdaPlane:
     if lam < 2:
         raise InputError(f"parameter must be >= 2, got {lam}")
 
-    def vertex(k: int) -> Vec2:
-        return Vec2(math.cos(k * math.pi / lam), math.sin(k * math.pi / lam))
-
     # make_polygonal_norm's convexity test on vertices 0..2, which every triple
     # repeats, run before 2*lam vertices exist; lam past the float range fails it
-    if lam > sys.float_info.max or orient(*map(vertex, range(3)), DEFAULT_EPS) != 1:
+    if lam > sys.float_info.max or orient(*(Vec2(math.cos(k * math.pi / lam),
+                                                 math.sin(k * math.pi / lam))
+                                            for k in range(3)), DEFAULT_EPS) != 1:
         raise InputError(f"parameter {lam}: vertices not in strictly convex position")
-    half = [vertex(k) for k in range(lam)]
-    verts = half + [-v for v in half]  # mirrored half keeps symmetry exact
+    angles = [k * math.pi / lam for k in range(lam)]
+    xs, ys = list(map(math.cos, angles)), list(map(math.sin, angles))
+    # the mirrored half, negated coordinate by coordinate, keeps symmetry exact
+    verts = map(Vec2, xs + [-x for x in xs], ys + [-y for y in ys])
     return LambdaPlane(lam, PolygonalNorm(tuple(verts)))
 
 

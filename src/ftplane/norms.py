@@ -140,11 +140,16 @@ class PolygonalNorm:
         return np.array(self._rel_angles, dtype=float)
 
     @cached_property
+    def _radius(self) -> float:
+        """max_k |v_k|, the ball's Euclidean circumradius."""
+        return max(v.norm() for v in self.vertices)
+
+    @cached_property
     def _breaklines(self) -> tuple[float, float, np.ndarray, np.ndarray, np.ndarray]:
         """max_k |v_k|, max_k |phi_k|, and the x, y and length arrays of the
         breakline directions (vertices 0 .. m/2 - 1)."""
         dirs = self.vertices[:len(self.vertices) // 2]
-        return (max(v.norm() for v in self.vertices),
+        return (self._radius,
                 max(f.norm() for f in self._duals),
                 np.array([d.x for d in dirs], dtype=float),
                 np.array([d.y for d in dirs], dtype=float),

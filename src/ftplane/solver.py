@@ -41,8 +41,9 @@ use, once per vertex or edge and norm; a side that cones share is clipped once.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import takewhile
+from itertools import chain, compress, takewhile
 from operator import mul
 
 import numpy as np
@@ -283,22 +284,33 @@ def candidate_minimize(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...
 
     xs, ys, vals, at = (np.concatenate(a) for a in zip(*kept))
     near = vals <= best + eps * max(1.0, abs(best))
-    # the first len(pts) are the terminals, returned as the caller's objects (ints stay)
+    # the first len(pts) are the terminals, returned as the caller's objects (ints
+    # stay), and they lead arg
+    at = at[near].tolist()
     arg = [pts[k] if k < len(pts) else Vec2(x, y) for x, y, k in
-           zip(xs[near].tolist(), ys[near].tolist(), at[near].tolist())]
-    return _dedup(arg, eps), float(best)
+           zip(xs[near].tolist(), ys[near].tolist(), at)]
+    t = bisect_left(at, len(pts))
+    if not t:
+        return _dedup(arg, eps), float(best)
+    # a terminal within eps of the least value, relative to it, outranks the
+    # candidates within eps of it, which are it up to rounding
+    firm = [v <= best + eps * abs(best) for v in vals[near][:t].tolist()]
+    rest = [c for c, f in zip(arg, firm) if not f] + arg[t:]
+    return _dedup(rest, eps, _dedup(list(compress(arg, firm)), eps)), float(best)
 
 
-def _dedup(cands: list[Vec2], eps: float) -> list[Vec2]:
-    """``cands`` stably sorted by Vec2.key, less each one within eps of one kept."""
+def _dedup(cands: list[Vec2], eps: float, firm: list[Vec2] | tuple[()] = ()) -> list[Vec2]:
+    """``cands`` stably sorted by Vec2.key, less each one within eps of a
+    ``firm`` point or of one kept, merged in key order with ``firm`` (points
+    more than eps apart, such as _dedup's own output)."""
     out: list[Vec2] = []
     for c in sorted(cands, key=Vec2.key):
         # x never decreases along out, and |c - q| >= c.x - q.x: only kept
         # points at most eps left of c can lie within eps of it
         if all((c - q).norm() > eps for q in
-               takewhile(lambda q: not c.x - q.x > eps, reversed(out))):
+               chain(firm, takewhile(lambda q: not c.x - q.x > eps, reversed(out)))):
             out.append(c)
-    return out
+    return sorted([*firm, *out], key=Vec2.key) if firm else out
 
 
 def collinear_median(points: list[Vec2] | tuple[Vec2, ...],
@@ -639,9 +651,9 @@ def _certify(norm: PolygonalNorm, pts: tuple[Vec2, ...], p: Vec2, value: float,
     # value * max_k |v_k| of the first terminal. Twice that keeps the square's
     # sides off the solution set; cones that reach them (a wrong certificate)
     # leave a vertex of objective >= 2 * value, which the check below rejects.
-    radius = 2.0 * value * norm._breaklines[0]
+    radius = 2.0 * value * norm._radius
     if not math.isfinite(radius):
-        raise InputError(f"the cone radius 2 * {value} * {norm._breaklines[0]} overflows")
+        raise InputError(f"the cone radius 2 * {value} * {norm._radius} overflows")
     region = intersect_cones(cones, radius, eps)
     vtol = 100 * eps * max(1.0, abs(value))
     for v in region.vertices:

@@ -74,26 +74,32 @@ def _runs(value, n: int, length: int) -> tuple[np.ndarray, np.ndarray]:
     _CELLS // rows) cells of each open span; for n probes above and n' below
     lo moves to the n-th probe and hi to the n'-th from the end, which loses
     no hit if v does not increase but by less than b's margin over any hit.
-    A span probed whole, empty or unchanged is final."""
-    rows, lo, hi, final = np.arange(n), np.zeros(n, dtype=np.intp), np.full(n, length), []
-    while True:
-        gap = hi - lo - 1
-        f = min(max(3, _CELLS // rows.size), int(gap.max()))
-        probes = lo[:, None] + 1 + np.arange(f) * gap[:, None] // f  # all, if gap <= f
-        xs = np.concatenate([lo[:, None], probes, hi[:, None]], axis=1)
-        v, b = value(rows, xs[:, 1:-1])
-        t = np.arange(rows.size)  # a NaN is neither above nor below
-        lo, hi = xs[t, (v > b).sum(axis=1)], xs[t, f + 1 - (v < -b).sum(axis=1)]
-        end = gap <= f
-        if not end.all():
-            left = hi - lo - 1
-            end |= (left == 0) | (left == gap)
-        if end.all():
-            final.append((rows, lo, hi))
-            break
-        final.append((rows[end], lo[end], hi[end]))
-        rows, lo, hi = rows[~end], lo[~end], hi[~end]
-    rows, lo, hi = final[0] if len(final) == 1 else map(np.concatenate, zip(*final))
+    A span probed whole, empty or unchanged is final; when the first round
+    probes every cell, the sign counts give each row's span at once."""
+    rows = np.arange(n)
+    if length - 1 <= max(3, _CELLS // n):  # a NaN is neither above nor below
+        v, b = value(rows, np.repeat(np.arange(1, length)[None], n, axis=0))
+        lo, hi = (v > b).sum(axis=1), length - (v < -b).sum(axis=1)
+    else:
+        lo, hi, final = np.zeros(n, dtype=np.intp), np.full(n, length), []
+        while True:
+            gap = hi - lo - 1
+            f = min(max(3, _CELLS // rows.size), int(gap.max()))
+            probes = lo[:, None] + 1 + np.arange(f) * gap[:, None] // f  # all, if gap <= f
+            xs = np.concatenate([lo[:, None], probes, hi[:, None]], axis=1)
+            v, b = value(rows, xs[:, 1:-1])
+            t = np.arange(rows.size)
+            lo, hi = xs[t, (v > b).sum(axis=1)], xs[t, f + 1 - (v < -b).sum(axis=1)]
+            end = gap <= f
+            if not end.all():
+                left = hi - lo - 1
+                end |= (left == 0) | (left == gap)
+            if end.all():
+                final.append((rows, lo, hi))
+                break
+            final.append((rows[end], lo[end], hi[end]))
+            rows, lo, hi = rows[~end], lo[~end], hi[~end]
+        rows, lo, hi = final[0] if len(final) == 1 else map(np.concatenate, zip(*final))
     r, c = (np.arange((count := hi - lo - 1).max()) < count[:, None]).nonzero()
     return rows[r], lo[r] + 1 + c
 
@@ -181,7 +187,8 @@ class _DualSetup:
         if not pair.any():
             return None
         i, j = r[pair], r[pair] + x[pair]
-        i, j = np.sort([np.concatenate([i, i + m // 2]), np.concatenate([j, j + m // 2]) % m], 0)
+        a, b = np.concatenate([i, i + m // 2]), np.concatenate([j, j + m // 2]) % m
+        i, j = np.minimum(a, b), np.maximum(a, b)
         qz = -(dz[i, 0] + dz[j, 0])  # complex sums and differences are the float ones
         k = (self.sector(-qz) + np.arange(-1, 3)[:, None]) % m
         bz = dz[k, 0] - qz  # d_k - psi is (d_i + d_j) + d_k bit for bit
@@ -192,11 +199,12 @@ def _condition1(setup: _DualSetup) -> ConsistentTriple | None:
     """The scalar zero test on the window, as arrays with its floats."""
     if setup.window is None:
         return None
-    duals, m, (i, j, k, _, _, bx, by) = dual_vertices(setup.norm), len(setup.mags), setup.window
+    m, (i, j, k, _, _, bx, by) = len(setup.mags), setup.window
     tol = setup.eps * max(1.0, max(setup.mags))  # functional magnitudes grow as P thins
     near = (k > j) & (np.abs(bx) <= tol) & (np.abs(by) <= tol)
     if not near.any():
         return None
+    duals = dual_vertices(setup.norm)
     i, j, k = map(int, np.unravel_index(((i * m + j) * m + k)[near].min(), (m, m, m)))
     return ConsistentTriple((EdgeElement(i, 0.5), EdgeElement(j, 0.5), EdgeElement(k, 0.5)),
                             (duals[i], duals[j], duals[k]), condition=1)
@@ -207,7 +215,7 @@ def _condition2(setup: _DualSetup) -> ConsistentTriple | None:
     then itself on the cells that pass, in order (math.hypot is not numpy's)."""
     if setup.window is None:
         return None
-    duals, eps, m = dual_vertices(setup.norm), setup.eps, len(setup.mags)
+    eps, m = setup.eps, len(setup.mags)
     (px, py), (i, j, k, qx, qy, bx, by) = setup.norm._dual_array.T, setup.window
     ux, uy = setup.ez.real[k], setup.ez.imag[k]
     ax, ay = px[k - 1] - qx, py[k - 1] - qy  # d_{k-1} - psi
@@ -219,6 +227,7 @@ def _condition2(setup: _DualSetup) -> ConsistentTriple | None:
     close &= (np.hypot(ax, ay) > end) & (np.hypot(bx, by) > end)
     for cell in np.sort(((i * m + j) * m + k)[close]):
         i, j, k = map(int, np.unravel_index(cell, (m, m, m)))
+        duals = dual_vertices(setup.norm)
         psi = -(duals[i] + duals[j])
         if segment_interior_contains(duals[k - 1], duals[k], psi, eps):
             return ConsistentTriple((EdgeElement(i, 0.5), EdgeElement(j, 0.5), VertexElement(k)),

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 from random import Random
 
 import pytest
@@ -22,6 +24,24 @@ def clip_square(halfplanes, r=10.0):
     square = [(-r, -r), (r, -r), (r, r), (-r, r)]
     sides = [(0, -1, r), (1, 0, r), (0, 1, r), (-1, 0, r)]
     return clip_polygon(square, sides, halfplanes)
+
+
+def test_vec2_is_a_frozen_value():
+    v = Vec2(1.5, -0.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        v.x = 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del v.y
+    assert (v.x, v.y) == (1.5, -0.0) and not hasattr(v, "__dict__")
+    assert v == Vec2(1.5, 0.0) and v != Vec2(1.5, 1.0) and v != (1.5, -0.0)
+    assert hash(v) == hash(Vec2(1.5, 0.0)) == hash((1.5, -0.0))
+    assert Vec2(x=1, y=2) == Vec2(1, 2) and type(Vec2(1, 2).x) is int
+    assert repr(v) == "Vec2(x=1.5, y=-0.0)"
+    for protocol in (pickle.DEFAULT_PROTOCOL, pickle.HIGHEST_PROTOCOL):
+        back = pickle.loads(pickle.dumps(v, protocol))
+        assert type(back) is Vec2 and back == v and repr(back) == repr(v)
+        assert math.copysign(1.0, back.y) == -1.0
+    assert dataclasses.replace(v, y=3.0) == Vec2(1.5, 3.0)
 
 
 def test_orient_turns():

@@ -41,6 +41,17 @@ def test_make_lambda_norm():
         make_lambda_norm(1)
 
 
+def test_lambda_vertices_are_the_cos_sin_floats():
+    # vertex k is (cos(k pi / lam), sin(k pi / lam)) and vertex lam + k its
+    # negation, bit for bit
+    for lam in (2, 3, 24, 1001, 70248):
+        half = [Vec2(math.cos(k * math.pi / lam), math.sin(k * math.pi / lam))
+                for k in range(lam)]
+        want = [(v.x.hex(), v.y.hex()) for v in half + [-v for v in half]]
+        got = [(v.x.hex(), v.y.hex()) for v in make_lambda_norm(lam).norm.vertices]
+        assert got == want
+
+
 def test_huge_lambda_fails_the_convexity_test_at_once():
     # adjacent vertices closer than the tolerance; 10**400 is beyond floats
     for lam in (75_248, 10 ** 11, 10 ** 400):

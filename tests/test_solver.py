@@ -362,13 +362,14 @@ def test_clip_lines_parallel_cuts_and_nan():
                               np.array([1.0]), np.array([1.0])).tolist() == [True, False]
 
 
-def greedy_dedup(cands, eps):
-    """The pairwise loop that candidate_minimize's dedup replaces."""
-    out = []
+def greedy_dedup(cands, eps, firm=()):
+    """The pairwise loop that candidate_minimize's dedup replaces; the
+    ``firm`` points come first and are all kept."""
+    out = list(firm)
     for c in sorted(cands, key=Vec2.key):
         if all((c - kept).norm() > eps for kept in out):
             out.append(c)
-    return out
+    return sorted(out, key=Vec2.key)
 
 
 def test_dedup_matches_greedy_loop():
@@ -389,12 +390,48 @@ def test_dedup_matches_greedy_loop():
         rng.shuffle(cloud)
         assert [id(c) for c in solver._dedup(cloud, eps)] == \
             [id(c) for c in greedy_dedup(cloud, eps)]
+        # a deduped part of the cloud (the terminals) outranks the rest
+        firm = greedy_dedup(cloud[:rng.randint(0, len(cloud))], eps)
+        rest = [c for c in cloud if all(c is not q for q in firm)]
+        assert [id(c) for c in solver._dedup(rest, eps, firm)] == \
+            [id(c) for c in greedy_dedup(rest, eps, firm)]
     cluster = [Vec2(0.5, -0.25) for _ in range(40)]  # 40 identities, one point
     cluster += [Vec2(-0.0, 0.0), Vec2(0.0, -0.0), Vec2(-0.0, -0.0)]
     for cands in (cluster, cluster[::-1]):
         kept = solver._dedup(cands, eps)
         assert [id(c) for c in kept] == [id(c) for c in greedy_dedup(cands, eps)]
         assert kept == [Vec2(0.0, 0.0), Vec2(0.5, -0.25)]
+
+
+def test_a_point_answer_at_a_terminal_is_the_terminal():
+    # lattice sets: a crossing a few ulps from a terminal, and lower in key
+    # order, came back instead of it, e.g. (-1.0000000000000002, -1.0) for
+    # (-1, -1) on lambda = 2
+    rng, at_terminal = Random(3), 0
+    for lam in (2, 3, 4, 6, 12, 24):
+        norm = make_lambda_norm(lam).norm
+        for _ in range(60):
+            pts = [Vec2(rng.randint(-3, 3), rng.randint(-3, 3))
+                   for _ in range(rng.randint(3, 7))]
+            region = ft_solve(norm, pts).region
+            p = region.vertices[0]
+            near = [q for q in pts if region.kind == "point" and (p - q).norm() <= 1e-6]
+            if near:
+                at_terminal += 1
+                bits = [float(p.x).hex(), float(p.y).hex()]
+                assert bits in ([float(q.x).hex(), float(q.y).hex()] for q in near), (pts, p)
+    assert at_terminal == 115
+    t, c = Vec2(-1, -1), Vec2(-1.0000000000000002, -1.0)
+    assert [id(q) for q in solver._dedup([c], DEFAULT_EPS, [t])] == [id(t)]
+    # scaled by 2^-20, a random instance's optimum is a crossing 3.2e-10 from
+    # terminal 0, whose value is 2.8e-5 higher relative to it: the terminal
+    # gets no certificate, and the crossing stays the answer
+    rng = Random(1)
+    for _ in range(212):
+        norm, pts = random_instance(rng)
+    pts = [q * 2.0 ** -20 for q in pts]
+    (p,) = ft_solve(norm, pts).region.vertices
+    assert p != pts[0] and (p - pts[0]).norm() < DEFAULT_EPS
 
 
 def test_candidate_minimize_memory_on_a_large_lambda_plane():

@@ -3,6 +3,7 @@ import math
 import tracemalloc
 from random import Random
 
+import numpy as np
 import pytest
 
 from ftplane import (
@@ -133,10 +134,19 @@ def test_verdict_diamond_unique(diamond):
 
 def test_a_unique_verdict_does_not_build_the_polar():
     # the verdict locates dual-ball sectors its own way; the polar's angle
-    # table would cost a fresh norm m atan2 calls and m Vec2
-    norm = make_lambda_norm(10).norm
-    assert uniqueness_verdict(norm).unique
-    assert "_polar" not in norm.__dict__
+    # table would cost a fresh norm m atan2 calls and m Vec2. The dual Vec2
+    # are built only for a firing cell, and a witness's cone radius reads
+    # max |v_k| without the breakline arrays. On the octagon the conditions
+    # test the cells of a window, and none passes
+    moved = list(COND2_OCTAGON)
+    moved[0], moved[4] = (1.0 + 1e-9, 0.0), (-1.0 - 1e-9, 0.0)
+    assert uniqueness._DualSetup.build(make_polygonal_norm(moved), DEFAULT_EPS).window
+    for norm in [make_lambda_norm(lam).norm for lam in (10, 11, 44)] + [make_polygonal_norm(moved)]:
+        assert uniqueness_verdict(norm).unique
+        assert not {"_polar", "_duals", "_breaklines"} & norm.__dict__.keys()
+    norm = make_lambda_norm(12).norm
+    assert not uniqueness_verdict(norm).unique
+    assert "_breaklines" not in norm.__dict__ and "_radius" in norm.__dict__
 
 
 def test_verdict_hexagon(hexagon):
@@ -303,6 +313,63 @@ def probed_cells(monkeypatch):
 
     monkeypatch.setattr(uniqueness, "_runs", recording)
     return rounds
+
+
+def runs_by_rounds(value, n, length):
+    """_runs before its first-round exit: every search goes round by round."""
+    rows, lo, hi, final = np.arange(n), np.zeros(n, dtype=np.intp), np.full(n, length), []
+    while True:
+        gap = hi - lo - 1
+        f = min(max(3, uniqueness._CELLS // rows.size), int(gap.max()))
+        probes = lo[:, None] + 1 + np.arange(f) * gap[:, None] // f  # all, if gap <= f
+        xs = np.concatenate([lo[:, None], probes, hi[:, None]], axis=1)
+        v, b = value(rows, xs[:, 1:-1])
+        t = np.arange(rows.size)  # a NaN is neither above nor below
+        lo, hi = xs[t, (v > b).sum(axis=1)], xs[t, f + 1 - (v < -b).sum(axis=1)]
+        end = gap <= f
+        if not end.all():
+            left = hi - lo - 1
+            end |= (left == 0) | (left == gap)
+        if end.all():
+            final.append((rows, lo, hi))
+            break
+        final.append((rows[end], lo[end], hi[end]))
+        rows, lo, hi = rows[~end], lo[~end], hi[~end]
+    rows, lo, hi = final[0] if len(final) == 1 else map(np.concatenate, zip(*final))
+    r, c = (np.arange((count := hi - lo - 1).max()) < count[:, None]).nonzero()
+    return rows[r], lo[r] + 1 + c
+
+
+def test_runs_first_round_exit_matches_the_round_loop(monkeypatch):
+    runs, searched = uniqueness._runs, []
+
+    def both(value, n, length):
+        got, want = runs(value, n, length), runs_by_rounds(value, n, length)
+        assert [(a.dtype, a.tolist()) for a in got] == [(a.dtype, a.tolist()) for a in want]
+        searched.append(length - 1 <= max(3, uniqueness._CELLS // n))
+        return got
+
+    # the lambda-planes up to m = 90 and the condition 2 and 3 polygons all
+    # end in the first round
+    monkeypatch.setattr(uniqueness, "_runs", both)
+    norms = [make_lambda_norm(lam).norm for lam in range(2, 46)]
+    norms += [make_polygonal_norm(vs) for vs in rotations(COND2_OCTAGON) + rotations(COND3_HEXAGON)]
+    for norm in norms:
+        uniqueness_verdict(norm)
+    assert searched == [True] * len(norms)
+    # value tables, falling rows with NaNs and ties or random ones, either
+    # side of the one-round size
+    rng = Random(30)
+    levels = [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, math.nan]
+    for _ in range(600):
+        n, length = rng.randint(1, 120), rng.randint(2, 130)
+        rows = [[rng.choice(levels) for _ in range(length - 1)] for _ in range(n)]
+        if rng.random() < 0.5:
+            rows = [sorted(row, key=lambda v: -v if v == v else -rng.uniform(-2, 2))
+                    for row in rows]
+        table, b = np.array(rows), rng.choice([0.0, 0.5, 1.0])
+        both(lambda r, x: (table[r[:, None], x - 1], b), n, length)
+    assert 150 < sum(searched[len(norms):]) < 450
 
 
 def test_verdict_locates_each_pair_once(monkeypatch):
