@@ -9,6 +9,9 @@ from random import Random
 import pytest
 
 from ftplane import FunctionalSegment, Vec2, make_polygonal_norm, norming_set
+from ftplane.geometry import DEFAULT_EPS
+from ftplane.lambda_planes import make_lambda_norm
+from ftplane.oracle import random_symmetric_norm
 
 SQRT3 = math.sqrt(3.0)
 
@@ -96,6 +99,68 @@ def random_terminals(n, seed):
     """n seeded terminals, uniform in [-5, 5]^2."""
     rng = Random(seed)
     return [Vec2(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(n)]
+
+
+DIAMOND_ARMS = (Vec2(1, 0), Vec2(0, 1), Vec2(-1, 0), Vec2(0, -1))
+
+
+def plus_shape(centre, counts, seed):
+    """``counts[k]`` terminals on arm k of the diamond's vertex directions."""
+    rng = Random(seed)
+    return [centre + arm * rng.uniform(0.25, 3.0)
+            for arm, many in zip(DIAMOND_ARMS, counts) for _ in range(many)]
+
+
+def lattice_sets():
+    """360 sets of 3..7 integer terminals in [-3, 3]^2 from Random(3), 60 on
+    each lambda-plane lambda = 2, 3, 4, 6, 12, 24, as (norm, terminals)."""
+    rng, out = Random(3), []
+    for lam in (2, 3, 4, 6, 12, 24):
+        norm = make_lambda_norm(lam).norm
+        out += [(norm, [Vec2(rng.randint(-3, 3), rng.randint(-3, 3))
+                        for _ in range(rng.randint(3, 7))]) for _ in range(60)]
+    return out
+
+
+def near_vertex_sets(diamond, hexagon, eps=DEFAULT_EPS):
+    """Random(27)'s draw near vertex directions, on the diamond, the hexagon,
+    the 24-gon and a random symmetric norm, as (norm, directions, sets).
+
+    The directions are 40 random ones, then each vertex and, at length 2.5,
+    its direction turned by -2, -1/2, 1/2 and 2 eps. Each of the 30 sets is
+    (terminals, p): 2..6 terminals in vertex directions from a random p,
+    0..2 at p plus a direction, then p itself or not.
+    """
+    rng, out = Random(27), []
+    for norm in (diamond, hexagon, make_lambda_norm(12).norm, random_symmetric_norm(rng)):
+        dirs = [Vec2(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(40)]
+        for v in norm.vertices:
+            a = math.atan2(v.y, v.x)
+            dirs += [v] + [Vec2(2.5 * math.cos(a + d), 2.5 * math.sin(a + d))
+                           for d in (-2 * eps, -eps / 2, eps / 2, 2 * eps)]
+        sets = []
+        for _ in range(30):
+            p = Vec2(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            pts = [p + rng.choice(norm.vertices) * rng.uniform(0.5, 3.0)
+                   for _ in range(rng.randint(2, 6))]
+            pts += [p + rng.choice(dirs) for _ in range(rng.randint(0, 2))]
+            sets.append((pts + [p] * rng.randint(0, 1), p))
+        out.append((norm, dirs, sets))
+    return out
+
+
+def near_tolerance(vertices):
+    """Copies with one vertex pair moved by 1e-10..1e-8, across the zero tests' tolerances."""
+    half = len(vertices) // 2
+    norms = []
+    for d in (1e-10, 3e-10, 1e-9, 2e-9, 3e-9, 1e-8):
+        for v in range(half):
+            for dx, dy in ((d, 0.0), (0.0, d), (d, -d)):
+                moved = list(vertices)
+                x, y = moved[v]
+                moved[v], moved[v + half] = (x + dx, y + dy), (-x - dx, -y - dy)
+                norms.append(make_polygonal_norm(moved))
+    return norms
 
 
 def cone_radius(norm, value):

@@ -41,12 +41,16 @@ from ftplane.uniqueness import uniqueness_verdict
 from conftest import (
     COND2_OCTAGON,
     COND3_HEXAGON,
+    DIAMOND_ARMS,
     SQRT3,
     HalfPlane,
     cone_radius,
     fibre_selections,
     fibre_vertices,
+    lattice_sets,
     line_runs,
+    near_vertex_sets,
+    plus_shape,
     random_terminals,
     regions_match,
     rotations,
@@ -407,19 +411,15 @@ def test_a_point_answer_at_a_terminal_is_the_terminal():
     # lattice sets: a crossing a few ulps from a terminal, and lower in key
     # order, came back instead of it, e.g. (-1.0000000000000002, -1.0) for
     # (-1, -1) on lambda = 2
-    rng, at_terminal = Random(3), 0
-    for lam in (2, 3, 4, 6, 12, 24):
-        norm = make_lambda_norm(lam).norm
-        for _ in range(60):
-            pts = [Vec2(rng.randint(-3, 3), rng.randint(-3, 3))
-                   for _ in range(rng.randint(3, 7))]
-            region = ft_solve(norm, pts).region
-            p = region.vertices[0]
-            near = [q for q in pts if region.kind == "point" and (p - q).norm() <= 1e-6]
-            if near:
-                at_terminal += 1
-                bits = [float(p.x).hex(), float(p.y).hex()]
-                assert bits in ([float(q.x).hex(), float(q.y).hex()] for q in near), (pts, p)
+    at_terminal = 0
+    for norm, pts in lattice_sets():
+        region = ft_solve(norm, pts).region
+        p = region.vertices[0]
+        near = [q for q in pts if region.kind == "point" and (p - q).norm() <= 1e-6]
+        if near:
+            at_terminal += 1
+            bits = [float(p.x).hex(), float(p.y).hex()]
+            assert bits in ([float(q.x).hex(), float(q.y).hex()] for q in near), (pts, p)
     assert at_terminal == 115
     t, c = Vec2(-1, -1), Vec2(-1.0000000000000002, -1.0)
     assert [id(q) for q in solver._dedup([c], DEFAULT_EPS, [t])] == [id(t)]
@@ -1166,16 +1166,6 @@ def test_certificates_on_random_instances():
                 sol.objective, abs=1e-8)
 
 
-DIAMOND_ARMS = (Vec2(1, 0), Vec2(0, 1), Vec2(-1, 0), Vec2(0, -1))
-
-
-def plus_shape(centre, counts, seed):
-    """``counts[k]`` terminals on arm k of the diamond's vertex directions."""
-    rng = Random(seed)
-    return [centre + arm * rng.uniform(0.25, 3.0)
-            for arm, many in zip(DIAMOND_ARMS, counts) for _ in range(many)]
-
-
 @pytest.mark.parametrize("counts", [(7, 7, 8, 7), (25, 25, 25, 25)])
 def test_plus_shape_solves_to_centre(diamond, counts):
     # every terminal lies in a vertex direction from the optimum, so each
@@ -1484,24 +1474,11 @@ def bits_or_error(call, *args):
 def test_per_vertex_caches_give_the_same_bits_fresh_and_warm(diamond, hexagon):
     # one norm serves its dual edges and cone shapes from its per-vertex
     # caches, warmed by every call before; a fresh copy per call builds them
-    eps = DEFAULT_EPS
-    rng, solved = Random(27), 0
-    for warm in (diamond, hexagon, make_lambda_norm(12).norm, random_symmetric_norm(rng)):
+    eps, solved = DEFAULT_EPS, 0
+    for warm, dirs, sets in near_vertex_sets(diamond, hexagon):
         def fresh():
             return make_polygonal_norm(list(warm.vertices))
 
-        dirs = [Vec2(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(40)]
-        for v in warm.vertices:
-            a = math.atan2(v.y, v.x)
-            dirs += [v] + [Vec2(2.5 * math.cos(a + d), 2.5 * math.sin(a + d))
-                           for d in (-2 * eps, -eps / 2, eps / 2, 2 * eps)]
-        sets = []
-        for _ in range(30):
-            p = Vec2(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            pts = [p + rng.choice(warm.vertices) * rng.uniform(0.5, 3.0)
-                   for _ in range(rng.randint(2, 6))]
-            pts += [p + rng.choice(dirs) for _ in range(rng.randint(0, 2))]
-            sets.append((pts + [p] * rng.randint(0, 1), p))
         for _ in range(2):  # the second round finds every entry cached
             for u in dirs:
                 ns = norming_set(warm, u, eps)

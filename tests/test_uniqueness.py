@@ -30,7 +30,7 @@ from ftplane.norms import Functional, PolygonalNorm
 from ftplane.oracle import random_symmetric_norm
 from ftplane import uniqueness
 
-from conftest import COND2_OCTAGON, COND3_HEXAGON, SQRT3, rotations
+from conftest import COND2_OCTAGON, COND3_HEXAGON, SQRT3, near_tolerance, rotations
 
 
 def functional_sum(fs):
@@ -506,20 +506,6 @@ def pair_index(norm, triple):
     """Position of the triple's edge pair i < j in row-by-row order."""
     m, i, j = norm.m, triple.elements[0].edge, triple.elements[1].edge
     return i * m - i * (i + 1) // 2 + j - i - 1
-
-
-def near_tolerance(vertices):
-    """Copies with one vertex pair moved by 1e-10..1e-8, across the zero tests' tolerances."""
-    half = len(vertices) // 2
-    norms = []
-    for d in (1e-10, 3e-10, 1e-9, 2e-9, 3e-9, 1e-8):
-        for v in range(half):
-            for dx, dy in ((d, 0.0), (0.0, d), (d, -d)):
-                moved = list(vertices)
-                x, y = moved[v]
-                moved[v], moved[v + half] = (x + dx, y + dy), (-x - dx, -y - dy)
-                norms.append(make_polygonal_norm(moved))
-    return norms
 
 
 def test_conditions_match_scalar_reference(monkeypatch):
