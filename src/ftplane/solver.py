@@ -41,9 +41,8 @@ use, once per vertex or edge and norm; a side that cones share is clipped once.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, compress, takewhile
+from itertools import chain, takewhile
 from operator import mul
 
 import numpy as np
@@ -208,9 +207,9 @@ def _live_lines(norm: PolygonalNorm, qx: np.ndarray, qy: np.ndarray,
 
 def _crossing_blocks(qx: np.ndarray, qy: np.ndarray, dx: np.ndarray,
                      dy: np.ndarray, dn: np.ndarray, live: np.ndarray):
-    """The terminals, then the crossings of live lines x_i + d_k t and x_j + d_l s
-    (i < j) in the order (i, k, j, l), in blocks of rows paired with all later
-    lines, at most _PAIR_BLOCK pairs but for a longer row alone:
+    """The crossings of live lines x_i + d_k t and x_j + d_l s (i < j) in the
+    order (i, k, j, l), in blocks of rows paired with all later lines, at most
+    _PAIR_BLOCK pairs but for a longer row alone:
     t = ((x_j - x_i) x d_l) / (d_k x d_l), unless |d_k x d_l| <= 1e-12 |d_k| |d_l|.
     Live lines of one direction k and an equal finite offset x_i x d_k are one
     line, taken at its first terminal."""
@@ -223,18 +222,15 @@ def _crossing_blocks(qx: np.ndarray, qy: np.ndarray, dx: np.ndarray,
         li, lk = np.delete(li, copy), np.delete(lk, copy)
     lx, ly, ldx, ldy, ldn = qx[li], qy[li], dx[lk], dy[lk], dn[lk]
     rows = max(1, _PAIR_BLOCK // max(1, len(li)))
-    for a0 in range(0, max(1, len(li)), rows):  # at least once, for the terminals
+    for a0 in range(0, len(li), rows):
         a, b = slice(a0, a0 + rows), slice(a0 + 1, None)
         den = ldx[a, None] * ldy[b] - ldy[a, None] * ldx[b]
         ra, rb = np.nonzero((li[a, None] < li[b])
                             & (np.abs(den) > 1e-12 * ldn[a, None] * ldn[b]))
         den, ra, rb = den[ra, rb], ra + a0, rb + a0 + 1
         t = ((lx[rb] - lx[ra]) * ldy[rb] - (ly[rb] - ly[ra]) * ldx[rb]) / den
-        xs, ys = lx[ra] + ldx[ra] * t, ly[ra] + ldy[ra] * t
-        if a0 == 0:
-            xs, ys = np.concatenate([qx, xs]), np.concatenate([qy, ys])
-        if len(xs):
-            yield xs, ys
+        if len(t):
+            yield lx[ra] + ldx[ra] * t, ly[ra] + ldy[ra] * t
 
 
 def candidate_minimize(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...],
@@ -246,13 +242,14 @@ def candidate_minimize(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...
     intersection, so the minimum over candidates is the global minimum.
     Returns all minimizing candidates (deduplicated) and the value; raises
     InputError when finite terminals give a least value of inf or NaN.
+    ft_solve certifies their centroid, else the lowest-valued one.
 
-    The crossings come from _crossing_blocks, each the same float as in a
-    scalar loop over Vec2 line pairs, and in its order (i, k, j, l). Two lines
-    through one terminal cross at it (t = +-0); it heads the first block, so
-    the stable key sort and the dedup would drop that copy, which is not
-    formed. Every crossing formed gets the gauge, and those within tolerance
-    of the least value so far are kept for the final filter.
+    The terminals are scored on their own, and kept as the caller's objects
+    (ints stay). The crossings come from _crossing_blocks, each the same float
+    as in a scalar loop over Vec2 line pairs, and in its order (i, k, j, l);
+    two lines through one terminal cross at it and are not paired. Every
+    crossing formed gets the gauge, and those within tolerance of the least
+    value so far are kept for the final filter.
 
     Only crossings of two live lines are formed: a candidate within
     tolerance of the optimum lies in the sublevel set {f <= T} of the
@@ -271,32 +268,26 @@ def candidate_minimize(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...
     _, _, dx, dy, dn = norm._breaklines
     live = _live_lines(norm, qx, qy, eps)
 
-    kept, best, start = [], np.inf, 0
+    kept = []
     with np.errstate(over="ignore", invalid="ignore"):
+        at_terminals = _objective_batch(norm, qx, qy, qx, qy)
+        best = at_terminals.min()
         for xs, ys in _crossing_blocks(qx, qy, dx, dy, dn, live):
             vals = _objective_batch(norm, qx, qy, xs, ys)
             best = np.minimum(best, vals.min())  # a NaN sticks, as in np.min
             near = np.flatnonzero(vals <= best + eps * max(1.0, best))
-            kept.append((xs[near], ys[near], vals[near], near + start))
-            start += len(xs)
+            kept.append((xs[near], ys[near], vals[near]))
     if not np.isfinite(best):
         raise InputError(f"the objective overflows: its least candidate value is {best}")
 
-    xs, ys, vals, at = (np.concatenate(a) for a in zip(*kept))
-    near = vals <= best + eps * max(1.0, abs(best))
-    # the first len(pts) are the terminals, returned as the caller's objects (ints
-    # stay), and they lead arg
-    at = at[near].tolist()
-    arg = [pts[k] if k < len(pts) else Vec2(x, y) for x, y, k in
-           zip(xs[near].tolist(), ys[near].tolist(), at)]
-    t = bisect_left(at, len(pts))
-    if not t:
-        return _dedup(arg, eps), float(best)
     # a terminal within eps of the least value, relative to it, outranks the
     # candidates within eps of it, which are it up to rounding
-    firm = [v <= best + eps * abs(best) for v in vals[near][:t].tolist()]
-    rest = [c for c, f in zip(arg, firm) if not f] + arg[t:]
-    return _dedup(rest, eps, _dedup(list(compress(arg, firm)), eps)), float(best)
+    low, top = best + eps * abs(best), best + eps * max(1.0, abs(best))
+    firm = [q for q, v in zip(pts, at_terminals.tolist()) if v <= low]
+    rest = [q for q, v in zip(pts, at_terminals.tolist()) if low < v <= top]
+    for xs, ys, vals in kept:
+        rest += map(Vec2, xs[vals <= top].tolist(), ys[vals <= top].tolist())
+    return _dedup(rest, eps, _dedup(firm, eps)), float(best)
 
 
 def _dedup(cands: list[Vec2], eps: float, firm: list[Vec2] | tuple[()] = ()) -> list[Vec2]:
