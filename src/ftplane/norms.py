@@ -155,16 +155,13 @@ class PolygonalNorm:
                 np.array([d.y for d in dirs], dtype=float),
                 np.array([d.norm() for d in dirs], dtype=float))
 
-    def sector(self, v: Vec2) -> int:
-        """Index k of the edge whose angular sector contains direction v."""
-        return self._sector(v.x, v.y)
-
     def _sector(self, x: float, y: float) -> int:
+        """Index k of the edge whose angular sector contains direction (x, y)."""
         a = (math.atan2(y, x) - self._base_angle) % _TWO_PI
         return bisect_right(self._rel_angles, a) - 1
 
     def sector_batch(self, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-        """``sector`` of each direction (dx, dy), located with numpy arrays.
+        """``_sector`` of each direction (dx, dy), located with numpy arrays.
 
         np.arctan2 may differ from math.atan2 in the last bit, so a direction
         on a sector boundary can land in the neighbouring sector. The angle from

@@ -11,7 +11,7 @@ not paired, and a line through several terminals is formed once. Every
 candidate within tolerance of the optimum lies in a sublevel set of the
 objective; cuts by sums of unit functionals, one per terminal, enclose that
 set in a polygon, and only the breaklines that meet the polygon are paired.
-Each crossing formed gets the gauge.
+Each crossing formed gets the gauge; the terminals are scored on their own.
 
 Optimality at a point p outside the terminal set is certified by one
 norming functional per displacement x_i - p whose sum is zero; the full
@@ -20,7 +20,11 @@ one per terminal, and its vertices must attain the optimum. One path does
 this for every p: a collinear set's median, a candidate, or an
 optimum a caller knows (a uniqueness witness, at the origin). At a terminal
 the certificate is relaxed: the remaining functionals need only sum to
-something of dual norm at most one. The dual ball is a norm, the polar: a
+something of dual norm at most one, and the terminal is the solution set.
+When the centroid of several minimizing candidates does not certify, the
+lowest-valued one is certified alone; several candidates mean several optima,
+so there a relaxed entry of dual norm one gets its cone like any other
+entry. The dual ball is a norm, the polar: a
 functional's dual norm is its gauge there, and its face is its snap there,
 the edge of a dual vertex it points along, else the vertex of its sector.
 
@@ -554,6 +558,13 @@ def intersect_cones(cones: list[Cone] | tuple[Cone, ...], radius: float,
 
 # --- certificates and the full pipeline -------------------------------------
 
+def _check_tol(functionals, eps: float) -> tuple[float, float]:
+    """The largest functional length (at least 1), and check_certificate's
+    tolerance: 20 eps times it and the number of functionals."""
+    scale = max([1.0] + [f.norm() for f in functionals])
+    return scale, 20 * eps * scale * max(1, len(functionals))
+
+
 def check_certificate(norm: PolygonalNorm, points, cert: Certificate,
                       eps: float = DEFAULT_EPS) -> None:
     """Raise CertificateError unless the certificate verifies.
@@ -566,10 +577,9 @@ def check_certificate(norm: PolygonalNorm, points, cert: Certificate,
     pts = list(points)
     if len(cert.functionals) != len(pts):
         raise CertificateError("certificate length mismatch")
-    scale = max([1.0] + [f.norm() for f in cert.functionals])
+    scale, tol = _check_tol(cert.functionals, eps)
     if scale == math.inf:  # tol would be inf, and every test below would pass
         raise CertificateError("certificate holds an infinite functional")
-    tol = 20 * eps * scale * max(1, len(pts))
     tx = ty = 0.0
     for f in cert.functionals:
         tx, ty = tx + f.x, ty + f.y
@@ -620,23 +630,39 @@ def _certify(norm: PolygonalNorm, pts: tuple[Vec2, ...], p: Vec2, value: float,
              eps: float, cands: list[Vec2] | tuple[Vec2, ...] = ()) -> FTSolution:
     """The certified solution set through p, an optimum of value ``value``.
 
-    When p, the centroid of several minimizing candidates ``cands``, gives
-    no certificate or a relaxed one, the lowest-valued candidate (the first
-    on ties) replaces it. A relaxed certificate means p is a terminal and
-    the whole solution set, which several candidates contradict; else the
-    solution set is where the cones meet, and each vertex must attain ``value``.
+    A relaxed certificate means p is a terminal and the whole solution set;
+    else the solution set is where the cones meet, and each vertex must
+    attain ``value``. When p, the centroid of several minimizing candidates
+    ``cands``, gives no certificate, a relaxed one or a CertificateError, the
+    lowest-valued candidate (the first on ties) is certified alone. Several
+    candidates mean more than one optimum, so there a relaxed entry of dual
+    norm one, within check_certificate's tol, gets its cone like any other
+    entry, and only one below one makes the region that point.
     """
     cert = verify_ft_point(norm, pts, p, eps)
-    if (cert is None or cert.relaxed) and len(cands) > 1:
-        p = min(cands, key=lambda c: objective(norm, pts, c))
-        cert = verify_ft_point(norm, pts, p, eps)
-    # several candidates mean more than one optimum, which a relaxed
-    # certificate's one-point region would drop
-    if cert is None or (cert.relaxed and len(cands) > 1):
+    if len(cands) > 1:
+        if cert is not None and not cert.relaxed:
+            try:
+                return _solution(norm, pts, cert, value, eps, point=False)
+            except CertificateError:
+                pass
+        cert = verify_ft_point(norm, pts, min(cands, key=lambda c: objective(norm, pts, c)), eps)
+    if cert is None:
         raise CertificateError("no norming selection sums to zero at p")
+    point = bool(cert.relaxed)
+    if point and len(cands) > 1:
+        phi = cert.functionals[cert.relaxed[0]]  # every relaxed entry is this one
+        point = not abs(dual_norm(norm, phi) - 1.0) <= _check_tol(cert.functionals, eps)[1]
+    return _solution(norm, pts, cert, value, eps, point)
+
+
+def _solution(norm: PolygonalNorm, pts: tuple[Vec2, ...], cert: Certificate, value: float,
+              eps: float, point: bool) -> FTSolution:
+    """The solution set that the checked ``cert`` gives: its base if ``point``,
+    else where its cones meet, each vertex attaining ``value``."""
     check_certificate(norm, pts, cert, eps)
-    if cert.relaxed:
-        return FTSolution(Region.point(p), value, cert)
+    if point:
+        return FTSolution(Region.point(cert.base), value, cert)
     cones = build_cones(norm, pts, cert.functionals, eps)
     # gauge(u) >= |u| / max_k |v_k|, so every optimum lies within
     # value * max_k |v_k| of the first terminal. Twice that keeps the square's

@@ -257,6 +257,39 @@ def test_flat_argmin_certifies_its_lowest_candidate():
     assert abs(best - lp_minimum(norm, pts)) <= DEFAULT_EPS * max(1.0, best)
 
 
+def test_near_vertex_sets_certify_at_their_lowest_candidate(diamond, hexagon):
+    # terminals up to 2 eps off a vertex direction from the optimum: where the
+    # centroid of several candidates fails, the lowest one certified alone,
+    # with a relaxed entry of dual norm one given its cone, answers 10 of the
+    # 15 sets that raised; 5 still find the cones disjoint
+    failed = []
+    for norm, _, sets in near_vertex_sets(diamond, hexagon):
+        for pts, _ in sets:
+            try:
+                sol = ft_solve(norm, pts)
+            except CertificateError as exc:
+                failed.append(str(exc))
+                continue
+            best = lp_minimum(norm, pts)
+            for v in sol.region.vertices:
+                assert abs(objective(norm, pts, v) - best) <= 1e-9 * best, (pts, v)
+    assert failed == ["cone intersection is empty"] * 5
+
+
+def test_a_terminal_alone_forms_no_crossing(diamond, hexagon):
+    # one terminal, or one twice, whose lines merge: no pair is formed, and
+    # the terminal, scored on its own, is the answer as the caller's object
+    for norm in (diamond, hexagon, make_lambda_norm(24).norm):
+        _, _, dx, dy, dn = norm._breaklines
+        for q in (Vec2(1, -2), Vec2(0.25, -1.0)):
+            for pts in ([q], [q, q]):
+                qx, qy = np.array([c.x for c in pts], float), np.array([c.y for c in pts], float)
+                live = np.ones(len(pts) * len(dx), dtype=bool)
+                assert list(solver._crossing_blocks(qx, qy, dx, dy, dn, live)) == []
+                cands, best = candidate_minimize(norm, pts)
+                assert best == 0.0 and len(cands) == 1 and cands[0] is q
+
+
 def test_candidate_minimize_memory_is_bounded():
     # 30 terminals on the 48-gon: 720 breaklines, 258,840 crossings; one Vec2
     # per candidate peaked at 58 MB
@@ -1222,7 +1255,7 @@ def test_plus_shape_forms_each_grid_line_once(monkeypatch, diamond, n):
     monkeypatch.setattr(solver, "_crossing_blocks", spy)
     pts = plus_shape(Vec2(0.3, -0.7), [n // 4] * 4, seed=n)
     sol = ft_solve(diamond, pts)
-    assert sum(formed) <= 2 * n
+    assert formed == [1]
     (v,) = sol.region.vertices
     assert abs(v.x - 0.3) <= math.ulp(0.3) and abs(v.y + 0.7) <= math.ulp(0.7)
     mx, my = sorted(q.x for q in pts)[n // 2], sorted(q.y for q in pts)[n // 2]

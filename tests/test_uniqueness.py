@@ -401,7 +401,7 @@ def scalar_pair_hits(norm, eps=DEFAULT_EPS):
     for i in range(m):
         for j in range(i + 1, m):
             psi = -(pts[i] + pts[j])  # d_k - psi is (d_i + d_j) + d_k bit for bit
-            s = dual_polygon.sector(psi)
+            s = dual_polygon._sector(psi.x, psi.y)
             for k in sorted({(s + t) % m for t in (-1, 0, 1, 2)}):
                 if k > j and abs(pts[k].x - psi.x) <= tol and abs(pts[k].y - psi.y) <= tol:
                     yield ConsistentTriple((EdgeElement(i, 0.5), EdgeElement(j, 0.5),
