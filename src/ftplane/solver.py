@@ -283,7 +283,7 @@ def candidate_minimize(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...
             kept.append((xs[near], ys[near], vals[near]))
     if not np.isfinite(best):
         raise InputError(f"the objective overflows: its least candidate value is {best}")
-
+    best = float(best)
     # a terminal within eps of the least value, relative to it, outranks the
     # candidates within eps of it, which are it up to rounding
     low, top = best + eps * abs(best), best + eps * max(1.0, abs(best))
@@ -291,7 +291,7 @@ def candidate_minimize(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...
     rest = [q for q, v in zip(pts, at_terminals.tolist()) if low < v <= top]
     for xs, ys, vals in kept:
         rest += map(Vec2, xs[vals <= top].tolist(), ys[vals <= top].tolist())
-    return _dedup(rest, eps, _dedup(firm, eps)), float(best)
+    return _dedup(rest, eps, _dedup(firm, eps)), best
 
 
 def _dedup(cands: list[Vec2], eps: float, firm: list[Vec2] | tuple[()] = ()) -> list[Vec2]:
@@ -658,8 +658,8 @@ def _certify(norm: PolygonalNorm, pts: tuple[Vec2, ...], p: Vec2, value: float,
 
 def _solution(norm: PolygonalNorm, pts: tuple[Vec2, ...], cert: Certificate, value: float,
               eps: float, point: bool) -> FTSolution:
-    """The solution set that the checked ``cert`` gives: its base if ``point``,
-    else where its cones meet, each vertex attaining ``value``."""
+    """Check ``cert``; its solution set is its base if ``point``, else where
+    its cones meet, each vertex attaining ``value``."""
     check_certificate(norm, pts, cert, eps)
     if point:
         return FTSolution(Region.point(cert.base), value, cert)
