@@ -9,6 +9,7 @@ from random import Random
 import pytest
 
 from ftplane import FunctionalSegment, Vec2, make_polygonal_norm, norming_set
+from ftplane.errors import PlaneError
 from ftplane.geometry import DEFAULT_EPS
 from ftplane.lambda_planes import make_lambda_norm
 from ftplane.oracle import random_symmetric_norm
@@ -95,6 +96,14 @@ def unit_triangle():
     return [Vec2(0.0, 0.0), Vec2(1.0, 0.0), Vec2(0.5, SQRT3 / 2)]
 
 
+def outcome(call, *args) -> str:
+    """``repr`` of what the call returns, or the package error's class and message."""
+    try:
+        return repr(call(*args))
+    except PlaneError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
 def random_terminals(n, seed):
     """n seeded terminals, uniform in [-5, 5]^2."""
     rng = Random(seed)
@@ -122,7 +131,7 @@ def lattice_sets():
     return out
 
 
-def near_vertex_sets(diamond, hexagon, eps=DEFAULT_EPS):
+def near_vertex_sets(diamond, hexagon):
     """Random(27)'s draw near vertex directions, on the diamond, the hexagon,
     the 24-gon and a random symmetric norm, as (norm, directions, sets).
 
@@ -131,7 +140,7 @@ def near_vertex_sets(diamond, hexagon, eps=DEFAULT_EPS):
     (terminals, p): 2..6 terminals in vertex directions from a random p,
     0..2 at p plus a direction, then p itself or not.
     """
-    rng, out = Random(27), []
+    rng, out, eps = Random(27), [], DEFAULT_EPS
     for norm in (diamond, hexagon, make_lambda_norm(12).norm, random_symmetric_norm(rng)):
         dirs = [Vec2(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(40)]
         for v in norm.vertices:

@@ -24,7 +24,6 @@ from pathlib import Path
 from random import Random
 
 from ftplane import Vec2, candidate_minimize, ft_solve, make_polygonal_norm, uniqueness_verdict
-from ftplane.errors import PlaneError
 from ftplane.lambda_planes import make_lambda_norm
 from ftplane.oracle import random_instance
 
@@ -34,18 +33,12 @@ from conftest import (
     lattice_sets,
     near_tolerance,
     near_vertex_sets,
+    outcome,
     plus_shape,
     rotations,
 )
 
 DIGESTS = Path(__file__).with_name("differential_sha256.json")
-
-
-def outcome(call, *args) -> str:
-    try:
-        return repr(call(*args))
-    except PlaneError as exc:
-        return f"{type(exc).__name__}: {exc}"
 
 
 def solve_sets(diamond, hexagon) -> dict[str, list]:

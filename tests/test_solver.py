@@ -50,6 +50,7 @@ from conftest import (
     lattice_sets,
     line_runs,
     near_vertex_sets,
+    outcome,
     plus_shape,
     random_terminals,
     regions_match,
@@ -791,13 +792,6 @@ def test_cone_path_clips_through_the_solver_attribute(monkeypatch, hexagon, unit
     monkeypatch.setattr(solver, "clip_polygon", counting)
     sol = ft_solve(hexagon, unit_triangle)
     assert repr(sol) == want and sol.region.kind == "polygon" and len(calls) == 1
-
-
-def outcome(call, *args):
-    try:
-        return repr(call(*args))
-    except (InputError, CertificateError) as exc:
-        return f"{type(exc).__name__}: {exc}"
 
 
 def test_intersect_cones_matches_the_object_route():
