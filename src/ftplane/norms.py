@@ -129,6 +129,13 @@ class PolygonalNorm:
         return out
 
     @cached_property
+    def _dual_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The x and y columns of ``_dual_array`` after a wrap row d_{m-1}:
+        entry k + 1 is dual vertex k, so entry 0 is dual vertex -1."""
+        d = self._dual_array
+        return tuple(np.concatenate([d[-1:], d]).T.copy())
+
+    @cached_property
     def _vertex_array(self) -> np.ndarray:
         """m x 2, a transposed view: ``.T`` gives contiguous x and y rows."""
         verts = self.vertices
@@ -160,16 +167,26 @@ class PolygonalNorm:
         a = (math.atan2(y, x) - self._base_angle) % _TWO_PI
         return bisect_right(self._rel_angles, a) - 1
 
-    def sector_batch(self, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-        """``_sector`` of each direction (dx, dy), located with numpy arrays.
+    def _sector_after(self, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+        """1 + ``_sector`` of each direction (dx, dy), located with numpy arrays.
 
         np.arctan2 may differ from math.atan2 in the last bit, so a direction
         on a sector boundary can land in the neighbouring sector. The angle from
-        vertex 0, in [-2pi, 2pi], folds to np.mod's float but for a zero's sign.
+        vertex 0, in [-2pi, 2pi], folds to np.mod's float but for a zero's sign:
+        2pi to 0, and a negative angle up by 2pi. The 2pi mask is taken first,
+        as a tiny negative angle plus 2pi rounds to 2pi and stays there.
         """
-        a = np.arctan2(dy, dx) - self._base_angle
-        ang = np.where(a < 0.0, a + _TWO_PI, np.where(a < _TWO_PI, a, a - _TWO_PI))
-        return np.searchsorted(self._rel_array, ang, side="right") - 1
+        a = np.arctan2(dy, dx)
+        a -= self._base_angle
+        wrap = a >= _TWO_PI
+        np.add(a, _TWO_PI, out=a, where=a < 0.0)
+        np.subtract(a, _TWO_PI, out=a, where=wrap)
+        return np.searchsorted(self._rel_array, a, side="right")
+
+    def sector_batch(self, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+        """``_sector`` of each direction (dx, dy), located with numpy arrays:
+        ``_sector_after``, which folds the angle once, less one."""
+        return self._sector_after(dx, dy) - 1
 
 
 def _vertex(k: int, v) -> Vec2:
@@ -248,10 +265,12 @@ def _gauge(norm: PolygonalNorm, x: float, y: float) -> float:
 
 
 def gauge_batch(norm: PolygonalNorm, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """Vectorized gauge of displacement arrays, same sector-location route."""
-    k = norm.sector_batch(dx, dy)
-    duals = norm._dual_array
-    out = duals[k, 0] * dx + duals[k, 1] * dy
+    """Vectorized gauge of displacement arrays, same sector-location route:
+    ``_sector_after`` folds each angle once, and its sector + 1 indexes the
+    dual columns, whose wrap row stands for sector -1."""
+    k = norm._sector_after(dx, dy)
+    fx, fy = norm._dual_columns
+    out = fx[k] * dx + fy[k] * dy
     return np.maximum(out, 0.0)
 
 
@@ -264,11 +283,29 @@ def _snap(norm: PolygonalNorm, v: Vec2, eps: float) -> tuple[int, int | None]:
     if not (math.isfinite(x) and math.isfinite(y)):
         raise InputError(f"cannot classify the non-finite vector {v}")
     k = norm._sector(x, y)
+    return k, _snap_in(norm, x, y, k, eps)
+
+
+def _snap_in(norm: PolygonalNorm, x: float, y: float, k: int, eps: float) -> int | None:
+    """The vertex, k or k + 1, that direction (x, y) of sector k snaps to, or None."""
+    r = math.hypot(x, y)
     for idx in (k, (k + 1) % norm.m):
         w = norm.vertices[idx]
-        if abs(x * w.y - y * w.x) <= eps * math.hypot(x, y) * w.norm() and x * w.x + y * w.y > 0.0:
-            return k, idx
-    return k, None
+        if abs(x * w.y - y * w.x) <= eps * r * w.norm() and x * w.x + y * w.y > 0.0:
+            return idx
+    return None
+
+
+def _polar_face(norm: PolygonalNorm, phi: Functional,
+                eps: float) -> tuple[float, int, int | None]:
+    """``dual_norm(norm, phi)`` and ``_snap(norm._polar, phi, eps)`` from one
+    sector lookup on the polar, without the snap's checks: a functional that
+    is zero or not finite gets a dual norm but no meaningful face."""
+    polar, x, y = norm._polar, phi.x, phi.y
+    k = polar._sector(x, y)
+    f = polar._duals[k]
+    val = f.x * x + f.y * y  # _gauge's value: at the zero vector it is +-0, so 0.0
+    return (val if not val <= 0.0 else 0.0), k, _snap_in(polar, x, y, k, eps)
 
 
 def classify_direction(norm: PolygonalNorm, v: Vec2,

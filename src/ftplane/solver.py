@@ -11,7 +11,8 @@ not paired, and a line through several terminals is formed once. Every
 candidate within tolerance of the optimum lies in a sublevel set of the
 objective; cuts by sums of unit functionals, one per terminal, enclose that
 set in a polygon, and only the breaklines that meet the polygon are paired.
-Each crossing formed gets the gauge; the terminals are scored on their own.
+Each crossing formed gets the gauge; the terminals are scored in one call
+with the first block of crossings, and keep their own slice of its values.
 
 Optimality at a point p outside the terminal set is certified by one
 norming functional per displacement x_i - p whose sum is zero; the full
@@ -26,7 +27,8 @@ lowest-valued one is certified alone; several candidates mean several optima,
 so there a relaxed entry of dual norm one gets its cone like any other
 entry. The dual ball is a norm, the polar: a
 functional's dual norm is its gauge there, and its face is its snap there,
-the edge of a dual vertex it points along, else the vertex of its sector.
+the edge of a dual vertex it points along, else the vertex of its sector;
+one sector lookup there gives both.
 
 Each terminal's norming functionals form a point or a segment, so the sums
 of one pick per terminal form a zonogon. One peel decides a selection: each
@@ -39,13 +41,15 @@ dual ball added (d terminals at p), the same peel decides the relaxed test.
 The clip, peel, cone and check stages compute on plain floats, in the
 operation order of the Vec2 arithmetic, and build Vec2 only for results.
 A dual edge, its generator and lengths, and a cone shape are built on first
-use, once per vertex or edge and norm; a side that cones share is clipped once.
+use, once per vertex or edge and norm, and a shape's side normals, lengths and
+cross product once per shape; a side that cones share is clipped once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, takewhile
 from operator import mul
 
@@ -66,7 +70,7 @@ from .norms import (
     FunctionalSegment,
     PolygonalNorm,
     _gauge,
-    _snap,
+    _polar_face,
     dual_norm,
     gauge_batch,
     norming_set,
@@ -79,6 +83,15 @@ class RayShape:
 
     direction: Vec2
 
+    @cached_property
+    def _back(self) -> tuple[float, float]:
+        """-direction / |direction|, the normal of the cut at the apex."""
+        dx, dy = self.direction.x, self.direction.y
+        if dx == 0.0 and dy == 0.0:
+            raise InputError("ray cone needs a nonzero direction")
+        s = 1.0 / math.hypot(dx, dy)
+        return -dx * s, -dy * s
+
 
 @dataclass(frozen=True)
 class AngleShape:
@@ -86,6 +99,12 @@ class AngleShape:
 
     d1: Vec2
     d2: Vec2
+
+    @cached_property
+    def _consts(self) -> tuple[float, float, float, float, float, float, float]:
+        """The sides' normals (d1.y, -d1.x) and (-d2.y, d2.x), d1 x d2, |d1| and |d2|."""
+        d1, d2 = self.d1, self.d2
+        return d1.y, -d1.x, -d2.y, d2.x, d1.cross(d2), d1.norm(), d2.norm()
 
 
 @dataclass(frozen=True)
@@ -221,9 +240,9 @@ def _crossing_blocks(qx: np.ndarray, qy: np.ndarray, dx: np.ndarray,
     off = qx[li] * dy[lk] - qy[li] * dx[lk]
     s = np.lexsort((off, lk))  # stable: each run of equal keys in (i, k) order
     before, after = s[:-1], s[1:]
-    copy = after[(lk[after] == lk[before]) & (off[after] == off[before]) & np.isfinite(off[after])]
-    if len(copy):  # np.delete's fixed cost exceeds the rest of the merge
-        li, lk = np.delete(li, copy), np.delete(lk, copy)
+    keep = np.ones(len(li), dtype=bool)
+    keep[after] = (lk[after] != lk[before]) | (off[after] != off[before]) | ~np.isfinite(off[after])
+    li, lk = li[keep], lk[keep]
     lx, ly, ldx, ldy, ldn = qx[li], qy[li], dx[lk], dy[lk], dn[lk]
     rows = max(1, _PAIR_BLOCK // max(1, len(li)))
     for a0 in range(0, len(li), rows):
@@ -248,12 +267,14 @@ def candidate_minimize(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...
     InputError when finite terminals give a least value of inf or NaN.
     ft_solve certifies their centroid, else the lowest-valued one.
 
-    The terminals are scored on their own, and kept as the caller's objects
-    (ints stay). The crossings come from _crossing_blocks, each the same float
-    as in a scalar loop over Vec2 line pairs, and in its order (i, k, j, l);
-    two lines through one terminal cross at it and are not paired. Every
-    crossing formed gets the gauge, and those within tolerance of the least
-    value so far are kept for the final filter.
+    The terminals and the first block of crossings are scored in one
+    _objective_batch call, as each call has a fixed cost, and later blocks in
+    one call each; the terminals keep their own slice of the values, and the
+    caller's objects (ints stay). The crossings come from _crossing_blocks,
+    each the same float as in a scalar loop over Vec2 line pairs, and in its
+    order (i, k, j, l); two lines through one terminal cross at it and are
+    not paired. Every crossing formed gets the gauge, and those within
+    tolerance of the least value so far are kept for the final filter.
 
     Only crossings of two live lines are formed: a candidate within
     tolerance of the optimum lies in the sublevel set {f <= T} of the
@@ -272,12 +293,16 @@ def candidate_minimize(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...
     _, _, dx, dy, dn = norm._breaklines
     live = _live_lines(norm, qx, qy, eps)
 
-    kept = []
+    kept, n = [], len(pts)
+    blocks = _crossing_blocks(qx, qy, dx, dy, dn, live)
     with np.errstate(over="ignore", invalid="ignore"):
-        at_terminals = _objective_batch(norm, qx, qy, qx, qy)
+        # the first block shares the terminals' call, which has a fixed cost
+        xs, ys = next(blocks, (qx[:0], qy[:0]))
+        vals = _objective_batch(norm, qx, qy, np.concatenate((qx, xs)), np.concatenate((qy, ys)))
+        at_terminals, vals = vals[:n], vals[n:]
         best = at_terminals.min()
-        for xs, ys in _crossing_blocks(qx, qy, dx, dy, dn, live):
-            vals = _objective_batch(norm, qx, qy, xs, ys)
+        later = ((xs, ys, _objective_batch(norm, qx, qy, xs, ys)) for xs, ys in blocks)
+        for xs, ys, vals in chain([(xs, ys, vals)] if len(xs) else [], later):
             best = np.minimum(best, vals.min())  # a NaN sticks, as in np.min
             near = np.flatnonzero(vals <= best + eps * max(1.0, best))
             kept.append((xs[near], ys[near], vals[near]))
@@ -491,15 +516,14 @@ def build_cones(norm: PolygonalNorm, points, phis, eps: float = DEFAULT_EPS) -> 
     check_eps(eps)
     if len(points) != len(phis):
         raise InputError(f"{len(points)} terminals but {len(phis)} functionals")
-    verts, polar, memo, m = norm.vertices, norm._polar, norm._memo, norm.m
+    verts, memo, m = norm.vertices, norm._memo, norm.m
     cones = []
     for x, phi in zip(points, phis):
-        top = dual_norm(norm, phi)
+        top, k, c = _polar_face(norm, phi, eps)
         s = max(1.0, phi.norm())
         # an infinite functional would make the tolerance inf; a NaN fails the test
         if not (math.isfinite(s) and abs(top - 1.0) <= 100 * eps * s):
             raise CertificateError(f"dual norm is {top}, expected 1")
-        k, c = _snap(polar, phi, eps)
         key = (RayShape, (k + 1) % m) if c is None else (AngleShape, c)
         shape = memo.get(key)
         if shape is None:
@@ -512,18 +536,14 @@ def build_cones(norm: PolygonalNorm, points, phis, eps: float = DEFAULT_EPS) -> 
 
 def _cone_halfplanes(cone: Cone, eps: float) -> list[tuple[float, float, float]]:
     """An angle's sides, or a ray's carrier line and apex cut, as (nx, ny, offset)."""
-    vx, vy = cone.vertex.x, cone.vertex.y
-    if isinstance(cone.shape, AngleShape):
-        d1, d2 = cone.shape.d1, cone.shape.d2
-        if d1.cross(d2) <= eps * d1.norm() * d2.norm():
+    vx, vy, shape = cone.vertex.x, cone.vertex.y, cone.shape
+    if isinstance(shape, AngleShape):
+        n1x, n1y, n2x, n2y, cross, len1, len2 = shape._consts
+        if cross <= eps * len1 * len2:
             raise InputError("angle cone must sweep counterclockwise below pi")
-        n1x, n1y, n2x, n2y = d1.y, -d1.x, -d2.y, d2.x
         return [(n1x, n1y, n1x * vx + n1y * vy), (n2x, n2y, n2x * vx + n2y * vy)]
-    dx, dy = cone.shape.direction.x, cone.shape.direction.y
-    if dx == 0.0 and dy == 0.0:
-        raise InputError("ray cone needs a nonzero direction")
-    s = 1.0 / math.hypot(dx, dy)
-    bx, by = -dx * s, -dy * s
+    bx, by = shape._back
+    dx, dy = shape.direction.x, shape.direction.y
     offset = dy * vx + -dx * vy  # the offset of -n is -(n . v), not (-n) . v
     return [(dy, -dx, offset), (-dy, dx, -offset), (bx, by, bx * vx + by * vy)]
 

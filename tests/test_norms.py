@@ -97,10 +97,21 @@ def sector_by_mod(norm, dx, dy):
     return np.searchsorted(norm._rel_array, ang, side="right") - 1
 
 
+def gauge_by_mod(norm, dx, dy):
+    """_gauge of each direction, on the edge functional of its sector_by_mod."""
+    out = []
+    for k, x, y in zip(*(a.ravel().tolist() for a in (sector_by_mod(norm, dx, dy), dx, dy))):
+        f = norm._duals[k]
+        val = f.x * x + f.y * y
+        out.append(0.0 if x == 0.0 and y == 0.0 or val <= 0.0 else val)
+    return np.array(out).reshape(dx.shape)
+
+
 def test_sector_batch_matches_the_mod_route(diamond, hexagon):
     # vertex 0 at (-1, -0.0) puts the base angle at -pi, so (-1, +0.0) is at
     # 2pi from it; (1, -1e-300) is a tiny negative angle from vertex 0 of the
-    # diamond, which a + 2pi rounds to 2pi
+    # diamond, which a + 2pi rounds to 2pi: sector m - 1, not 0. gauge_batch
+    # folds the angle with sector_batch's code and gives _gauge's bits
     flipped = make_polygonal_norm([(-1.0, -0.0), (0.0, -1.0), (1.0, 0.0), (0.0, 1.0)])
     assert flipped._base_angle == -math.pi and diamond._base_angle == 0.0
     special = [0.0, -0.0, math.nan, math.inf, -math.inf, 1.0, -1.0, 1e-300, -1e-300]
@@ -112,6 +123,9 @@ def test_sector_batch_matches_the_mod_route(diamond, hexagon):
         scaled = rng.standard_normal((2, 2000)) * rng.choice([1e-3, 1.0, 1e6], 2000)
         for dx, dy in ((sx, sy), scaled):
             assert np.array_equal(norm.sector_batch(dx, dy), sector_by_mod(norm, dx, dy))
+            with np.errstate(invalid="ignore"):
+                got = gauge_batch(norm, dx, dy)
+            assert got.tobytes() == gauge_by_mod(norm, dx, dy).tobytes()
             a = np.arctan2(dy, dx) - norm._base_angle
             wrapped += (a == 2.0 * math.pi).sum()
             tiny += ((a < 0.0) & (a + 2.0 * math.pi == 2.0 * math.pi)).sum()

@@ -342,6 +342,28 @@ def test_candidate_minimize_block_shapes_match_loop_reference(
     assert pruned.count(True) >= 8 and pruned.count(False) >= 8, pruned
 
 
+def test_candidate_minimize_gauges_terminals_and_first_block_in_one_call(monkeypatch, diamond):
+    # one _objective_batch call scores the terminals and the first crossing
+    # block together; it looks gauge_batch up on the solver module, where the
+    # benchmark's tracer wraps it
+    calls = []
+
+    def counting(norm, dx, dy):
+        calls.append(dx.shape)
+        return gauge_batch(norm, dx, dy)
+
+    monkeypatch.setattr(solver, "gauge_batch", counting)
+    rng = Random(5)
+    six = [Vec2(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)) for _ in range(6)]
+    plus = plus_shape(Vec2(0.3, -0.7), [3, 3, 4, 3], seed=13)
+    for norm, pts in ((diamond, plus), (make_lambda_norm(24).norm, six)):
+        calls.clear()
+        got = candidate_minimize(norm, pts)
+        (shape,) = calls
+        assert shape[0] == len(pts) and shape[1] > len(pts)
+        assert repr(got) == repr(reference_candidate_minimize(norm, pts))
+
+
 def test_argmin_crossings_lie_on_live_lines(live_masks):
     # every crossing within tolerance of the loop reference's optimum is
     # formed from two live lines, above the guard and wherever cuts are found
@@ -836,29 +858,44 @@ def test_intersect_cones_matches_the_object_route():
             pts = uniqueness_verdict(norm).witness
             sol = ft_solve(norm, pts)
             cases.append(list(build_cones(norm, pts, sol.certificate.functionals)))
-    seen = set()
-    for cones in cases:
-        try:
-            want = [h for cone in cones for h in cone_halfplanes_by_objects(cone, eps)]
-        except InputError as exc:
-            with pytest.raises(InputError, match=str(exc)):
-                [solver._cone_halfplanes(cone, eps) for cone in cones]
-            seen.add(str(exc))
-            continue
-        got = [h for cone in cones for h in solver._cone_halfplanes(cone, eps)]
-        short = any(h.normal.norm() <= eps for h in want)  # clip_polygon raises
-        if not short:
-            assert unit_bits(geometry._unit(*h) for h in got) == \
-                unit_bits((u.normal.x, u.normal.y, u.offset) for u in map(HalfPlane.unit, want))
+    # shapes equal but for the sign of a zero, each with its own bits, and
+    # sweeps of 1e-5 from 0 and from pi that only the larger eps rejects
+    apex = Vec2(0.5, -0.0)
+    cases.append([Cone(apex, RayShape(Vec2(0.0, 1.0))), Cone(apex, RayShape(Vec2(-0.0, 1.0)))])
+    cases.append([Cone(apex, AngleShape(Vec2(1.0, 0.0), Vec2(0.0, 1.0))),
+                  Cone(apex, AngleShape(Vec2(1.0, -0.0), Vec2(-0.0, 1.0)))])
+    cases += [[Cone(apex, AngleShape(Vec2(1.0, 0.0), Vec2(math.cos(turn), math.sin(turn))))]
+              for turn in (1e-5, math.pi - 1e-5)]
+    seen, by_eps = set(), set()
+    for i, cones in enumerate(cases):
         c = cones[0].vertex
         square = [(c.x - r, c.y - r), (c.x + r, c.y - r), (c.x + r, c.y + r), (c.x - r, c.y + r)]
         sides = [(0.0, -1.0, r - c.y), (1.0, 0.0, c.x + r), (0.0, 1.0, c.y + r), (-1.0, 0.0, r - c.x)]
-        region = outcome(clip_polygon, square, sides,
-                         [(h.normal.x, h.normal.y, h.offset) for h in want])
-        if region == repr(Region.empty()):
-            region = "CertificateError: cone intersection is empty"
-        assert outcome(intersect_cones, cones, r) == region
-        seen.add(region.split(",")[0])
+        # each cone's half-planes cold, then memoized; the other eps, memoized
+        for e in (eps, 1e-4) if i % 2 else (1e-4, eps):
+            try:
+                want = [h for cone in cones for h in cone_halfplanes_by_objects(cone, e)]
+            except InputError as exc:
+                for _ in range(2):
+                    with pytest.raises(InputError, match=str(exc)):
+                        [solver._cone_halfplanes(cone, e) for cone in cones]
+                seen.add(str(exc))
+                by_eps.add((i, e, str(exc)))
+                continue
+            for _ in range(2):
+                got = [h for cone in cones for h in solver._cone_halfplanes(cone, e)]
+                short = any(h.normal.norm() <= e for h in want)  # clip_polygon raises
+                if not short:
+                    assert unit_bits(geometry._unit(*h) for h in got) == unit_bits(
+                        (u.normal.x, u.normal.y, u.offset) for u in map(HalfPlane.unit, want))
+            region = outcome(clip_polygon, square, sides,
+                             [(h.normal.x, h.normal.y, h.offset) for h in want], e)
+            if region == repr(Region.empty()):
+                region = "CertificateError: cone intersection is empty"
+            assert outcome(intersect_cones, cones, r, e) == region
+            seen.add(region.split(",")[0])
+    n = len(cases)
+    assert {(i, e) for i, e, _ in by_eps if i >= n - 2} == {(n - 2, 1e-4), (n - 1, 1e-4)}
     assert seen >= {"angle cone must sweep counterclockwise below pi",
                     "ray cone needs a nonzero direction",
                     "InputError: half-plane normal is too short",
