@@ -57,12 +57,6 @@ from .lambda_planes import (
     make_lambda_norm,
     torricelli_point,
 )
-from .oracle import (
-    grid_minimize,
-    probe_solution_set,
-    random_instance,
-    random_symmetric_norm,
-)
 from .render import render_svg
 
 # grouped by defining module, in import order
@@ -86,9 +80,6 @@ __all__ = [
 
     "classify_lambda", "lambda_triangle_solution", "make_lambda_norm",
     "torricelli_point",
-
-    "grid_minimize", "probe_solution_set", "random_instance",
-    "random_symmetric_norm",
 
     "render_svg",
 ]

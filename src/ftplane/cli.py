@@ -118,9 +118,9 @@ def cmd_solve(args) -> int:
     norm = _load_norm(args)
     points = _load_points(args.points)
     sol = ft_solve(norm, points, args.tol)
-    _emit(_solution_doc(sol))
-    if args.svg:
+    if args.svg:  # before the solution, so a failed write prints only its error
         _write_svg(args.svg, norm, points, sol, args.tol)
+    _emit(_solution_doc(sol))
     return 0
 
 
@@ -178,7 +178,9 @@ def cmd_lambda(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built once per process."""
     parser = argparse.ArgumentParser(
         prog="ftplane",
         description="Fermat-Torricelli solution sets on polygonal-norm planes")
@@ -212,12 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lambda)
 
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` uses, built once per process."""
-    return build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:

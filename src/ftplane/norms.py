@@ -152,12 +152,11 @@ class PolygonalNorm:
         return max(v.norm() for v in self.vertices)
 
     @cached_property
-    def _breaklines(self) -> tuple[float, float, np.ndarray, np.ndarray, np.ndarray]:
-        """max_k |v_k|, max_k |phi_k|, and the x, y and length arrays of the
-        breakline directions (vertices 0 .. m/2 - 1)."""
+    def _breaklines(self) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+        """max_k |phi_k|, and the x, y and length arrays of the breakline
+        directions (vertices 0 .. m/2 - 1)."""
         dirs = self.vertices[:len(self.vertices) // 2]
-        return (self._radius,
-                max(f.norm() for f in self._duals),
+        return (max(f.norm() for f in self._duals),
                 np.array([d.x for d in dirs], dtype=float),
                 np.array([d.y for d in dirs], dtype=float),
                 np.array([d.norm() for d in dirs], dtype=float))
@@ -182,11 +181,6 @@ class PolygonalNorm:
         np.add(a, _TWO_PI, out=a, where=a < 0.0)
         np.subtract(a, _TWO_PI, out=a, where=wrap)
         return np.searchsorted(self._rel_array, a, side="right")
-
-    def sector_batch(self, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-        """``_sector`` of each direction (dx, dy), located with numpy arrays:
-        ``_sector_after``, which folds the angle once, less one."""
-        return self._sector_after(dx, dy) - 1
 
 
 def _vertex(k: int, v) -> Vec2:
@@ -344,7 +338,7 @@ def norming_set(norm: PolygonalNorm, v: Vec2,
 def element_point(norm: PolygonalNorm, element: UnitCircleElement) -> Vec2:
     """Coordinates of a unit-circle element."""
     k = element.index if isinstance(element, VertexElement) else element.edge
-    if not (isinstance(k, (int, np.integer)) and 0 <= k < norm.m):
+    if not (isinstance(k, (int, np.integer)) and not isinstance(k, bool) and 0 <= k < norm.m):
         raise InputError(f"{element}: index is not an integer in 0..{norm.m - 1}")
     if isinstance(element, VertexElement):
         return norm.vertices[k]

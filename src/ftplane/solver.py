@@ -193,7 +193,7 @@ def _live_lines(norm: PolygonalNorm, qx: np.ndarray, qy: np.ndarray,
     + margin, g = sum_j phi_j, holds on {f <= T} whatever sectors give the
     phi_j. They are taken at p0 and, on 8 rays from it, at the first dyadic
     radius where f > T and at 4 and 16 times that radius (at most the span)."""
-    r, phi_max, dx, dy, _ = norm._breaklines
+    r, (phi_max, dx, dy, _) = norm._radius, norm._breaklines
     n, h = len(qx), len(dx)
     every = np.ones(n * h, dtype=bool)  # below the guard, or without a cut
     xs, ys = qx.tolist(), qy.tolist()
@@ -210,8 +210,8 @@ def _live_lines(norm: PolygonalNorm, qx: np.ndarray, qy: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):
         y = complex(px, py) + span * _CUT_STEPS  # p0, then the rays' radii
         ex, ey = y.real[:, None] - qx, y.imag[:, None] - qy
-        k = norm.sector_batch(ex, ey)
-        fa, fb = norm._dual_array[k, 0], norm._dual_array[k, 1]
+        k = norm._sector_after(ex, ey)  # sector + 1 indexes the dual columns
+        fa, fb = (col[k] for col in norm._dual_columns)
         vals = np.maximum(fa * ex + fb * ey, 0.0).sum(axis=1)
         target = vals[0] + eps * max(1.0, vals[0])
         # rounding of f (a few ulps per term, times r * phi_max where
@@ -290,7 +290,7 @@ def candidate_minimize(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...
         raise InputError("coordinates and their spans must be finite")
     qx = np.array([q.x for q in pts], dtype=float)
     qy = np.array([q.y for q in pts], dtype=float)
-    _, _, dx, dy, dn = norm._breaklines
+    _, dx, dy, dn = norm._breaklines
     live = _live_lines(norm, qx, qy, eps)
 
     kept, n = [], len(pts)

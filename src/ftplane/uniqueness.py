@@ -19,9 +19,7 @@ triples are those of pair-by-pair loops, in O(m log m) time.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -116,7 +114,8 @@ def _sector_of_sum(dz: np.ndarray):
 class _DualSetup:
     """What the three conditions read of one norm's dual, built once per verdict.
 
-    ``build`` keeps the cells of one ``_runs`` search. Row i < m/2 holds j =
+    ``build`` keeps the cells of one ``_runs`` search and the window around
+    them that conditions 1 and 2 test. Row i < m/2 holds j =
     i + 1 .. i + m/2: psi = -(d_i + d_j) runs round P* - d_i (P* the dual
     polygon) from -2 d_i to 0 and g = |psi|* - 1 from 1 to -1, not increasing
     for a symmetric P* (the monotonicity lemma of normed planes). Row m/2 + j
@@ -130,7 +129,8 @@ class _DualSetup:
     ez: np.ndarray  # dual edge k, d_k - d_{k-1}, as complex
     mags: list[float]  # |d_k|, with math.hypot
     cells: tuple[np.ndarray, np.ndarray]  # the search's rows and offsets
-    sector: Callable[[np.ndarray], np.ndarray]  # _sector_of_sum of the duals
+    # pairs i < j, k = s - 1 .. s + 2 around psi's sector s on P*, psi, d_k - psi
+    window: tuple[np.ndarray, ...] | None
 
     @classmethod
     def build(cls, norm: PolygonalNorm, eps: float) -> "_DualSetup":
@@ -176,23 +176,17 @@ class _DualSetup:
             return np.concatenate([(wz[s] * qz).real - 1.0,
                                    (row_d[c] * unit_u2[c + x[split:]]).imag]), g_cut
 
-        return cls(eps=eps, norm=norm, ez=ez, mags=mags, cells=_runs(value, m, half + 1),
-                   sector=sector)
-
-    @cached_property
-    def window(self) -> tuple[np.ndarray, ...] | None:
-        """Pairs i < j, k = s - 1 .. s + 2 around psi's sector s on P*, psi, d_k - psi."""
-        m, (r, x), dz = len(self.mags), self.cells, self.norm._dual_array.view(np.complex128)
-        pair = r < m // 2
-        if not pair.any():
-            return None
-        i, j = r[pair], r[pair] + x[pair]
-        a, b = np.concatenate([i, i + m // 2]), np.concatenate([j, j + m // 2]) % m
-        i, j = np.minimum(a, b), np.maximum(a, b)
-        qz = -(dz[i, 0] + dz[j, 0])  # complex sums and differences are the float ones
-        k = (self.sector(-qz) + np.arange(-1, 3)[:, None]) % m
-        bz = dz[k, 0] - qz  # d_k - psi is (d_i + d_j) + d_k bit for bit
-        return i, j, k, qz.real, qz.imag, bz.real, bz.imag
+        cells = r, x = _runs(value, m, half + 1)
+        window, pair = None, r < half
+        if pair.any():
+            i, j = r[pair], r[pair] + x[pair]
+            a, b = np.concatenate([i, i + half]), np.concatenate([j, j + half]) % m
+            i, j = np.minimum(a, b), np.maximum(a, b)
+            qz = -(dz[i] + dz[j])  # complex sums and differences are the float ones
+            k = (sector(-qz) + np.arange(-1, 3)[:, None]) % m
+            bz = dz[k] - qz  # d_k - psi is (d_i + d_j) + d_k bit for bit
+            window = i, j, k, qz.real, qz.imag, bz.real, bz.imag
+        return cls(eps=eps, norm=norm, ez=ez, mags=mags, cells=cells, window=window)
 
 
 def _condition1(setup: _DualSetup) -> ConsistentTriple | None:

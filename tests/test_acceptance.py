@@ -17,18 +17,22 @@ from ftplane import (
     element_point,
     ft_solve,
     gauge,
-    grid_minimize,
     intersect_cones,
     lambda_triangle_solution,
     make_lambda_norm,
     make_polygonal_norm,
-    probe_solution_set,
     torricelli_point,
     uniqueness_verdict,
     verify_ft_point,
 )
 from ftplane.norms import Functional
-from ftplane.oracle import final_cell_diameter, random_instance, random_symmetric_norm
+from ftplane.oracle import (
+    final_cell_diameter,
+    grid_minimize,
+    probe_solution_set,
+    random_instance,
+    random_symmetric_norm,
+)
 
 from conftest import SQRT3, cone_radius, fibre_selections, hausdorff, regions_match
 

@@ -349,6 +349,17 @@ def test_overflowing_objective_is_one_line_validation_error(tmp_path, capsys):
     assert err.splitlines() == ["error: the objective overflows: its least candidate value is inf"]
 
 
+def test_unwritable_svg_is_one_line_validation_error(tmp_path, capsys, hex_norm_file,
+                                                     triangle_points_file):
+    # the figure is written before the solution is printed, so a failed
+    # write leaves stdout empty
+    svg = tmp_path / "missing" / "out.svg"
+    code, out, err = run(capsys, ["solve", "--norm", hex_norm_file, "--points",
+                                  triangle_points_file, "--svg", str(svg)])
+    assert (code, out) == (1, "") and not svg.exists()
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and str(svg) in err
+
+
 def test_large_finite_coordinates_still_solve(tmp_path, capsys):
     path = tmp_path / "p.json"
     path.write_text(json.dumps({"points": [[1e200, 1e200], [-1e200, -1e200], [0, 1]]}))

@@ -91,7 +91,8 @@ def test_gauge_keeps_nan_as_gauge_batch_does(diamond, hexagon):
 
 
 def sector_by_mod(norm, dx, dy):
-    """sector_batch as it was, folding the angle from vertex 0 with np.mod."""
+    """The sector of each direction as it was found, folding the angle from
+    vertex 0 with np.mod."""
     with np.errstate(invalid="ignore"):
         ang = np.mod(np.arctan2(dy, dx) - norm._base_angle, 2.0 * math.pi)
     return np.searchsorted(norm._rel_array, ang, side="right") - 1
@@ -107,11 +108,11 @@ def gauge_by_mod(norm, dx, dy):
     return np.array(out).reshape(dx.shape)
 
 
-def test_sector_batch_matches_the_mod_route(diamond, hexagon):
+def test_sector_after_matches_the_mod_route(diamond, hexagon):
     # vertex 0 at (-1, -0.0) puts the base angle at -pi, so (-1, +0.0) is at
     # 2pi from it; (1, -1e-300) is a tiny negative angle from vertex 0 of the
     # diamond, which a + 2pi rounds to 2pi: sector m - 1, not 0. gauge_batch
-    # folds the angle with sector_batch's code and gives _gauge's bits
+    # folds the angle with _sector_after's code and gives _gauge's bits
     flipped = make_polygonal_norm([(-1.0, -0.0), (0.0, -1.0), (1.0, 0.0), (0.0, 1.0)])
     assert flipped._base_angle == -math.pi and diamond._base_angle == 0.0
     special = [0.0, -0.0, math.nan, math.inf, -math.inf, 1.0, -1.0, 1e-300, -1e-300]
@@ -122,7 +123,7 @@ def test_sector_batch_matches_the_mod_route(diamond, hexagon):
     for norm in norms:
         scaled = rng.standard_normal((2, 2000)) * rng.choice([1e-3, 1.0, 1e6], 2000)
         for dx, dy in ((sx, sy), scaled):
-            assert np.array_equal(norm.sector_batch(dx, dy), sector_by_mod(norm, dx, dy))
+            assert np.array_equal(norm._sector_after(dx, dy) - 1, sector_by_mod(norm, dx, dy))
             with np.errstate(invalid="ignore"):
                 got = gauge_batch(norm, dx, dy)
             assert got.tobytes() == gauge_by_mod(norm, dx, dy).tobytes()

@@ -3,17 +3,16 @@ from random import Random
 import numpy as np
 import pytest
 
-from ftplane import (
-    InputError,
-    Region,
-    Vec2,
-    ft_solve,
+from ftplane import InputError, Region, Vec2, ft_solve
+from ftplane.oracle import (
+    _objective_grid,
+    auto_bbox,
+    final_cell_diameter,
     grid_minimize,
     probe_solution_set,
     random_instance,
     random_symmetric_norm,
 )
-from ftplane.oracle import _objective_grid, auto_bbox, final_cell_diameter
 from ftplane.uniqueness import uniqueness_verdict
 
 

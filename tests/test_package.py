@@ -1,5 +1,8 @@
 import functools
 import math
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -15,6 +18,18 @@ def test_all_is_importable_and_holds_no_module():
     assert sorted(namespace) == sorted(set(ftplane.__all__))
     assert [name for name, obj in namespace.items()
             if isinstance(obj, types.ModuleType)] == []
+
+
+def test_package_import_leaves_the_oracle_out():
+    # the grid oracle and the generators serve the tests and the benchmark,
+    # which import ftplane.oracle themselves
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, ftplane; print('ftplane.oracle' in sys.modules, len(ftplane.__all__))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env,
+                          timeout=120, check=True)
+    assert proc.stdout.split() == [b"False", b"45"]
 
 
 def test_readme_example_gives_its_commented_results():
@@ -121,6 +136,10 @@ def test_public_calls_raise_one_of_two_error_classes(diamond, square, unit_trian
          r"VertexElement\(index=9\): index is not an integer in 0\.\.3"),
         (lambda: element_point(diamond, VertexElement(-1)), r"index=-1\): index is not"),
         (lambda: element_point(diamond, EdgeElement(9, 0.5)), r"edge=9, t=0.5\): index is not"),
+        (lambda: element_point(diamond, VertexElement(True)),
+         r"VertexElement\(index=True\): index is not an integer in 0\.\.3"),
+        (lambda: element_point(diamond, EdgeElement(True, 0.5)),
+         r"EdgeElement\(edge=True, t=0.5\): index is not an integer in 0\.\.3"),
         (lambda: element_point(diamond, EdgeElement(1, 7.0)), r"t=7.0\): t is not in \[0, 1\]"),
         (lambda: element_point(diamond, EdgeElement(1, math.nan)), r"t=nan\): t is not in"),
     ]

@@ -35,7 +35,7 @@ from ftplane import geometry, solver
 from ftplane.geometry import DEFAULT_EPS, Region, clip_polygon
 from ftplane.lambda_planes import make_lambda_norm
 from ftplane.norms import Functional, FunctionalSegment, gauge_batch, norming_set
-from ftplane.oracle import random_instance, random_symmetric_norm
+from ftplane.oracle import probe_solution_set, random_instance, random_symmetric_norm
 from ftplane.uniqueness import uniqueness_verdict
 
 from conftest import (
@@ -281,7 +281,7 @@ def test_a_terminal_alone_forms_no_crossing(diamond, hexagon):
     # one terminal, or one twice, whose lines merge: no pair is formed, and
     # the terminal, scored on its own, is the answer as the caller's object
     for norm in (diamond, hexagon, make_lambda_norm(24).norm):
-        _, _, dx, dy, dn = norm._breaklines
+        _, dx, dy, dn = norm._breaklines
         for q in (Vec2(1, -2), Vec2(0.25, -1.0)):
             for pts in ([q], [q, q]):
                 qx, qy = np.array([c.x for c in pts], float), np.array([c.y for c in pts], float)
@@ -323,7 +323,7 @@ def test_candidate_minimize_block_shapes_match_loop_reference(
     six = [Vec2(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)) for _ in range(6)]
     qx, qy = np.array([q.x for q in six]), np.array([q.y for q in six])
     assert sum(1 for _ in solver._crossing_blocks(
-        qx, qy, *gon48._breaklines[2:], np.ones(6 * 24, dtype=bool))) == count
+        qx, qy, *gon48._breaklines[1:], np.ones(6 * 24, dtype=bool))) == count
     cases = [(gon48, six), (gon48, six[:2]), (gon48, six[:3] + six[:2]),
              (gon48, [Vec2(0.25, -1.0)]), (hexagon, [Vec2(1.5, -2.0)]),
              (hexagon, random_terminals(7, seed=7)),
@@ -1179,7 +1179,6 @@ def test_thin_flat_region_far_from_origin_stays_polygon():
     assert 1e-6 < diam < 1e-2  # genuinely thin, genuinely two-dimensional
     for v in sol.region.vertices:
         assert objective(norm, pts, v) == pytest.approx(sol.objective, abs=1e-9)
-    from ftplane import probe_solution_set
     report = probe_solution_set(norm, pts, sol.region, sol.objective, delta=1e-7)
     assert report.max_inside_deviation < 1e-9
     assert report.min_outside_excess > 0
@@ -1509,7 +1508,7 @@ def test_intersect_cones_of_repeated_cones_is_the_same_region():
         if sol.certificate.relaxed:
             continue
         cones = build_cones(norm, pts, sol.certificate.functionals)
-        radius = 2.0 * sol.objective * norm._breaklines[0]
+        radius = 2.0 * sol.objective * norm._radius
         assert repr(intersect_cones(cones + cones, radius)) == \
             repr(intersect_cones(cones, radius)) == repr(sol.region)
         clipped += 1
