@@ -25,7 +25,6 @@ _THIRD = 2.0 * math.pi / 3.0
 
 @dataclass(frozen=True)
 class LambdaPlane:
-    lam: int
     norm: PolygonalNorm
 
 
@@ -46,7 +45,7 @@ def make_lambda_norm(lam: int) -> LambdaPlane:
     xs, ys = list(map(math.cos, angles)), list(map(math.sin, angles))
     # the mirrored half, negated coordinate by coordinate, keeps symmetry exact
     verts = map(Vec2, xs + [-x for x in xs], ys + [-y for y in ys])
-    return LambdaPlane(lam, PolygonalNorm(tuple(verts)))
+    return LambdaPlane(PolygonalNorm(tuple(verts)))
 
 
 def classify_lambda(lam: int, eps: float = DEFAULT_EPS) -> Verdict:

@@ -258,14 +258,20 @@ def _gauge(norm: PolygonalNorm, x: float, y: float) -> float:
     return val if not val <= 0.0 else 0.0  # NaN stays NaN, as in gauge_batch
 
 
-def gauge_batch(norm: PolygonalNorm, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """Vectorized gauge of displacement arrays, same sector-location route:
-    ``_sector_after`` folds each angle once, and its sector + 1 indexes the
-    dual columns, whose wrap row stands for sector -1."""
+def _edge_functionals(norm: PolygonalNorm, dx: np.ndarray,
+                      dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The x and y parts of the edge functional of each direction's sector,
+    on the array route: ``_sector_after`` folds each angle once, and its
+    sector + 1 indexes the dual columns, whose wrap row stands for sector -1."""
     k = norm._sector_after(dx, dy)
     fx, fy = norm._dual_columns
-    out = fx[k] * dx + fy[k] * dy
-    return np.maximum(out, 0.0)
+    return fx[k], fy[k]
+
+
+def gauge_batch(norm: PolygonalNorm, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Vectorized gauge of displacement arrays, on ``_edge_functionals``."""
+    fx, fy = _edge_functionals(norm, dx, dy)
+    return np.maximum(fx * dx + fy * dy, 0.0)
 
 
 def _snap(norm: PolygonalNorm, v: Vec2, eps: float) -> tuple[int, int | None]:

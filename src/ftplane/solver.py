@@ -38,6 +38,12 @@ free, in O(k^2) for k segments (terminals in a vertex direction from p).
 It succeeds exactly when the target lies in the zonogon; with d times the
 dual ball added (d terminals at p), the same peel decides the relaxed test.
 
+Candidates are screened, scored and ranked on the gauge's array route alone
+(``gauge_batch``, ``_edge_functionals``). The scalar route (``_gauge``), which
+may differ in the last bit of an angle, values an optimum found without
+candidates (a collinear set's median, a witness's origin) and, on purpose,
+the checks: ``check_certificate`` and the vertex re-check compute apart.
+
 The clip, peel, cone and check stages compute on plain floats, in the
 operation order of the Vec2 arithmetic, and build Vec2 only for results.
 A dual edge, its generator and lengths, and a cone shape are built on first
@@ -69,6 +75,7 @@ from .norms import (
     Functional,
     FunctionalSegment,
     PolygonalNorm,
+    _edge_functionals,
     _gauge,
     _polar_face,
     dual_norm,
@@ -151,6 +158,12 @@ _PAIR_BLOCK = 1 << 15
 _CELL_BLOCK = 1 << 13
 
 
+def _coords(points) -> tuple[np.ndarray, np.ndarray]:
+    """The x and y coordinates of ``points`` as float arrays."""
+    return (np.array([q.x for q in points], dtype=float),
+            np.array([q.y for q in points], dtype=float))
+
+
 def _objective_batch(norm: PolygonalNorm, qx: np.ndarray, qy: np.ndarray,
                      xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Objective at each (xs, ys); the terminals' gauges are added in order."""
@@ -210,8 +223,7 @@ def _live_lines(norm: PolygonalNorm, qx: np.ndarray, qy: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):
         y = complex(px, py) + span * _CUT_STEPS  # p0, then the rays' radii
         ex, ey = y.real[:, None] - qx, y.imag[:, None] - qy
-        k = norm._sector_after(ex, ey)  # sector + 1 indexes the dual columns
-        fa, fb = (col[k] for col in norm._dual_columns)
+        fa, fb = _edge_functionals(norm, ex, ey)
         vals = np.maximum(fa * ex + fb * ey, 0.0).sum(axis=1)
         target = vals[0] + eps * max(1.0, vals[0])
         # rounding of f (a few ulps per term, times r * phi_max where
@@ -288,8 +300,7 @@ def candidate_minimize(norm: PolygonalNorm, points: list[Vec2] | tuple[Vec2, ...
     pts = list(points)
     if not finite_spans(pts):
         raise InputError("coordinates and their spans must be finite")
-    qx = np.array([q.x for q in pts], dtype=float)
-    qy = np.array([q.y for q in pts], dtype=float)
+    qx, qy = _coords(pts)
     _, dx, dy, dn = norm._breaklines
     live = _live_lines(norm, qx, qy, eps)
 
@@ -654,7 +665,8 @@ def _certify(norm: PolygonalNorm, pts: tuple[Vec2, ...], p: Vec2, value: float,
     else the solution set is where the cones meet, and each vertex must
     attain ``value``. When p, the centroid of several minimizing candidates
     ``cands``, gives no certificate, a relaxed one or a CertificateError, the
-    lowest-valued candidate (the first on ties) is certified alone. Several
+    lowest-valued candidate (the first on ties), on the floats that
+    candidate_minimize kept it by, is certified alone. Several
     candidates mean more than one optimum, so there a relaxed entry of dual
     norm one, within check_certificate's tol, gets its cone like any other
     entry, and only one below one makes the region that point.
@@ -666,7 +678,10 @@ def _certify(norm: PolygonalNorm, pts: tuple[Vec2, ...], p: Vec2, value: float,
                 return _solution(norm, pts, cert, value, eps, point=False)
             except CertificateError:
                 pass
-        cert = verify_ft_point(norm, pts, min(cands, key=lambda c: objective(norm, pts, c)), eps)
+        # candidate_minimize's floats: each cell's gauge depends only on its
+        # displacement, and the terminals are added in order
+        vals = _objective_batch(norm, *_coords(pts), *_coords(cands))
+        cert = verify_ft_point(norm, pts, cands[int(vals.argmin())], eps)
     if cert is None:
         raise CertificateError("no norming selection sums to zero at p")
     point = bool(cert.relaxed)

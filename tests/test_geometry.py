@@ -97,6 +97,22 @@ def test_hull_interior_point_removed():
                for i in range(n))
 
 
+def test_hull_merges_the_last_vertex_into_the_first():
+    # the upper chain ends at a point 9e-10 from the first, at a left turn
+    # that orient still sees: the merge drops it across the wrap, which
+    # leaves the segment, not a sliver triangle
+    d = 9e-10 / math.sqrt(2)
+    r = convex_hull([Vec2(0, 0), Vec2(d, d), Vec2(1, -1)])
+    assert r == Region.segment(Vec2(0, 0), Vec2(1, -1))
+
+
+def test_hull_drops_a_flat_vertex_where_the_chains_meet():
+    # the chains meet at the last point, (1, 0), which lies within eps of
+    # the line through its neighbours; neither chain tests that turn
+    r = convex_hull([Vec2(0, 0), Vec2(1 - 1e-10, 1), Vec2(1, -1), Vec2(1, 0)])
+    assert r == Region.polygon([Vec2(0, 0), Vec2(1, -1), Vec2(1 - 1e-10, 1)])
+
+
 def test_hull_empty_input_rejected():
     with pytest.raises(InputError, match="convex hull needs at least one point"):
         convex_hull([])

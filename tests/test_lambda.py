@@ -1,17 +1,24 @@
+import dataclasses
 import math
 from random import Random
 
 import pytest
 
 from ftplane import (
+    CertificateError,
+    EdgeElement,
     InputError,
+    Region,
     Vec2,
+    VertexElement,
     classify_lambda,
     ft_solve,
     lambda_triangle_solution,
     make_lambda_norm,
     torricelli_point,
 )
+from ftplane import lambda_planes
+from ftplane.uniqueness import Verdict
 
 from conftest import SQRT3, regions_match
 
@@ -29,6 +36,7 @@ def viewing_angle(t: Vec2, a: Vec2, b: Vec2) -> float:
 
 def test_make_lambda_norm():
     plane = make_lambda_norm(2)
+    assert [f.name for f in dataclasses.fields(plane)] == ["norm"]
     got = [(round(v.x, 12), round(v.y, 12)) for v in plane.norm.vertices]
     assert got == [(1, 0), (0, 1), (-1, 0), (0, -1)]
     plane = make_lambda_norm(3)
@@ -65,6 +73,16 @@ def test_classify_examples():
     v3 = classify_lambda(3)
     assert not v3.unique and v3.triple.condition == 1
     assert not classify_lambda(6).unique
+
+
+def test_classify_lambda_checks_the_mod_3_rule(monkeypatch):
+    # a verdict that contradicts the rule is a CertificateError, either way
+    for lam, unique, said in ((4, False, "non-unique"), (3, True, "unique")):
+        monkeypatch.setattr(lambda_planes, "uniqueness_verdict",
+                            lambda norm, eps, unique=unique: Verdict(unique))
+        with pytest.raises(CertificateError,
+                           match=f"plane {lam}: verdict {said} contradicts the mod-3 rule"):
+            classify_lambda(lam)
 
 
 def test_large_multiples_of_3_certify_a_polygon_witness():
@@ -126,6 +144,44 @@ def test_triangle_solution_preconditions(unit_triangle):
     # wide triangles still go through the generic solver
     sol = ft_solve(make_lambda_norm(3).norm, wide)
     assert sol.region.kind in ("point", "segment", "polygon")
+
+
+def test_triangle_solution_cross_checks_raise(monkeypatch, unit_triangle):
+    # each prediction the generic solver's answer must meet, broken in turn;
+    # unit_triangle hits no vertex and solves to a polygon
+    def hits(*flags):
+        answers = iter(flags)
+        monkeypatch.setattr(lambda_planes, "classify_direction",
+                            lambda norm, v, eps: VertexElement(0) if next(answers) else
+                            EdgeElement(0, 0.5))
+
+    def solved(region):
+        def solve(norm, pts, eps):
+            return dataclasses.replace(ft_solve(norm, pts, eps), region=region)
+        monkeypatch.setattr(lambda_planes, "ft_solve", solve)
+
+    hits(True, False, False)
+    with pytest.raises(CertificateError, match="hit a mix of vertices and edges"):
+        lambda_triangle_solution(3, *unit_triangle)
+    hits(True, True, True)
+    with pytest.raises(CertificateError, match="expected the single point .*, solver returned"):
+        lambda_triangle_solution(3, *unit_triangle)
+    p = torricelli_point(*unit_triangle)
+    for far in (Vec2(p.x + 2e-6, p.y), Vec2(p.x, p.y - 2e-6)):
+        hits(True, True, True)
+        solved(Region.point(far))
+        with pytest.raises(CertificateError, match="expected the single point"):
+            lambda_triangle_solution(3, *unit_triangle)
+    hits(False, False, False)
+    solved(Region.point(p))
+    with pytest.raises(CertificateError, match="expected a polygon, solver returned point"):
+        lambda_triangle_solution(3, *unit_triangle)
+    hits(False, False, False)
+    solved(Region.polygon([unit_triangle[1], Vec2(2, 2), unit_triangle[2]]))  # p lies outside
+    with pytest.raises(CertificateError, match="120-degree point is not strictly inside"):
+        lambda_triangle_solution(3, *unit_triangle)
+    monkeypatch.undo()
+    assert lambda_triangle_solution(3, *unit_triangle).region.kind == "polygon"
 
 
 def test_triangle_solution_matches_generic_solver():

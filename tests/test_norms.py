@@ -36,6 +36,13 @@ def manhattan(v: Vec2) -> float:
 def test_make_norm_validation():
     with pytest.raises(InputError, match="vertex count must be even, got 3"):
         make_polygonal_norm([(1, 0), (0, 1), (-1, 0)])
+    with pytest.raises(InputError, match="need at least 4 vertices, got 2"):
+        make_polygonal_norm([(1, 0), (-1, 0)])
+    with pytest.raises(InputError, match="need at least 4 vertices, got 0"):
+        make_polygonal_norm([])
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(InputError, match="vertices must be finite"):
+            make_polygonal_norm([(1, 0), (0, bad), (-1, 0), (0, -1)])
     with pytest.raises(InputError, match="not in strictly convex position"):
         make_polygonal_norm([(1, 0), (2, 0), (-1, 0), (-2, 0)])
     with pytest.raises(InputError, match="is not the reflection of vertex"):

@@ -240,22 +240,59 @@ def test_candidate_minimize_matches_lp_oracle(live_masks):
     assert live_masks[-1].size == 24_000 and live_masks[-1].sum() <= 240
 
 
-def test_flat_argmin_certifies_its_lowest_candidate():
-    # the third draw of Random(9) on the 48-gon: two argmin candidates 5.2e-4
-    # apart and 3.9e-7 apart in value; their centroid does not certify, the
-    # lower one does
+def flat_argmin_set():
+    """The third draw of Random(9) on the 48-gon: two argmin candidates 5.2e-4
+    apart and 3.9e-7 apart in value, whose centroid does not certify."""
     rng = Random(9)
     for n in (50, 100, 200):
         pts = [Vec2(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(n)]
-    norm = make_lambda_norm(24).norm
+    return make_lambda_norm(24).norm, pts
+
+
+def batch_argmin(norm, pts, cands):
+    """The candidate of least value on the array route, the first of equals:
+    one _objective_batch call over the candidates."""
+    vals = solver._objective_batch(norm, *solver._coords(pts), *solver._coords(cands))
+    return cands[int(vals.argmin())]
+
+
+def test_flat_argmin_certifies_its_lowest_candidate():
+    # the centroid of the two candidates does not certify, the lower one does
+    norm, pts = flat_argmin_set()
     cands, best = candidate_minimize(norm, pts)
     assert len(cands) == 2
     centroid = Vec2((cands[0].x + cands[1].x) / 2, (cands[0].y + cands[1].y) / 2)
     assert verify_ft_point(norm, pts, centroid) is None
     sol = ft_solve(norm, pts)
-    assert sol.certificate.base == min(cands, key=lambda c: objective(norm, pts, c))
+    assert sol.certificate.base == batch_argmin(norm, pts, cands)
     assert sol.objective == best == objective(norm, pts, sol.certificate.base)
     assert abs(best - lp_minimum(norm, pts)) <= DEFAULT_EPS * max(1.0, best)
+
+
+def test_the_fallback_ranks_candidates_on_the_array_route(monkeypatch):
+    # the scalar objective values no candidate: it only re-checks the
+    # region's vertices, and the base is the argmin of one _objective_batch
+    # call, on the floats candidate_minimize kept the candidates by
+    norm, pts = flat_argmin_set()
+    cands, _ = candidate_minimize(norm, pts)
+    calls, batches = [], []
+
+    def spy(norm, points, x):
+        calls.append(x)
+        return objective(norm, points, x)
+
+    def batch_spy(norm, qx, qy, xs, ys):
+        batches.append(len(xs))
+        return objective_batch(norm, qx, qy, xs, ys)
+
+    objective_batch = solver._objective_batch
+    monkeypatch.setattr(solver, "objective", spy)
+    monkeypatch.setattr(solver, "_objective_batch", batch_spy)
+    sol = ft_solve(norm, pts)
+    assert calls == list(sol.region.vertices)
+    assert batches[-1] == len(cands)  # the fallback's one call, after candidate_minimize's
+    monkeypatch.undo()
+    assert sol.certificate.base == batch_argmin(norm, pts, cands) == cands[0]
 
 
 def test_near_vertex_sets_certify_at_their_lowest_candidate(diamond, hexagon):
@@ -904,6 +941,7 @@ def test_intersect_cones_matches_the_object_route():
 
 
 def test_collinear_median():
+    assert collinear_median([]) is None
     assert collinear_median([Vec2(0, 0), Vec2(1, 0), Vec2(5, 0)]) == Vec2(1, 0)
     pts = [Vec2(0, 0), Vec2(1, 1), Vec2(2, 2), Vec2(3, 3), Vec2(10, 10)]
     assert collinear_median(pts) == Vec2(2, 2)

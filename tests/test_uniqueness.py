@@ -508,6 +508,14 @@ def pair_index(norm, triple):
     return i * m - i * (i + 1) // 2 + j - i - 1
 
 
+def scalar_triples(norm):
+    """The first triple of conditions 1, 2 and 3 by the scalar references."""
+    hits = list(scalar_pair_hits(norm))
+    return (next((t for t in hits if t.condition == 1), None),
+            next((t for t in hits if t.condition == 2), None),
+            scalar_condition3(norm))
+
+
 def test_conditions_match_scalar_reference(monkeypatch):
     norms = [random_symmetric_norm(rng) for rng in map(Random, range(5)) for _ in range(200)]
     # odd planes up to m = 202, whose condition-3 survivors fall in every block of rows
@@ -523,10 +531,7 @@ def test_conditions_match_scalar_reference(monkeypatch):
     both = cond2_before_cond1()
     fired = [0, 0, 0]
     for norm in norms + late + [both]:
-        hits = list(scalar_pair_hits(norm))
-        want = (next((t for t in hits if t.condition == 1), None),
-                next((t for t in hits if t.condition == 2), None),
-                scalar_condition3(norm))
+        want = scalar_triples(norm)
         got = (check_condition1(norm), check_condition2(norm), check_condition3(norm))
         assert repr(got) == repr(want)
         for c, t in enumerate(got):
@@ -560,6 +565,44 @@ def test_conditions_match_scalar_reference(monkeypatch):
     t1, t2 = check_condition1(both), check_condition2(both)
     assert pair_index(both, t2) < pair_index(both, t1)
     assert uniqueness_verdict(both).triple == t1
+
+
+def thin_dual_hexagon(shift):
+    """The hexagon (1, 0), (0.5, 0.5 + 1.2e-9), (0, 1) and its mirror, vertex
+    3 moved by ``shift`` along x: the dual edge at vertex 1 is 3.4e-9 long."""
+    half = [(1.0, 0.0), (0.5, 0.5 + 1.2e-9), (0.0, 1.0)]
+    return make_polygonal_norm(half + [(-1.0 + shift, 0.0)] + [(-x, -y) for x, y in half[1:]])
+
+
+def test_thin_dual_verdicts_match_the_scalar_reference():
+    # a dual edge shorter than 4 eps takes the 3 M eps / u_min bound on g,
+    # which keeps every pair cell of these norms; an asymmetry of 2e-10, a
+    # fifth of the symmetry tolerance, lifts the sine bound past its cap, so
+    # the condition-3 rows keep every cell too. Without either branch the
+    # search keeps fewer cells here, and the verdicts stay the same. The third
+    # norm is COND3_HEXAGON with the middle of edge 0 pushed out by 1.2e-9:
+    # its dual edge there is 2.1e-9 long, and condition 2 fires
+    pushed = (5.50000000023534, 0.5000000011766969)
+    top = [COND3_HEXAGON[0], pushed, *COND3_HEXAGON[1:3]]
+    cond3_thin = make_polygonal_norm(top + [(-x, -y) for x, y in top])
+    kinds = []
+    for norm, keep_all in ((thin_dual_hexagon(0.0), False), (thin_dual_hexagon(2e-10), True),
+                           (cond3_thin, False)):
+        setup = uniqueness._DualSetup.build(norm, DEFAULT_EPS)
+        assert 2e-9 < np.abs(setup.ez).min() < 4 * DEFAULT_EPS
+        half = norm.m // 2
+        cells = set(zip(*(a.tolist() for a in setup.cells)))
+        assert cells >= {(r, x) for r in range(half) for x in range(1, half + 1)}
+        cond3 = {(r, x) for r in range(half, norm.m) for x in range(1, half + 1)}
+        assert (cells >= cond3) == keep_all, cells
+        want = scalar_triples(norm)
+        got = (check_condition1(norm), check_condition2(norm), check_condition3(norm))
+        assert repr(got) == repr(want)
+        first = next((t for t in want if t is not None), None)
+        verdict = uniqueness_verdict(norm)
+        assert repr(verdict.triple) == repr(first)
+        kinds.append(verdict.region and verdict.region.kind)
+    assert kinds == [None, None, "segment"]
 
 
 def test_scalar_judge_sees_only_real_candidates(monkeypatch):
